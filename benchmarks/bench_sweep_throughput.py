@@ -40,9 +40,10 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.cache import code_version
 from repro.simulation.parallel import default_workers
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 DEFAULT_SCENARIO = "fig15-environment"
 # Enough seeds that scheduling overhead (what the modes contrast)
@@ -90,26 +91,49 @@ def run_bench(
     workers = workers or max(4, min(8, default_workers()))
     seed_list = seed_range(seeds)
 
-    sequential = run_sweep(scenario, seed_list, workers=1, smoke=smoke)
-    per_seed = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", chunk_size=1, smoke=smoke)
-    chunked = run_sweep(scenario, seed_list, workers=workers,
-                        backend="process", smoke=smoke)
+    sequential = execute_sweep(
+        SweepSpec(scenario, seed_list, smoke=smoke),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
+    per_seed = execute_sweep(
+        SweepSpec(scenario, seed_list, smoke=smoke),
+        ExecutionProfile(
+            workers=workers, backend="process", chunk_size=1, no_cache=True,
+        ),
+    )
+    chunked = execute_sweep(
+        SweepSpec(scenario, seed_list, smoke=smoke),
+        ExecutionProfile(workers=workers, backend="process", no_cache=True),
+    )
 
     if cache_dir:
         cache_root = Path(cache_dir)
-        cold = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", smoke=smoke,
-                         cache_dir=cache_root)
-        warm = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", smoke=smoke,
-                         cache_dir=cache_root)
+        cold = execute_sweep(
+            SweepSpec(scenario, seed_list, smoke=smoke),
+            ExecutionProfile(
+                workers=workers, backend="process", cache_dir=cache_root,
+            ),
+        )
+        warm = execute_sweep(
+            SweepSpec(scenario, seed_list, smoke=smoke),
+            ExecutionProfile(
+                workers=workers, backend="process", cache_dir=cache_root,
+            ),
+        )
     else:
         with tempfile.TemporaryDirectory(prefix="bench-sweep-cache-") as tmp:
-            cold = run_sweep(scenario, seed_list, workers=workers,
-                             backend="process", smoke=smoke, cache_dir=tmp)
-            warm = run_sweep(scenario, seed_list, workers=workers,
-                             backend="process", smoke=smoke, cache_dir=tmp)
+            cold = execute_sweep(
+                SweepSpec(scenario, seed_list, smoke=smoke),
+                ExecutionProfile(
+                    workers=workers, backend="process", cache_dir=tmp,
+                ),
+            )
+            warm = execute_sweep(
+                SweepSpec(scenario, seed_list, smoke=smoke),
+                ExecutionProfile(
+                    workers=workers, backend="process", cache_dir=tmp,
+                ),
+            )
 
     modes = {
         "sequential": sequential,
@@ -133,12 +157,18 @@ def run_bench(
     # cache's worst case by construction).
     cache_seed_list = seed_range(CACHE_SEEDS)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-cache2-") as tmp:
-        cache_cold = run_sweep(CACHE_SCENARIO, cache_seed_list,
-                               workers=workers, backend="process",
-                               smoke=smoke, cache_dir=tmp)
-        cache_warm = run_sweep(CACHE_SCENARIO, cache_seed_list,
-                               workers=workers, backend="process",
-                               smoke=smoke, cache_dir=tmp)
+        cache_cold = execute_sweep(
+            SweepSpec(CACHE_SCENARIO, cache_seed_list, smoke=smoke),
+            ExecutionProfile(
+                workers=workers, backend="process", cache_dir=tmp,
+            ),
+        )
+        cache_warm = execute_sweep(
+            SweepSpec(CACHE_SCENARIO, cache_seed_list, smoke=smoke),
+            ExecutionProfile(
+                workers=workers, backend="process", cache_dir=tmp,
+            ),
+        )
     assert cache_warm.per_seed == cache_cold.per_seed, (
         "warm cache replay diverges from the cold run"
     )
@@ -147,10 +177,13 @@ def run_bench(
 
     # Kernel backends head to head: the same sweep, sequential and
     # uncached on both sides, so the ratio isolates per-seed compute.
-    compute_python = run_sweep(COMPUTE_SCENARIO, seed_list,
-                               workers=1, smoke=smoke)
-    compute_vectorized = run_sweep(
-        COMPUTE_SCENARIO + "-vectorized", seed_list, workers=1, smoke=smoke,
+    compute_python = execute_sweep(
+        SweepSpec(COMPUTE_SCENARIO, seed_list, smoke=smoke),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
+    compute_vectorized = execute_sweep(
+        SweepSpec(COMPUTE_SCENARIO + "-vectorized", seed_list, smoke=smoke),
+        ExecutionProfile(workers=1, no_cache=True),
     )
     assert compute_vectorized.per_seed == compute_python.per_seed, (
         "vectorized kernels diverge from the python oracle"

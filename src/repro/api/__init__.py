@@ -15,8 +15,8 @@ Describe *what* to run with :class:`SweepSpec`, *how* to run it with
     ])
     campaign.result().write_exports("exports/")
 
-Everything here drives the same engine as ``repro sweep`` and the
-legacy :func:`repro.simulation.sweep.run_sweep` shim, so results are
+Everything here drives :func:`repro.simulation.sweep.execute_sweep`,
+the same engine as ``repro sweep`` and ``repro serve``, so results are
 bit-identical across all surfaces — profiles change speed and
 placement, never values.
 """

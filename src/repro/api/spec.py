@@ -1,10 +1,7 @@
 """The job descriptions of the public API: what to run, how to run it.
 
-A sweep used to be described by ~10 loose keyword arguments on
-:func:`repro.simulation.sweep.run_sweep`, mixing *what* (scenario,
-seeds, parameter overrides) with *how* (pool size, backend, chunking,
-cache and queue locations).  This module splits that into two frozen,
-validated, JSON-serializable values:
+A sweep is described by two frozen, validated, JSON-serializable
+values, keeping *what* runs apart from *how* it runs:
 
 * :class:`SweepSpec` — the work item: one scenario, one seed list, one
   set of parameter overrides.  Hashable, order-normalized, and stable
@@ -18,8 +15,8 @@ validated, JSON-serializable values:
   where.
 
 Both validate on construction via :func:`validate_execution`, the one
-shared validator also used by the legacy ``run_sweep`` shim, so
-contradictory option combinations (``no_cache`` with an explicit
+shared validator also used by the CLI, so contradictory option
+combinations (``no_cache`` with an explicit
 ``cache_dir``, queue settings without the distributed backend, a
 distributed run that nobody could ever execute) fail loudly at build
 time instead of being silently reinterpreted mid-run.
@@ -60,7 +57,6 @@ def validate_execution(
     compute: Optional[str] = None,
     max_attempts: Optional[int] = None,
     on_error: Optional[str] = None,
-    allow_inline_drain: bool = False,
     schedule: Optional[str] = None,
     autoscale: bool = False,
     min_workers: Optional[int] = None,
@@ -68,9 +64,9 @@ def validate_execution(
 ) -> None:
     """Reject contradictory or out-of-range execution options.
 
-    The one validator behind :class:`ExecutionProfile`, the ``repro``
-    CLI and the legacy ``run_sweep`` shim, so every surface rejects the
-    same combinations with the same messages:
+    The one validator behind :class:`ExecutionProfile` and the
+    ``repro`` CLI, so every surface rejects the same combinations with
+    the same messages:
 
     * a backend outside :data:`EXECUTION_BACKENDS`;
     * ``workers < 1`` for a pool backend, ``workers < 0`` for the
@@ -83,9 +79,7 @@ def validate_execution(
     * ``backend="distributed"`` with ``workers=0`` and no ``queue_dir``
       — no local daemons are spawned and no external ``repro worker``
       can ever join a private temp dir, so nobody but the coordinator
-      could compute anything.  ``allow_inline_drain=True`` permits that
-      degenerate mode; only the ``run_sweep`` shim passes it, because
-      pre-existing callers relied on the coordinator draining inline.
+      could compute anything.
     * ``schedule`` outside :data:`SCHEDULE_MODES`; ``schedule="cost"``
       or ``autoscale=True`` with a non-distributed backend (scheduling
       and fleet sizing are work-queue concepts);
@@ -120,7 +114,7 @@ def validate_execution(
             raise ValueError(
                 "workers must be >= 0 for the distributed backend"
             )
-        if workers == 0 and queue_dir is None and not allow_inline_drain:
+        if workers == 0 and queue_dir is None:
             raise ValueError(
                 "distributed execution with workers=0 needs an explicit "
                 "queue_dir: no local daemons are spawned and external "
@@ -239,8 +233,8 @@ class SweepSpec:
     Frozen and hashable; validated on construction (the scenario must be
     registered, the seeds non-empty integers, every override a known
     parameter of the scenario).  ``smoke=True`` applies the scenario's
-    scaled-down smoke parameters before the overrides, exactly like
-    ``run_sweep(smoke=True)`` always has.
+    scaled-down smoke parameters before the overrides (the
+    ``repro sweep --smoke`` scale).
 
     The JSON form (:meth:`to_payload` / :meth:`from_payload`) is stable:
     ``SweepSpec.from_json(spec.to_json()) == spec`` for every valid
@@ -350,12 +344,10 @@ class ExecutionProfile:
     Result-neutral by contract — every profile produces bit-identical
     results for the same :class:`SweepSpec` (the equivalence suite
     asserts it).  Validated on construction by
-    :func:`validate_execution` with the strict rules: contradictory
-    combinations the legacy surfaces silently reinterpreted are errors
-    here.
+    :func:`validate_execution`: contradictory combinations are errors.
 
-    Cache semantics are explicit where ``run_sweep``'s were implicit:
-    ``no_cache=True`` disables the persistent result cache entirely;
+    Cache semantics: ``no_cache=True`` disables the persistent result
+    cache entirely;
     otherwise ``cache_dir`` names it, defaulting to
     ``$REPRO_CACHE_DIR`` / the XDG cache home when ``None``.
     """
@@ -421,34 +413,10 @@ class ExecutionProfile:
     @classmethod
     def _field_defaults(cls) -> Dict[str, object]:
         """``{field name: default}`` from the one field declaration —
-        the single source for ``_legacy`` and the payload round trip."""
+        the single source for the payload round trip."""
         return {
             spec.name: spec.default for spec in dataclasses.fields(cls)
         }
-
-    @classmethod
-    def _legacy(cls, **fields: object) -> "ExecutionProfile":
-        """Shim-only constructor: skip the strict-only conflict rules.
-
-        The ``run_sweep`` shim must keep accepting the one combination
-        the new API rejects (distributed, ``workers=0``, no queue dir —
-        the coordinator drains a private temp queue inline).  Validation
-        still runs, just with ``allow_inline_drain=True``.
-        """
-        values = cls._field_defaults()
-        unknown = set(fields) - set(values)
-        if unknown:
-            raise TypeError(
-                f"unknown ExecutionProfile field(s): {sorted(unknown)}"
-            )
-        values.update(fields)
-        validate_execution(allow_inline_drain=True, **values)
-        self = object.__new__(cls)
-        for name, value in values.items():
-            if name in ("cache_dir", "queue_dir") and value is not None:
-                value = str(value)
-            object.__setattr__(self, name, value)
-        return self
 
     @property
     def distributed(self) -> bool:

@@ -179,9 +179,7 @@ def cmd_fig15(args: argparse.Namespace) -> int:
 def cmd_fig8(args: argparse.Namespace) -> int:
     from repro.iotnet.experiments import InferenceExperiment
 
-    result = InferenceExperiment(
-        runs=50, seed=args.seed, backend=args.backend
-    ).run()
+    result = InferenceExperiment(runs=50, seed=args.seed).run()
     curves = [
         LabelledSeries("With Proposed Model", result.with_model),
         LabelledSeries("Without Proposed Model", result.without_model),
@@ -197,7 +195,7 @@ def cmd_fig8(args: argparse.Namespace) -> int:
 def cmd_fig14(args: argparse.Namespace) -> int:
     from repro.iotnet.experiments import ActiveTimeExperiment
 
-    result = ActiveTimeExperiment(seed=args.seed, backend=args.backend).run()
+    result = ActiveTimeExperiment(seed=args.seed).run()
     curves = [
         LabelledSeries("Without Proposed Model", result.without_model),
         LabelledSeries("With Proposed Model", result.with_model),
@@ -213,7 +211,7 @@ def cmd_fig14(args: argparse.Namespace) -> int:
 def cmd_fig16(args: argparse.Namespace) -> int:
     from repro.iotnet.experiments import LightingExperiment
 
-    result = LightingExperiment(seed=args.seed, backend=args.backend).run()
+    result = LightingExperiment(seed=args.seed).run()
     curves = [
         LabelledSeries("With Proposed Model", result.with_model),
         LabelledSeries("Without Proposed Model", result.without_model),
@@ -613,11 +611,9 @@ def cmd_queue(args: argparse.Namespace) -> int:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     """Long-running worker daemon draining a shared sweep queue dir."""
+    from repro.fsproto import owner_id
     from repro.simulation.cache import default_cache_dir
-    from repro.simulation.distributed import (
-        default_worker_id,
-        worker_loop,
-    )
+    from repro.simulation.distributed import worker_loop
 
     error = _queue_path_error(args.queue_dir)
     if error is not None:
@@ -628,7 +624,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
         cache_dir = None
     else:
         cache_dir = args.cache_dir or str(default_cache_dir())
-    owner = args.worker_id or default_worker_id()
+    owner = args.worker_id or owner_id()
     mode = "drain" if args.drain else "daemon"
     stop = None
     if args.stop_file is not None:
@@ -845,12 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fig15":
             sub.add_argument("--runs", type=int, default=100,
                              help="independent runs to average")
-        if name in ("fig8", "fig14", "fig16"):
-            sub.add_argument("--backend", choices=("sync", "async"),
-                             default="sync",
-                             help="IoT exchange backend: the sequential "
-                                  "oracle or the asyncio stack "
-                                  "(bit-identical results)")
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -1017,7 +1007,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 3; a budget pinned in the sweep "
                              "manifest wins)")
     worker.add_argument("--worker-id", default=None, metavar="ID",
-                        help="lease owner id (default: host-pid)")
+                        help="lease owner id (default: host:pid:token)")
     worker.add_argument("--stop-file", metavar="PATH", default=None,
                         help="exit gracefully (after the current task) "
                              "once PATH exists — the autoscaler's "

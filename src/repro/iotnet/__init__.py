@@ -13,19 +13,15 @@ simulates that testbed:
 * :mod:`repro.iotnet.sensors` — optical sensors and light schedules,
 * :mod:`repro.iotnet.network` — the 5-group experimental topology,
 * :mod:`repro.iotnet.experiments` — the Fig. 8 / Fig. 14 / Fig. 16 runs,
-* :mod:`repro.iotnet.aio` — the deterministic asyncio exchange stack
-  (bit-identical to the sequential oracle),
-* :mod:`repro.iotnet.golden` — shared sync/async golden-capture helpers.
+* :mod:`repro.iotnet.aio` — the exchange engine the experiments flush
+  their frame exchanges through.
 """
 
 from repro.iotnet.aio import (
-    AsyncExchangeEngine,
     ExchangeAccounting,
     ExchangeRequest,
     FrameLossError,
-    StalledExchangeError,
     SyncExchangeEngine,
-    exchange_engine,
 )
 from repro.iotnet.device import Coordinator, NodeDevice
 from repro.iotnet.energy import EnergyMeter, EnergyProfile, account_exchange
@@ -46,7 +42,6 @@ from repro.iotnet.stack import ZStack
 
 __all__ = [
     "ActiveTimeExperiment",
-    "AsyncExchangeEngine",
     "Coordinator",
     "EnergyMeter",
     "EnergyProfile",
@@ -66,11 +61,9 @@ __all__ = [
     "RadioChannel",
     "RadioConfig",
     "Reassembler",
-    "StalledExchangeError",
     "SyncExchangeEngine",
     "UnknownDeviceError",
     "ZStack",
     "account_exchange",
-    "exchange_engine",
     "fragment_payload",
 ]

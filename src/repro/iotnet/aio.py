@@ -1,63 +1,29 @@
-"""Deterministic asyncio exchange stack for the simulated IoT network.
+"""The exchange engine: batches of message exchanges over the testbed.
 
-The synchronous path (:meth:`NodeDevice.send_message`) serializes every
-frame: each radio wait blocks the whole experiment, so device counts are
-capped by the depth of one call stack.  This module rebuilds the
-exchange layer as an event-loop pipeline while keeping the results
-**bit-identical** to the sequential oracle:
+The Fig. 8, 14 and 16 experiments queue up each round's frame
+exchanges as :class:`ExchangeRequest` values and flush them through a
+:class:`SyncExchangeEngine`, which runs one
+:meth:`NodeDevice.send_message` per request in submission order — the
+sequential oracle's exact sequence of radio draws, active-time
+accumulations and inbox appends.
 
-* a :class:`_Kernel` — a virtual-time scheduler on top of asyncio.  All
-  waits (stack traversal, air time, queue backpressure) are virtual;
-  the kernel advances its clock only when every task is parked, and
-  same-tick events are ordered by a **seeded tie-break** so a run is a
-  pure function of ``(topology, workload, seed)``;
-* a :class:`FrameQueue` per device — a bounded mailbox with
-  backpressure: a sender parks when the receiver's queue is full and
-  resumes when the receiver's worker drains it;
-* a **radio arbiter** — exchanges transmit over the shared 802.15.4
-  medium strictly in submission order (a ticket chain), so the
-  channel's retry RNG is drawn in exactly the order the sequential
-  oracle draws it;
-* **in-order commit** — every exchange's effects (active-time
-  accumulation, energy draws, inbox appends) are computed privately
-  during the run and applied to the devices in submission order
-  afterwards, replaying the oracle's float operations exactly.  This is
-  in-order retirement: execution overlaps, effects do not reorder.
-
-Equivalence is enforced by the golden suite
-(:mod:`tests.iotnet.test_golden_async`) and the Hypothesis properties
-(:mod:`tests.properties.test_property_iot_async`): for every topology
-and seed, ``backend="async"`` must reproduce the sync backend's frame
-traces, active times, inboxes and energy ledgers byte for byte.
-
-Frame accounting is self-checking: every frame an exchange creates is
-either delivered (and processed by the receiver's worker) or counted as
-dropped (radio loss or a virtual-time timeout).  A frame that silently
-disappears raises :class:`FrameLossError`; a pipeline that can no
-longer make progress raises :class:`StalledExchangeError` instead of
-hanging.
+Two guarantees ride along.  Addressing a frame to an unknown device
+raises :class:`~repro.iotnet.network.UnknownDeviceError` (or is
+counted, with ``on_unknown="count"``) instead of silently dropping it,
+and frame accounting is self-checking: every frame an exchange creates
+is either delivered (and processed by the receiver) or counted as
+dropped, and a frame that silently disappears raises
+:class:`FrameLossError`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import heapq
 import itertools
-import random
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.iotnet.device import (
-    NodeDevice,
-    TransmissionReport,
-    commit_exchange,
-)
-from repro.iotnet.messages import Frame, FrameKind, Reassembler, fragment_payload
-
-
-class StalledExchangeError(RuntimeError):
-    """The event loop has live tasks, no timers, and no runnable work."""
+from repro.iotnet.device import NodeDevice, TransmissionReport
+from repro.iotnet.messages import FrameKind
 
 
 class FrameLossError(RuntimeError):
@@ -66,27 +32,17 @@ class FrameLossError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExchangeRequest:
-    """One logical message exchange to run through an engine.
-
-    ``timeout_ms`` is a *virtual* time budget, measured from the moment
-    the exchange starts transmitting: frames not yet transmitted when
-    the budget runs out are dropped — and counted, never silently
-    lost.  Only the async backend can honor it; the sync engine rejects
-    requests that set it rather than silently diverge.
-    """
+    """One logical message exchange to run through the engine."""
 
     source: str
     destination: str
     payload: str
     max_fragment_size: int = 64
     kind: FrameKind = FrameKind.DATA
-    timeout_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_fragment_size < 1:
             raise ValueError("max_fragment_size must be at least 1")
-        if self.timeout_ms is not None and self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be non-negative")
 
 
 @dataclass
@@ -96,10 +52,9 @@ class ExchangeAccounting:
     exchanges: int = 0
     frames_created: int = 0
     frames_delivered: int = 0
-    frames_dropped: int = 0  # radio loss + timeout remainders
+    frames_dropped: int = 0  # radio loss
     frames_processed: int = 0
     unroutable_exchanges: int = 0
-    timed_out_exchanges: int = 0
 
     def verify(self) -> None:
         """Raise :class:`FrameLossError` unless every frame is accounted."""
@@ -116,194 +71,19 @@ class ExchangeAccounting:
             )
 
 
-# ---------------------------------------------------------------------------
-# the virtual-time kernel
-# ---------------------------------------------------------------------------
-
-class _Kernel:
-    """Virtual clock + park/resolve bookkeeping over one asyncio loop.
-
-    Tasks never wait on wall time.  They park on futures (timers, queue
-    slots, completion signals); the driver advances the virtual clock
-    only when every live task is parked.  Timer ties at the same
-    virtual instant are broken by a seeded RNG (then insertion order),
-    making the schedule deterministic for a fixed seed.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.now = 0.0
-        self._timers: List[Tuple[float, float, int, asyncio.Future]] = []
-        self._order = itertools.count()
-        self._tie_rng = random.Random(repr(("iot-aio-tie", seed)))
-        self._parked: set = set()
-        self._live = 0
-
-    # -- tasks ----------------------------------------------------------
-    def spawn(self, coro) -> asyncio.Task:
-        self._live += 1
-        task = asyncio.get_running_loop().create_task(coro)
-        task.add_done_callback(self._task_done)
-        return task
-
-    def _task_done(self, task: asyncio.Task) -> None:
-        self._live -= 1
-
-    # -- parking --------------------------------------------------------
-    async def _park(self, fut: asyncio.Future):
-        """Await a kernel-managed future, tracking blockedness."""
-        if fut.done():
-            return fut.result()
-        self._parked.add(fut)
-        try:
-            return await fut
-        except asyncio.CancelledError:
-            self._parked.discard(fut)
-            raise
-
-    def _resolve(self, fut: asyncio.Future, value=None) -> None:
-        """Resolve a parked future; its awaiter counts as runnable."""
-        self._parked.discard(fut)
-        fut.set_result(value)
-
-    # -- time -----------------------------------------------------------
-    async def sleep(self, delay_ms: float) -> None:
-        """Park until the virtual clock passes ``now + delay_ms``."""
-        if delay_ms < 0:
-            raise ValueError("delay_ms must be non-negative")
-        fut = asyncio.get_running_loop().create_future()
-        heapq.heappush(
-            self._timers,
-            (self.now + delay_ms, self._tie_rng.random(),
-             next(self._order), fut),
-        )
-        await self._park(fut)
-
-    # -- driving --------------------------------------------------------
-    async def drive(self, until_done: Sequence[asyncio.Task],
-                    watch: Sequence[asyncio.Task] = ()) -> None:
-        """Run until every ``until_done`` task finishes.
-
-        ``watch`` tasks (receiver workers) are expected to run forever;
-        one crashing leaves its frames unprocessed, which surfaces here
-        as a stall — the worker's exception is re-raised in preference
-        to the generic stall diagnosis.  Completed tasks are pruned
-        from the front of the pending deque (the ticket chain retires
-        them roughly in order), keeping each driver iteration O(1).
-        """
-        pending = deque(until_done)
-        while pending:
-            while pending and pending[0].done():
-                task = pending.popleft()
-                if not task.cancelled():
-                    error = task.exception()
-                    if error is not None:
-                        raise error
-            if not pending:
-                return
-            if len(self._parked) >= self._live:
-                if self._timers:
-                    when, _, _, fut = heapq.heappop(self._timers)
-                    if when > self.now:
-                        self.now = when
-                    self._resolve(fut)
-                else:
-                    for task in watch:
-                        if task.done() and not task.cancelled():
-                            error = task.exception()
-                            if error is not None:
-                                raise error
-                    raise StalledExchangeError(
-                        "exchange pipeline stalled: live tasks are all "
-                        "parked with no pending timers (a frame or wakeup "
-                        "was lost)"
-                    )
-            await asyncio.sleep(0)
-
-
-class FrameQueue:
-    """Bounded FIFO mailbox with kernel-integrated backpressure."""
-
-    def __init__(self, kernel: _Kernel, maxsize: int) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be at least 1")
-        self._kernel = kernel
-        self.maxsize = maxsize
-        self._items: deque = deque()
-        self._getters: deque = deque()
-        self._putters: deque = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    async def put(self, item) -> None:
-        while len(self._items) >= self.maxsize:
-            fut = asyncio.get_running_loop().create_future()
-            self._putters.append(fut)
-            await self._kernel._park(fut)
-        self._items.append(item)
-        if self._getters:
-            self._kernel._resolve(self._getters.popleft())
-
-    async def get(self):
-        while not self._items:
-            fut = asyncio.get_running_loop().create_future()
-            self._getters.append(fut)
-            await self._kernel._park(fut)
-        item = self._items.popleft()
-        if self._putters:
-            self._kernel._resolve(self._putters.popleft())
-        return item
-
-
-# ---------------------------------------------------------------------------
-# per-exchange execution state
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _ExchangeState:
-    seq: int
-    request: ExchangeRequest
-    sender: NodeDevice
-    receiver: NodeDevice
-    frames: List[Frame]
-    sender_active: float = 0.0
-    receiver_active: float = 0.0
-    delivered_frames: int = 0
-    dropped_frames: int = 0
-    processed_frames: int = 0
-    expected_delivered: Optional[int] = None
-    completed_payload: Optional[str] = None
-    all_delivered: bool = True
-    timed_out: bool = False
-    done: Optional[asyncio.Future] = None
-
-
 Resolver = Callable[[str], NodeDevice]
 
 
-def _dict_resolver(devices) -> Resolver:
-    from repro.iotnet.network import UnknownDeviceError
+class SyncExchangeEngine:
+    """The sequential oracle: one :meth:`NodeDevice.send_message` per
+    request, in submission order.
 
-    if isinstance(devices, Mapping):
-        table: Dict[str, NodeDevice] = dict(devices)
-    else:
-        table = {device.device_id: device for device in devices}
-
-    def resolve(device_id: str) -> NodeDevice:
-        try:
-            return table[device_id]
-        except KeyError:
-            raise UnknownDeviceError(
-                f"no device {device_id!r} in the exchange table"
-            ) from None
-
-    return resolve
-
-
-class _EngineBase:
-    """Shared resolution + unknown-destination policy of both engines."""
-
-    backend = "base"
+    ``resolver`` maps device ids to devices (an
+    :meth:`ExperimentalNetwork.device
+    <repro.iotnet.network.ExperimentalNetwork.device>`).  Destinations
+    are resolved up front, so a misaddressed request raises before
+    *any* device mutates.
+    """
 
     def __init__(self, resolver: Resolver, on_unknown: str = "raise") -> None:
         if on_unknown not in ("raise", "count"):
@@ -318,9 +98,8 @@ class _EngineBase:
     ) -> Optional[Tuple[NodeDevice, NodeDevice]]:
         """Sender/receiver, or ``None`` for a counted unroutable exchange.
 
-        The silent-drop path this replaces: addressing a frame to an
-        unknown device id must raise (default) or be explicitly counted
-        — never no-op.
+        Addressing a frame to an unknown device id must raise (default)
+        or be explicitly counted — never no-op.
         """
         from repro.iotnet.network import UnknownDeviceError
 
@@ -333,45 +112,21 @@ class _EngineBase:
             self.accounting.unroutable_exchanges += 1
             return None
 
-    @staticmethod
-    def _unroutable_report() -> TransmissionReport:
-        return TransmissionReport(
-            frames=0, delivered=False,
-            sender_active_ms=0.0, receiver_active_ms=0.0,
-        )
-
-
-class SyncExchangeEngine(_EngineBase):
-    """The sequential oracle: one :meth:`NodeDevice.send_message` per
-    request, in submission order.
-
-    A synchronous exchange is atomic, so ``timeout_ms`` is rejected
-    loudly — silently ignoring it would let the one request field the
-    oracle cannot honor break sync/async bit-identity without a trace.
-    Destinations are resolved up front, matching the async engine's
-    error path: a misaddressed request raises before *any* device
-    mutates.
-    """
-
-    backend = "sync"
-
     def run_exchanges(
         self, requests: Iterable[ExchangeRequest]
     ) -> List[TransmissionReport]:
         self.accounting = ExchangeAccounting()
         resolved = []
         for request in requests:
-            if request.timeout_ms is not None:
-                raise ValueError(
-                    "timeout_ms is an async-backend feature; the sync "
-                    "oracle cannot time out mid-exchange"
-                )
             self.accounting.exchanges += 1
             resolved.append((request, self._resolve_pair(request)))
         reports: List[TransmissionReport] = []
         for request, pair in resolved:
             if pair is None:
-                reports.append(self._unroutable_report())
+                reports.append(TransmissionReport(
+                    frames=0, delivered=False,
+                    sender_active_ms=0.0, receiver_active_ms=0.0,
+                ))
                 continue
             sender, receiver = pair
             report = sender.send_message(
@@ -391,254 +146,3 @@ class SyncExchangeEngine(_EngineBase):
             reports.append(report)
         self.accounting.verify()
         return reports
-
-
-class AsyncExchangeEngine(_EngineBase):
-    """Event-loop exchange engine, bit-identical to the sync oracle.
-
-    ``queue_capacity`` bounds each device's mailbox (backpressure);
-    ``seed`` drives the kernel's same-tick tie-breaking.  After every
-    ``run_exchanges`` call, ``accounting`` balances (verified) and
-    ``last_virtual_ms`` holds the virtual makespan of the flush —
-    overlap makes it shorter than the sync sum of latencies.
-    """
-
-    backend = "async"
-
-    def __init__(
-        self,
-        resolver: Resolver,
-        seed: int = 0,
-        queue_capacity: int = 8,
-        on_unknown: str = "raise",
-    ) -> None:
-        super().__init__(resolver, on_unknown=on_unknown)
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be at least 1")
-        self._seed = seed
-        self._queue_capacity = queue_capacity
-        self.last_virtual_ms = 0.0
-
-    # ------------------------------------------------------------------
-    def run_exchanges(
-        self, requests: Iterable[ExchangeRequest]
-    ) -> List[TransmissionReport]:
-        requests = list(requests)
-        self.accounting = ExchangeAccounting()
-        self.last_virtual_ms = 0.0
-        if not requests:
-            return []
-        return asyncio.run(self._run(requests))
-
-    # ------------------------------------------------------------------
-    async def _run(
-        self, requests: List[ExchangeRequest]
-    ) -> List[TransmissionReport]:
-        kernel = _Kernel(seed=self._seed)
-        loop = asyncio.get_running_loop()
-
-        # Resolve + fragment in submission order; message ids are
-        # engine-assigned so sync and async runs label frames
-        # identically.
-        states: List[Optional[_ExchangeState]] = []
-        live_states: List[_ExchangeState] = []
-        by_message: Dict[int, _ExchangeState] = {}
-        for request in requests:
-            self.accounting.exchanges += 1
-            pair = self._resolve_pair(request)
-            if pair is None:
-                states.append(None)
-                continue
-            sender, receiver = pair
-            frames = fragment_payload(
-                request.source, request.destination, request.payload,
-                request.max_fragment_size, request.kind,
-                message_id=next(self._message_ids),
-            )
-            self.accounting.frames_created += len(frames)
-            state = _ExchangeState(
-                seq=len(live_states), request=request,
-                sender=sender, receiver=receiver, frames=frames,
-                done=loop.create_future(),
-            )
-            by_message[frames[0].message_id] = state
-            states.append(state)
-            live_states.append(state)
-
-        if live_states:
-            await self._execute(kernel, live_states, by_message)
-        self.last_virtual_ms = kernel.now
-
-        # In-order commit: apply effects exactly as the oracle would.
-        reports = [
-            self._unroutable_report() if state is None
-            else self._commit(state)
-            for state in states
-        ]
-        self.accounting.verify()
-        return reports
-
-    async def _execute(
-        self,
-        kernel: _Kernel,
-        states: List[_ExchangeState],
-        by_message: Dict[int, _ExchangeState],
-    ) -> None:
-        loop = asyncio.get_running_loop()
-
-        # One mailbox + worker per device that appears in the batch, in
-        # first-seen order (deterministic).
-        mailboxes: Dict[str, FrameQueue] = {}
-        for state in states:
-            for device in (state.sender, state.receiver):
-                if device.device_id not in mailboxes:
-                    mailboxes[device.device_id] = FrameQueue(
-                        kernel, self._queue_capacity
-                    )
-
-        # The radio arbiter: a ticket chain serializing medium access in
-        # submission order, so channel RNG draws match the oracle's.
-        tickets = [loop.create_future() for _ in states]
-
-        async def run_exchange(state: _ExchangeState) -> None:
-            try:
-                if state.seq > 0:
-                    await kernel._park(tickets[state.seq])
-                await self._transmit(kernel, state, mailboxes)
-            finally:
-                if state.seq + 1 < len(tickets):
-                    kernel._resolve(tickets[state.seq + 1])
-            state.expected_delivered = state.delivered_frames
-            self._maybe_finish(kernel, state)
-            await kernel._park(state.done)
-
-        async def run_worker(device: NodeDevice) -> None:
-            mailbox = mailboxes[device.device_id]
-            reassembler = Reassembler()
-            while True:
-                frame, delivery = await mailbox.get()
-                state = by_message[frame.message_id]
-                # Mirror the oracle's per-frame float accumulation
-                # order exactly: air latency, then the up-stack walk.
-                state.receiver_active += delivery.latency_ms
-                up = device.stack.receive_up(frame)
-                await kernel.sleep(up.latency_ms)
-                state.receiver_active += up.latency_ms
-                completed = reassembler.accept(frame)
-                if completed is not None:
-                    state.completed_payload = completed
-                state.processed_frames += 1
-                self.accounting.frames_processed += 1
-                self._maybe_finish(kernel, state)
-
-        workers = {
-            device_id: kernel.spawn(run_worker(self._resolver(device_id)))
-            for device_id in mailboxes
-        }
-        exchange_tasks = [kernel.spawn(run_exchange(s)) for s in states]
-
-        try:
-            await kernel.drive(exchange_tasks, watch=list(workers.values()))
-        finally:
-            for worker in workers.values():
-                worker.cancel()
-            await asyncio.gather(*workers.values(), return_exceptions=True)
-
-    async def _transmit(
-        self,
-        kernel: _Kernel,
-        state: _ExchangeState,
-        mailboxes: Dict[str, FrameQueue],
-    ) -> None:
-        """Send one exchange's frames while holding the medium ticket.
-
-        ``timeout_ms`` is relative to this exchange's transmission
-        start (the moment it acquires the medium), not to the batch
-        clock — otherwise identical requests would succeed or fail
-        purely by submission position.
-        """
-        channel = state.sender.channel
-        deadline = (
-            None if state.request.timeout_ms is None
-            else kernel.now + state.request.timeout_ms
-        )
-        for index, frame in enumerate(state.frames):
-            if deadline is not None and kernel.now >= deadline:
-                remaining = len(state.frames) - index
-                state.dropped_frames += remaining
-                self.accounting.frames_dropped += remaining
-                state.timed_out = True
-                state.all_delivered = False
-                self.accounting.timed_out_exchanges += 1
-                return
-            down = state.sender.stack.send_down(frame)
-            state.sender_active += down.latency_ms
-            await kernel.sleep(down.latency_ms)
-            delivery = channel.transmit(frame)
-            if not delivery.delivered:
-                state.all_delivered = False
-                state.dropped_frames += 1
-                self.accounting.frames_dropped += 1
-                continue
-            state.sender_active += delivery.latency_ms
-            await kernel.sleep(delivery.latency_ms)
-            state.delivered_frames += 1
-            self.accounting.frames_delivered += 1
-            await mailboxes[frame.destination].put((frame, delivery))
-
-    def _maybe_finish(self, kernel: _Kernel, state: _ExchangeState) -> None:
-        if (
-            state.expected_delivered is not None
-            and state.processed_frames >= state.expected_delivered
-            and not state.done.done()
-        ):
-            kernel._resolve(state.done)
-
-    def _commit(self, state: _ExchangeState) -> TransmissionReport:
-        """Apply one exchange's effects via the shared commit point —
-        the same code path :meth:`NodeDevice.send_message` retires
-        through, so the float operations match by construction."""
-        return commit_exchange(
-            state.sender, state.receiver,
-            frames=len(state.frames),
-            delivered_all=state.all_delivered,
-            delivered_frames=state.delivered_frames,
-            sender_active_ms=state.sender_active,
-            receiver_active_ms=state.receiver_active,
-            completed_payload=state.completed_payload,
-        )
-
-
-ExchangeEngine = Union[SyncExchangeEngine, AsyncExchangeEngine]
-
-
-def exchange_engine(
-    backend: str,
-    network=None,
-    devices=None,
-    seed: int = 0,
-    queue_capacity: int = 8,
-    on_unknown: str = "raise",
-) -> ExchangeEngine:
-    """Build an exchange engine for a backend name.
-
-    Exactly one of ``network`` (an :class:`ExperimentalNetwork`, whose
-    :meth:`~repro.iotnet.network.ExperimentalNetwork.device` routes
-    lookups) or ``devices`` (a mapping or iterable of
-    :class:`NodeDevice`) names the address space.
-    """
-    if (network is None) == (devices is None):
-        raise ValueError("pass exactly one of network= or devices=")
-    resolver: Resolver = (
-        network.device if network is not None else _dict_resolver(devices)
-    )
-    if backend == "sync":
-        return SyncExchangeEngine(resolver, on_unknown=on_unknown)
-    if backend == "async":
-        return AsyncExchangeEngine(
-            resolver, seed=seed, queue_capacity=queue_capacity,
-            on_unknown=on_unknown,
-        )
-    raise ValueError(
-        f"unknown exchange backend {backend!r}; choose 'sync' or 'async'"
-    )

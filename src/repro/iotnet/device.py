@@ -26,10 +26,9 @@ class TransmissionReport:
 
     The ``*_total_*`` fields snapshot the devices' active-time
     accumulators immediately before and after this exchange's commit.
-    Consumers that need the exact float delta an interleaved sequential
-    run would observe (``after - before``, *not* the re-summed parts)
-    read these instead of re-deriving — that is how the async backend
-    stays bit-identical to the sync oracle.
+    Consumers that need the exact float delta a run of interleaved
+    exchanges observes (``after - before``, *not* the re-summed parts)
+    read these instead of re-deriving.
     """
 
     frames: int
@@ -56,13 +55,9 @@ def commit_exchange(
 ) -> TransmissionReport:
     """Apply one exchange's effects to both devices and build its report.
 
-    This is the **single** commit point shared by the synchronous
-    :meth:`NodeDevice.send_message` and the async engine's in-order
-    retirement: inbox delivery, active-time accumulation, the TX/CPU
-    and RX/CPU energy split.  Keeping it in one place makes the async
-    backend's bit-identity to the sync oracle hold by construction —
-    any future change to exchange accounting lands on both backends at
-    once.
+    The commit point of :meth:`NodeDevice.send_message`: inbox
+    delivery, active-time accumulation, the TX/CPU and RX/CPU energy
+    split.
     """
     sender_total_before = sender.active_time_ms
     receiver_total_before = receiver.active_time_ms

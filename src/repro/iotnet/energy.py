@@ -49,8 +49,7 @@ class EnergyMeter:
     budget_mj: float = 10_000.0
     consumed_mj: float = 0.0
     # Opt-in itemized ledger: one (state, duration_ms, energy_mj) entry
-    # per draw.  The async-equivalence golden suite compares ledgers
-    # byte for byte across backends.
+    # per draw.
     keep_ledger: bool = False
     ledger: Optional[List[Tuple[str, float, float]]] = None
 

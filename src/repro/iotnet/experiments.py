@@ -14,17 +14,11 @@ Every experiment exchanges real frames over the simulated Z-Stack and
 radio, and trustors report their selections to the coordinator, which
 aggregates the published metric exactly as the paper's host computer did.
 
-Each experiment takes a ``backend`` switch (``"sync"`` default,
-``"async"``): frames either run through the sequential oracle
-(:class:`~repro.iotnet.aio.SyncExchangeEngine`, exactly the seed
-behavior) or through the event-loop stack
-(:class:`~repro.iotnet.aio.AsyncExchangeEngine`), which overlaps radio
-waits across devices while staying **bit-identical** — the golden and
-property suites assert equality with no tolerance.  Selection logic
-always runs sequentially (it draws from the experiment's own RNG);
-only the frame exchanges are batched per round and handed to the
-engine, and neither engine touches the experiment RNG, so deferring
-the flush is result-neutral by construction.
+Selection logic runs sequentially (it draws from the experiment's own
+RNG); only the frame exchanges are batched per round and flushed
+through a :class:`~repro.iotnet.aio.SyncExchangeEngine`, which never
+touches the experiment RNG, so deferring the flush is result-neutral
+by construction.
 """
 
 from __future__ import annotations
@@ -36,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.inference import CharacteristicInferrer
 from repro.core.task import Task
 from repro.core.update import forget
-from repro.iotnet.aio import ExchangeRequest, exchange_engine
+from repro.iotnet.aio import ExchangeRequest, SyncExchangeEngine
 from repro.iotnet.messages import FrameKind
 from repro.iotnet.network import ExperimentalNetwork
 from repro.iotnet.sensors import LightEnvironment, OpticalSensor
@@ -91,7 +85,6 @@ class InferenceExperiment:
         malicious_trust: float = 0.25,
         estimate_noise: float = 0.35,
         seed: int = 0,
-        backend: str = "sync",
     ) -> None:
         self.network = network if network is not None else ExperimentalNetwork(seed=seed)
         self.runs = runs
@@ -99,8 +92,7 @@ class InferenceExperiment:
         self.malicious_trust = malicious_trust
         self.estimate_noise = estimate_noise
         self.seed = seed
-        self.backend = backend
-        self.engine = exchange_engine(backend, network=self.network, seed=seed)
+        self.engine = SyncExchangeEngine(self.network.device)
         self.inferrer = CharacteristicInferrer()
 
     def _experience(
@@ -211,7 +203,6 @@ class ActiveTimeExperiment:
         cost_scale_ms: float = 600.0,
         beta_cost: float = 0.95,
         seed: int = 0,
-        backend: str = "sync",
     ) -> None:
         self.network = network if network is not None else ExperimentalNetwork(seed=seed)
         self.tasks_per_trustor = tasks_per_trustor
@@ -223,8 +214,7 @@ class ActiveTimeExperiment:
         self.cost_scale_ms = cost_scale_ms
         self.beta_cost = beta_cost
         self.seed = seed
-        self.backend = backend
-        self.engine = exchange_engine(backend, network=self.network, seed=seed)
+        self.engine = SyncExchangeEngine(self.network.device)
 
     def _fragment_size(self, trustee) -> int:
         return (
@@ -237,7 +227,7 @@ class ActiveTimeExperiment:
         """Average trustor active time per task index under one policy.
 
         Selections run first (they draw from the experiment RNG, which
-        neither engine touches; no trustor appears twice in a round, so
+        the engine never touches; no trustor appears twice in a round, so
         no selection reads a cost its own round wrote), then the round's
         request/response exchanges flush through the engine.  Each
         interaction's active time is the trustor accumulator *after*
@@ -372,7 +362,6 @@ class LightingExperiment:
         cost_units: float = 10.0,
         beta: float = 0.85,
         seed: int = 0,
-        backend: str = "sync",
     ) -> None:
         self.network = network if network is not None else ExperimentalNetwork(seed=seed)
         self.schedule = schedule if schedule is not None else LightEnvironment()
@@ -384,8 +373,7 @@ class LightingExperiment:
         self.cost_units = cost_units
         self.beta = beta
         self.seed = seed
-        self.backend = backend
-        self.engine = exchange_engine(backend, network=self.network, seed=seed)
+        self.engine = SyncExchangeEngine(self.network.device)
 
     def _malicious_available(self, experiment_index: int) -> bool:
         """Malicious devices only accept during the final LIGHT phase."""

@@ -75,9 +75,8 @@ def fragment_payload(
     logical message is observable on air.
 
     ``message_id`` defaults to a process-global counter; the exchange
-    engines pass an explicit engine-assigned id so sync and async runs
-    label frames identically (a requirement of the byte-for-byte golden
-    traces).
+    engine passes an explicit engine-assigned id so a run labels its
+    frames the same way no matter what ran earlier in the process.
     """
     if max_fragment_size < 1:
         raise ValueError("max_fragment_size must be at least 1")

@@ -13,13 +13,12 @@ Two layouts are supported:
 * ``"compact"`` — a golden-angle spiral that packs *any* device count
   inside a 115 m disc, so every pair stays within the 250 m reliable
   range (and far links past the 110 m auto-reconnect distance still
-  exercise the retry path).  The 64- and 1000-device golden topologies
-  of the async-equivalence suite use this layout.
+  exercise the retry path).
 
 Addressing a device id the network has never admitted raises
 :class:`UnknownDeviceError` — delivery to an unknown id must never
-silently no-op (the exchange engines either propagate the error or
-explicitly count the exchange as unroutable).
+silently no-op (the exchange engine either propagates the error or
+explicitly counts the exchange as unroutable).
 """
 
 from __future__ import annotations
@@ -199,8 +198,7 @@ class ExperimentalNetwork:
     ) -> None:
         """Give every device (coordinator included) a battery model.
 
-        ``keep_ledger=True`` records every draw — what the golden suite
-        compares byte for byte between the sync and async backends.
+        ``keep_ledger=True`` records every draw.
         """
         for device in self.all_devices:
             device.energy = EnergyMeter(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.iotnet.messages import Frame
 
@@ -59,10 +59,6 @@ class RadioChannel:
         self.config = config
         self._positions: Dict[str, Tuple[float, float]] = {}
         self._rng = random.Random(("radio", seed).__repr__())
-        # When set to a list, every transmission appends one trace entry
-        # — the per-device frame traces the golden equivalence suite
-        # compares byte for byte across backends.
-        self.journal: Optional[List[Dict[str, object]]] = None
 
     def place(self, device_id: str, x: float, y: float) -> None:
         """Register (or move) a device at plane coordinates in meters."""
@@ -110,16 +106,4 @@ class RadioChannel:
             delivery = Delivery(
                 delivered=True, latency_ms=latency, retries=retries
             )
-        if self.journal is not None:
-            self.journal.append({
-                "source": frame.source,
-                "destination": frame.destination,
-                "kind": frame.kind.value,
-                "message_id": frame.message_id,
-                "fragment": [frame.fragment_index, frame.fragment_count],
-                "size_bytes": frame.size_bytes,
-                "delivered": delivery.delivered,
-                "latency_ms": delivery.latency_ms,
-                "retries": delivery.retries,
-            })
         return delivery

@@ -19,13 +19,15 @@ The multi-seed runtime lives next to them:
   pool, bit-identical to the oracle by construction,
 * :mod:`repro.simulation.registry` — every experiment as a named,
   picklable :class:`ScenarioSpec`,
-* :mod:`repro.simulation.sweep` — ``repro sweep``'s engine: per-seed
-  results, mean, variance and wall-clock timing for one scenario,
+* :mod:`repro.simulation.sweep` — :func:`execute_sweep`, the engine of
+  ``repro sweep`` and :class:`repro.api.Client`: per-seed results,
+  mean, variance and wall-clock timing for one
+  :class:`repro.api.SweepSpec`,
 * :mod:`repro.simulation.cache` — persistent cross-process cache of
   per-seed results keyed by (scenario, params, seed, code version),
 * :mod:`repro.simulation.distributed` — shared-directory work queue:
-  seed-chunk task files claimed via atomic lease files, worker daemons
-  with heartbeats, work stealing off expired leases.
+  seed-chunk task files claimed with :mod:`repro.fsproto` leases,
+  worker daemons with heartbeats, work stealing off dead workers.
 """
 
 from repro.simulation.config import (
@@ -51,7 +53,7 @@ from repro.simulation.runner import (
 )
 from repro.simulation.cache import CacheStats, SweepCache, default_cache_dir
 from repro.simulation.distributed import WorkQueue, worker_loop
-from repro.simulation.sweep import SweepResult, run_sweep, seed_range
+from repro.simulation.sweep import SweepResult, execute_sweep, seed_range
 from repro.simulation.scenario import Scenario, build_scenario
 from repro.simulation.selfdelegation import (
     SelfDelegationResult,
@@ -92,7 +94,7 @@ __all__ = [
     "combine_rates",
     "combine_series",
     "default_cache_dir",
-    "run_sweep",
+    "execute_sweep",
     "seed_range",
     "worker_loop",
 ]

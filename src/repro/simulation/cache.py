@@ -11,9 +11,9 @@ disk, keyed by a content hash of::
 so repeated ``repro sweep`` invocations, and incrementally grown ones
 (``--seeds 8`` after ``--seeds 4``), only compute the seeds they have
 never seen.  The cache is *cross-process* by construction: it is plain
-files, written atomically (temp file + ``os.replace``), so concurrent
-sweeps — or pool workers of different sweeps — can share one directory
-without coordination.
+files, published atomically (:func:`repro.fsproto.publish_json`), so
+concurrent sweeps — or pool workers of different sweeps — can share one
+directory without coordination.
 
 Correctness properties:
 
@@ -38,12 +38,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from repro import fsproto
 from repro.simulation.results import RateSummary, SeriesResult
 
 Reduced = Union[RateSummary, SeriesResult]
@@ -113,7 +113,7 @@ class CacheStats:
 class SweepCache:
     """File-per-result cache of reduced per-seed sweep outputs.
 
-    One instance tracks its own :class:`CacheStats`; ``run_sweep``
+    One instance tracks its own :class:`CacheStats`; ``execute_sweep``
     creates one per invocation so the export can report this sweep's
     hits and misses, not the directory's lifetime totals.
     """
@@ -212,19 +212,7 @@ class SweepCache:
         }
         if runtime is not None:
             payload["runtime"] = float(runtime)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        fsproto.publish_json(path, payload)
 
 
 # ---------------------------------------------------------------------------

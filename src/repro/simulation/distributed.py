@@ -3,9 +3,9 @@
 One sweep becomes a directory of **task files** (one seed chunk each)
 that any number of worker processes — on this machine or on any machine
 mounting the same volume — drain concurrently.  There is no broker and
-no network protocol: the filesystem primitives the PR-2 result cache
-already relies on (atomic ``os.replace`` publishes, ``O_CREAT|O_EXCL``
-creation) are enough to hand out work safely.
+no network protocol: the file protocols of :mod:`repro.fsproto` (atomic
+JSON publishes, exclusive creates and leases — see there for the rules
+and the filesystem assumptions) are enough to hand out work safely.
 
 Queue layout (one subdirectory per sweep under the queue dir)::
 
@@ -21,17 +21,14 @@ Queue layout (one subdirectory per sweep under the queue dir)::
         quarantine/task-0000.seed-7.json      # diagnostic for a poisoned seed
         faults/                  # exactly-once flags for injected faults
 
-Claiming is mutually exclusive by construction: a **fresh** claim is an
-``os.open(lease, O_CREAT | O_EXCL)`` — exactly one concurrent claimer
-can create the file.  A **steal** (work stealing) first renames the
-expired lease to a uniquely named tombstone — ``os.rename`` succeeds
-for exactly one stealer — and then re-creates the lease with the same
-``O_EXCL`` create, which remains the single arbiter even against a
-racing fresh claimer.  While executing, the owner touches the lease's
-mtime before every seed (the heartbeat); a lease whose mtime is older
-than ``lease_ttl`` belongs to a dead or wedged worker and is fair game
-for any live one.  ``lease_ttl`` must exceed the longest single-seed
-runtime, since the heartbeat is per-seed.
+Each task is claimed with a :func:`repro.fsproto.claim_lease` lease:
+exactly one claimer wins, and a lease whose owner is dead — a dead pid
+on this host, or a heartbeat older than ``lease_ttl`` — is stolen by
+any live worker.  While executing, the owner touches the lease's mtime
+before every seed (the heartbeat), so ``lease_ttl`` must exceed the
+longest single-seed runtime.  Every steal leaves its tombstone behind:
+the tombstones are the sweep's steal history
+(:meth:`WorkQueue.steal_events`).
 
 Results flow through the PR-2 cache *and* the done marker: each seed's
 reduced result is ``put`` into the shared :class:`SweepCache` (so other
@@ -51,9 +48,9 @@ Crash recovery, concretely:
   worker (or the coordinator) rewrites the task file from it
   atomically (counted as a *requeue* via a content-keyed marker, so
   concurrent repairers do not double-count);
-* **every worker dead** — the coordinating ``run_sweep`` notices the
-  queue stalling and drains the remaining tasks inline, so a
-  distributed sweep always terminates with the oracle's results;
+* **every worker dead** — the coordinator (:func:`execute_queued`)
+  notices the queue stalling and drains the remaining tasks inline, so
+  a distributed sweep always terminates with the oracle's results;
 * **poison seed** — a seed whose scenario *raises* is caught at the
   per-seed error boundary instead of crashing the worker.  Every
   started attempt leaves an ``O_EXCL`` marker under ``attempts/`` (so
@@ -82,12 +79,10 @@ process.  See :mod:`repro.simulation.faults`.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import shutil
 import signal
-import socket
 import tempfile
 import time
 import warnings
@@ -96,6 +91,8 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro import fsproto
+from repro.fsproto import lease_steal_threshold
 from repro.simulation import faults, registry
 from repro.simulation.cache import (
     SweepCache,
@@ -111,20 +108,7 @@ Reduced = Union[RateSummary, SeriesResult]
 Params = Tuple[Tuple[str, object], ...]
 
 DEFAULT_LEASE_TTL = 30.0
-# Stealing margin on top of the TTL: lease mtimes come from the filesystem
-# clock while ages are judged against time.time(), and on shared/network
-# filesystems the two can disagree by a little in either direction.  A
-# lease is only presumed dead strictly beyond TTL + margin, so sub-margin
-# skew can never make a live worker's lease look expired.  The margin is
-# 10% of the TTL capped at LEASE_SKEW_MARGIN seconds (a second covers
-# realistic mtime granularity/skew; short test TTLs stay proportional).
-LEASE_SKEW_MARGIN = 1.0
 DEFAULT_POLL = 0.05
-
-
-def lease_steal_threshold(lease_ttl: float) -> float:
-    """Age beyond which a lease is presumed abandoned and stealable."""
-    return lease_ttl + min(LEASE_SKEW_MARGIN, 0.1 * lease_ttl)
 _ENV_FAULT = faults.ENV_FAULT
 
 
@@ -162,38 +146,6 @@ def params_signature(params) -> Params:
 def rehydrate_params(pairs: Sequence[Sequence[object]]) -> Params:
     """Rebuild a params tuple from its JSON form (lists back to tuples)."""
     return params_signature(tuple((name, value) for name, value in pairs))
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Publish ``payload`` at ``path`` via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, suffix=".tmp", delete=False
-    )
-    try:
-        with handle:
-            json.dump(payload, handle)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-
-
-def _read_json(path: Path) -> Optional[dict]:
-    """The parsed JSON object at ``path``, or ``None`` if unreadable."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
-def default_worker_id() -> str:
-    """A worker identity unique enough for lease files: host + pid."""
-    return f"{socket.gethostname()}-{os.getpid()}"
 
 
 def queue_path_error(path) -> Optional[str]:
@@ -350,12 +302,14 @@ class WorkQueue:
         task_ids = [f"task-{index:04d}" for index in range(len(chunk_lists))]
         params_json = [[name, value] for name, value in params]
         for task_id, chunk in zip(task_ids, chunk_lists):
-            _atomic_write_json(sweep_dir / "tasks" / f"{task_id}.json", {
-                "task": task_id,
-                "scenario": scenario,
-                "params": params_json,
-                "seeds": chunk,
-            })
+            fsproto.publish_json(
+                sweep_dir / "tasks" / f"{task_id}.json", {
+                    "task": task_id,
+                    "scenario": scenario,
+                    "params": params_json,
+                    "seeds": chunk,
+                },
+            )
         manifest = {
             "sweep": sweep_id,
             "scenario": scenario,
@@ -373,7 +327,7 @@ class WorkQueue:
             manifest["max_attempts"] = int(max_attempts)
         if spec_payload is not None:
             manifest["spec"] = spec_payload
-        _atomic_write_json(sweep_dir / "manifest.json", manifest)
+        fsproto.publish_json(sweep_dir / "manifest.json", manifest)
         return cls(sweep_dir, manifest)
 
     @classmethod
@@ -386,7 +340,7 @@ class WorkQueue:
         instead of crashing on it later.
         """
         sweep_dir = Path(sweep_dir)
-        manifest = _read_json(sweep_dir / "manifest.json")
+        manifest = fsproto.read_json(sweep_dir / "manifest.json")
         if (
             manifest is None
             or not isinstance(manifest.get("sweep"), str)
@@ -448,7 +402,7 @@ class WorkQueue:
 
     def read_task(self, task_id: str) -> Optional[dict]:
         """The task file's payload, or ``None`` when corrupt/missing."""
-        payload = _read_json(self._task_path(task_id))
+        payload = fsproto.read_json(self._task_path(task_id))
         if payload is None or not isinstance(payload.get("seeds"), list):
             return None
         return payload
@@ -475,7 +429,7 @@ class WorkQueue:
             tasks=len(self.task_ids()),
             done=sum(
                 1 for t in self.task_ids()
-                if _read_json(self._done_path(t)) is not None
+                if fsproto.read_json(self._done_path(t)) is not None
             ),
             steals=len(self.steal_events()),
             repairs=repairs,
@@ -525,19 +479,12 @@ class WorkQueue:
         the budget only ever over-counts — a poison seed can never
         retry forever.
         """
-        (self.sweep_dir / "attempts").mkdir(parents=True, exist_ok=True)
         attempt = self.attempt_count(task_id, seed) + 1
-        while True:
-            try:
-                fd = os.open(
-                    self._attempt_path(task_id, seed, attempt),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                attempt += 1
-                continue
-            os.close(fd)
-            return attempt
+        while not fsproto.create_exclusive(
+            self._attempt_path(task_id, seed, attempt)
+        ):
+            attempt += 1
+        return attempt
 
     def record_attempt_failure(
         self, task_id: str, seed: int, attempt: int, failure: dict,
@@ -548,7 +495,7 @@ class WorkQueue:
         content only improves the quarantine diagnostic.
         """
         try:
-            _atomic_write_json(
+            fsproto.publish_json(
                 self._attempt_path(task_id, seed, attempt), failure,
             )
         except OSError:
@@ -566,7 +513,9 @@ class WorkQueue:
             f"{task_id}.seed-{seed}.attempt-*"
         ), reverse=True)
         for marker in markers:
-            record = faults.normalize_failure(_read_json(marker), seed)
+            record = faults.normalize_failure(
+                fsproto.read_json(marker), seed,
+            )
             if record is not None:
                 return record
         return None
@@ -580,8 +529,7 @@ class WorkQueue:
         record (the budget and failure travel with the seed, not the
         worker).
         """
-        (self.sweep_dir / "quarantine").mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self._quarantine_path(task_id, seed), {
+        fsproto.publish_json(self._quarantine_path(task_id, seed), {
             "sweep": self.sweep_id,
             "task": task_id,
             "scenario": self.manifest.get("scenario"),
@@ -597,7 +545,7 @@ class WorkQueue:
         """
         records: Dict[int, dict] = {}
         for path in sorted((self.sweep_dir / "quarantine").glob("*.json")):
-            payload = _read_json(path)
+            payload = fsproto.read_json(path)
             if payload is None:
                 continue
             failure = faults.normalize_failure(payload.get("failure"))
@@ -649,42 +597,16 @@ class WorkQueue:
     ) -> Optional[Claim]:
         """Try to lease ``task_id``; ``None`` when someone else holds it.
 
-        A fresh claim creates the lease with ``O_CREAT | O_EXCL``.  A
-        lease whose heartbeat mtime is older than ``lease_ttl`` (plus
-        :data:`LEASE_SKEW_MARGIN`, absorbing filesystem/clock skew) is
-        stolen: rename it to a unique tombstone (one winner), then take
-        the now-vacant slot with the same exclusive create.
+        A lease whose owner is dead is stolen; the steal's tombstone
+        stays under ``leases/`` as the sweep's steal history.
         """
         lease = self._lease_path(task_id)
-        stolen = False
-        try:
-            fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                age = time.time() - lease.stat().st_mtime
-            except FileNotFoundError:
-                # Released or stolen this instant; retry on a later pass.
-                return None
-            # A lease mtime in the future (clock skew, clock step) is a
-            # *fresh* heartbeat, not a negative age — clamp, never steal.
-            age = max(0.0, age)
-            if age <= lease_steal_threshold(lease_ttl):
-                return None
-            tombstone = lease.with_name(
-                f"{task_id}.stale-{os.urandom(4).hex()}"
-            )
-            try:
-                os.rename(lease, tombstone)
-            except FileNotFoundError:
-                return None  # another stealer won the rename
-            try:
-                fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return None  # a fresh claimer slipped into the vacancy
-            stolen = True
-        with os.fdopen(fd, "w") as handle:
-            handle.write(owner)
-        claim = Claim(task_id, lease, owner, stolen)
+        taken = fsproto.claim_lease(
+            lease, owner, lease_ttl, keep_tombstone=True,
+        )
+        if taken is None:
+            return None
+        claim = Claim(task_id, lease, owner, taken == "stolen")
         if self.is_done(task_id):
             # Finished between our scan and the claim; nothing to do.
             self.release(claim)
@@ -696,37 +618,18 @@ class WorkQueue:
 
         A ``False`` return means another worker reclaimed the task (we
         were presumed dead); the caller should abandon the chunk — the
-        new owner recomputes it identically.  The lease can vanish at
-        *any* point mid-steal (tombstone rename), so both the owner read
-        and the ``utime`` tolerate a missing file; and because a thief
-        can also rename-and-recreate between our read and our ``utime``,
-        the owner is re-checked afterwards — refreshing the thief's
-        lease must still report this claim lost.
+        new owner recomputes it identically.
         """
-        try:
-            if claim.lease_path.read_text() != claim.owner:
-                return False
-            os.utime(claim.lease_path)
-            if claim.lease_path.read_text() != claim.owner:
-                return False
-        except FileNotFoundError:
-            # Stolen mid-steal: the lease was tombstoned away under us.
-            return False
-        except OSError:
-            return False
-        return True
+        return fsproto.heartbeat_lease(claim.lease_path, claim.owner)
 
     def release(self, claim: Claim) -> None:
         """Drop the lease (after the done marker is published)."""
-        try:
-            claim.lease_path.unlink()
-        except OSError:
-            pass
+        fsproto.release_lease(claim.lease_path, claim.owner)
 
     # -- completion ----------------------------------------------------
     def mark_done(self, task_id: str, payload: dict) -> None:
         """Publish a task's results atomically (idempotent by content)."""
-        _atomic_write_json(self._done_path(task_id), payload)
+        fsproto.publish_json(self._done_path(task_id), payload)
 
     def repair(self) -> int:
         """Rewrite corrupt/missing task files from the manifest.
@@ -734,7 +637,9 @@ class WorkQueue:
         Any live process may call this — the manifest is the source of
         truth for every chunk.  Each repair leaves a marker keyed by a
         hash of the corrupt content, so two workers repairing the same
-        corruption concurrently count one requeue, not two.
+        corruption concurrently count one requeue, not two.  A sweep
+        directory removed under us (collected or cancelled) has nothing
+        left to repair, and nothing in it is recreated.
         """
         repaired = 0
         for task_id in self.task_ids():
@@ -750,21 +655,21 @@ class WorkQueue:
             marker = self.sweep_dir / "leases" / (
                 f"{task_id}.requeue-{sha256(corrupt).hexdigest()[:12]}"
             )
-            _atomic_write_json(path, {
-                "task": task_id,
-                "scenario": self.manifest["scenario"],
-                "params": self.manifest["params"],
-                "seeds": self.manifest["chunks"][task_id],
-            })
             try:
-                # O_EXCL arbitration: of any repairers racing on the
-                # same corrupt bytes, exactly one counts the requeue.
-                os.close(os.open(
-                    marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                ))
-            except FileExistsError:
-                continue
-            repaired += 1
+                fsproto.publish_json(path, {
+                    "task": task_id,
+                    "scenario": self.manifest["scenario"],
+                    "params": self.manifest["params"],
+                    "seeds": self.manifest["chunks"][task_id],
+                })
+                # Of any repairers racing on the same corrupt bytes,
+                # exactly one counts the requeue.
+                if fsproto.create_exclusive(marker):
+                    repaired += 1
+            except FileNotFoundError:
+                if self.sweep_dir.exists():
+                    raise
+                return repaired
         return repaired
 
     def collect(
@@ -789,7 +694,7 @@ class WorkQueue:
         quarantined = self.quarantined()
         totals = WorkerStats()
         for task_id in self.task_ids():
-            payload = _read_json(self._done_path(task_id))
+            payload = fsproto.read_json(self._done_path(task_id))
             if payload is None:
                 raise RuntimeError(
                     f"done marker for {task_id} of {self.sweep_id} is "
@@ -839,7 +744,7 @@ class WorkQueue:
         """
         runtimes: Dict[int, float] = {}
         for task_id in self.task_ids():
-            payload = _read_json(self._done_path(task_id))
+            payload = fsproto.read_json(self._done_path(task_id))
             if payload is None:
                 continue
             recorded = payload.get("runtimes")
@@ -866,16 +771,7 @@ class WorkQueue:
 
 def _claim_fault_flag(queue: WorkQueue, name: str) -> bool:
     """Win the exactly-once arbitration for one injected fault."""
-    (queue.sweep_dir / "faults").mkdir(parents=True, exist_ok=True)
-    try:
-        fd = os.open(
-            queue.sweep_dir / "faults" / name,
-            os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-        )
-    except FileExistsError:
-        return False  # another worker already took this fault
-    os.close(fd)
-    return True
+    return fsproto.create_exclusive(queue.sweep_dir / "faults" / name)
 
 
 def _maybe_process_fault(
@@ -1091,15 +987,17 @@ def worker_loop(
     --drain``); otherwise the loop polls forever — the daemon mode —
     until ``stop()`` turns true or the process is terminated.  Workers
     also heal the queue: every pass repairs corrupt task files and
-    steals expired leases.  Sweeps written by different code (manifest
-    ``code_version`` mismatch) are skipped loudly, never executed —
-    mixing code versions would break the bit-identity contract.
+    steals dead workers' leases.  A sweep directory removed mid-pass
+    (its coordinator collected or cancelled it) is simply gone.  Sweeps
+    written by different code (manifest ``code_version`` mismatch) are
+    skipped loudly, never executed — mixing code versions would break
+    the bit-identity contract.
 
     ``max_attempts`` is this worker's *default* per-seed retry budget;
     a sweep manifest that pins its own budget always wins, so a fleet
     of differently-configured daemons still quarantines consistently.
     """
-    owner = owner or default_worker_id()
+    owner = owner or fsproto.owner_id()
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
     stats = WorkerStats()
     # ``only_sweep`` (one id) and ``only_sweeps`` (a campaign's ids)
@@ -1133,13 +1031,18 @@ def worker_loop(
                 task = queue.read_task(task_id)
                 if task is None:
                     continue  # corrupt; repaired on the next pass
-                claim = queue.claim(task_id, owner, lease_ttl)
-                if claim is None:
-                    continue
-                _process_task(
-                    queue, task, claim, cache, stats, _daemon,
-                    lease_ttl=lease_ttl, max_attempts=max_attempts,
-                )
+                try:
+                    claim = queue.claim(task_id, owner, lease_ttl)
+                    if claim is None:
+                        continue
+                    _process_task(
+                        queue, task, claim, cache, stats, _daemon,
+                        lease_ttl=lease_ttl, max_attempts=max_attempts,
+                    )
+                except FileNotFoundError:
+                    if queue.sweep_dir.exists():
+                        raise
+                    break  # the sweep dir was removed under us: gone
                 progressed = True
                 if max_tasks is not None and stats.tasks_done >= max_tasks:
                     return stats
@@ -1574,46 +1477,6 @@ def _run_queued(
             seed_runtimes=runtimes,
         ))
     return outcomes
-
-
-def execute_distributed(
-    scenario: str,
-    params: Params,
-    seeds: Sequence[int],
-    *,
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    cache_root: Optional[Union[str, Path]] = None,
-    queue_dir: Optional[Union[str, Path]] = None,
-    lease_ttl: Optional[float] = None,
-    poll: float = DEFAULT_POLL,
-    timeout: float = 600.0,
-    max_attempts: Optional[int] = None,
-    stop: Optional[Callable[[], bool]] = None,
-) -> DistributedOutcome:
-    """Run one sweep's missing seeds through the shared-directory queue.
-
-    The single-sweep form of :func:`execute_queued` — see there for the
-    coordination contract (worker fleet, inline-drain fallback, stall
-    timeout, bit-identical completion with poisoned seeds quarantined
-    into ``failed_seeds``).
-    """
-    return execute_queued(
-        [QueuedJob(
-            scenario=scenario,
-            params=params_signature(params),
-            seeds=tuple(int(seed) for seed in seeds),
-        )],
-        workers=workers,
-        chunk_size=chunk_size,
-        cache_root=cache_root,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-        poll=poll,
-        timeout=timeout,
-        max_attempts=max_attempts,
-        stop=stop,
-    )[0]
 
 
 # ---------------------------------------------------------------------------

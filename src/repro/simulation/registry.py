@@ -22,8 +22,8 @@ equivalence suite all run exactly the same code:
 Arenas live in a **per-process store** keyed by ``(scenario, params)``:
 the first seed a worker executes builds the arena, every later seed in
 that worker reuses it, and :func:`warm_arena` is the pool initializer
-:func:`repro.simulation.sweep.run_sweep` installs so the build happens
-before the first task rather than inside it.  A scenario whose run
+:func:`repro.simulation.sweep.execute_sweep` installs so the build
+happens before the first task rather than inside it.  A scenario whose run
 mutates the shared state it was built from sets ``reusable=False`` and
 gets a fresh arena per seed instead.
 
@@ -241,7 +241,6 @@ def _seed_fig8(arena, params: Mapping[str, object], seed: int):
 
     return InferenceExperiment(
         runs=params["runs"], seed=seed,
-        backend=params.get("backend", "sync"),
     ).run()
 
 
@@ -254,7 +253,6 @@ def _seed_fig14(arena, params: Mapping[str, object], seed: int):
 
     return ActiveTimeExperiment(
         tasks_per_trustor=params["tasks_per_trustor"], seed=seed,
-        backend=params.get("backend", "sync"),
     ).run()
 
 
@@ -273,10 +271,7 @@ def _seed_fig16(arena, params: Mapping[str, object], seed: int):
             LightPhase(experiments=count, lux=lux, label=label)
             for count, lux, label in phases
         ])
-    return LightingExperiment(
-        schedule=schedule, seed=seed,
-        backend=params.get("backend", "sync"),
-    ).run()
+    return LightingExperiment(schedule=schedule, seed=seed).run()
 
 
 def _reduce_fig16(result) -> SeriesResult:
@@ -935,18 +930,7 @@ _register(ScenarioSpec(
     kind="series",
     description="Fig. 8: % of trustors selecting honest trustees with the "
                 "inference model, per experiment index",
-    defaults={"runs": 50, "backend": "sync"},
-    smoke={"runs": 3},
-    _seed_run=_seed_fig8,
-    _reduce=_reduce_fig8,
-))
-
-_register(ScenarioSpec(
-    name="fig8-inference-async",
-    kind="series",
-    description="Fig. 8 through the asyncio exchange backend "
-                "(bit-identical to fig8-inference by the golden suite)",
-    defaults={"runs": 50, "backend": "async"},
+    defaults={"runs": 50},
     smoke={"runs": 3},
     _seed_run=_seed_fig8,
     _reduce=_reduce_fig8,
@@ -957,18 +941,7 @@ _register(ScenarioSpec(
     kind="series",
     description="Fig. 14: trustor active time under the fragment-packet "
                 "attack, cost-aware policy",
-    defaults={"tasks_per_trustor": 50, "backend": "sync"},
-    smoke={"tasks_per_trustor": 3},
-    _seed_run=_seed_fig14,
-    _reduce=_reduce_fig14,
-))
-
-_register(ScenarioSpec(
-    name="fig14-activetime-async",
-    kind="series",
-    description="Fig. 14 through the asyncio exchange backend "
-                "(bit-identical to fig14-activetime by the golden suite)",
-    defaults={"tasks_per_trustor": 50, "backend": "async"},
+    defaults={"tasks_per_trustor": 50},
     smoke={"tasks_per_trustor": 3},
     _seed_run=_seed_fig14,
     _reduce=_reduce_fig14,
@@ -979,18 +952,7 @@ _register(ScenarioSpec(
     kind="series",
     description="Fig. 16: net profit over the lighting schedule with the "
                 "environment de-bias",
-    defaults={"backend": "sync", "phases": None},
-    smoke={"phases": _FIG16_SMOKE_PHASES},
-    _seed_run=_seed_fig16,
-    _reduce=_reduce_fig16,
-))
-
-_register(ScenarioSpec(
-    name="fig16-light-async",
-    kind="series",
-    description="Fig. 16 through the asyncio exchange backend "
-                "(bit-identical to fig16-light by the golden suite)",
-    defaults={"backend": "async", "phases": None},
+    defaults={"phases": None},
     smoke={"phases": _FIG16_SMOKE_PHASES},
     _seed_run=_seed_fig16,
     _reduce=_reduce_fig16,

@@ -168,22 +168,11 @@ class TestExecutionProfileValidation:
         profile = ExecutionProfile(cache_dir=Path("/tmp/c"))
         assert profile.cache_dir == "/tmp/c"
 
-    def test_legacy_constructor_permits_inline_drain(self):
-        profile = ExecutionProfile._legacy(
-            workers=0, backend="distributed", no_cache=True
-        )
-        assert profile.workers == 0 and profile.queue_dir is None
-        # ...but out-of-range values still fail in legacy mode.
-        with pytest.raises(ValueError, match="workers"):
-            ExecutionProfile._legacy(workers=-1, backend="distributed")
-
     def test_validator_is_shared(self):
         # The standalone validator rejects what the profile rejects.
         with pytest.raises(ValueError, match="no_cache"):
             validate_execution(no_cache=True, cache_dir="/x")
-        validate_execution(
-            workers=0, backend="distributed", allow_inline_drain=True
-        )
+        validate_execution(workers=0, backend="distributed", queue_dir="/q")
 
 
 class TestExecutionProfileCache:

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
 from repro.simulation import registry
 from repro.simulation.distributed import WorkQueue
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -34,7 +35,10 @@ class TestSweepAllScenarios:
         payload = json.loads(out_json.read_text())
         assert set(payload) == set(registry.names())
         # Spot-check one export against the oracle, bit for bit.
-        oracle = run_sweep(SCENARIO, seed_range(2), workers=1, smoke=True)
+        oracle = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         assert payload[SCENARIO]["mean"]["values"] == oracle.mean.values
 
     def test_scenario_and_all_scenarios_conflict(self, capsys):
@@ -88,7 +92,10 @@ class TestCampaignCli:
         for name, seeds in ((SCENARIO, [1, 2]),
                             ("fig7-mutuality", [1, 2])):
             payload = load_sweep((out_dir / f"{name}.json").read_text())
-            oracle = run_sweep(name, seeds, workers=1, smoke=True)
+            oracle = execute_sweep(
+                SweepSpec(name, seeds, smoke=True),
+                ExecutionProfile(workers=1, no_cache=True),
+            )
             assert payload["mean"] == oracle.mean.to_payload()
             assert payload["spec"]["scenario"] == name
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 
 class TestSweepCli:
@@ -63,9 +64,9 @@ class TestSweepCli:
         assert payload["scenario"] == "fig15-environment"
         assert payload["seeds"] == [5, 6, 7]
 
-        library = run_sweep(
-            "fig15-environment", seed_range(3, first=5), workers=1,
-            smoke=True,
+        library = execute_sweep(
+            SweepSpec("fig15-environment", seed_range(3, first=5), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
         )
         assert payload["mean"]["values"] == library.mean.values
         assert payload["timing"]["wall_seconds"] > 0.0

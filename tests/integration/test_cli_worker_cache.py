@@ -6,12 +6,13 @@ import json
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import WorkQueue
 from repro.simulation.results import RateSummary
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -56,14 +57,16 @@ class TestWorkerCli:
 
     def test_worker_results_replay_into_a_sweep(self, tmp_path):
         """Seeds computed by a CLI worker are cache hits for the next
-        ``run_sweep`` over the same scenario."""
+        ``execute_sweep`` over the same scenario."""
         _stage_queue(tmp_path / "q", seeds=(1, 2))
         assert main([
             "worker", str(tmp_path / "q"), "--drain",
             "--cache-dir", str(tmp_path / "c"),
         ]) == 0
-        sweep = run_sweep(SCENARIO, seed_range(2), smoke=True,
-                          cache_dir=tmp_path / "c")
+        sweep = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path / "c"),
+        )
         assert sweep.cache_hits == 2
         assert sweep.cache_misses == 0
 
@@ -88,7 +91,10 @@ class TestSweepDistributedCli:
         assert payload["distributed"]["tasks"] == 3
 
     def test_distributed_matches_plain_sweep_bitwise(self, tmp_path):
-        plain = run_sweep(SCENARIO, seed_range(3), workers=1, smoke=True)
+        plain = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         assert main([
             "sweep", SCENARIO, "--seeds", "3", "--smoke",
             "--distributed", "--workers", "2", "--no-cache",
@@ -258,8 +264,10 @@ class TestCacheCli:
     def test_cache_respects_env_default(self, tmp_path, monkeypatch,
                                         capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        run_sweep(SCENARIO, seed_range(2), smoke=True,
-                  cache_dir=tmp_path / "env-cache")
+        execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path / "env-cache"),
+        )
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries: 2" in out

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.analysis.export import load_sweep, sweep_to_json, sweep_to_payload
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.sweep import (
-    run_sweep,
+    execute_sweep,
     seed_range,
     sweep_result_from_payload,
 )
@@ -14,14 +15,17 @@ from repro.simulation.sweep import (
 
 @pytest.fixture(scope="module")
 def rates_sweep():
-    return run_sweep("fig7-mutuality", seed_range(3), workers=1, smoke=True)
+    return execute_sweep(
+        SweepSpec("fig7-mutuality", seed_range(3), smoke=True),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
 
 
 @pytest.fixture(scope="module")
 def series_sweep():
-    return run_sweep(
-        "fig15-environment", seed_range(3), workers=2, backend="thread",
-        smoke=True,
+    return execute_sweep(
+        SweepSpec("fig15-environment", seed_range(3), smoke=True),
+        ExecutionProfile(workers=2, backend="thread", no_cache=True),
     )
 
 
@@ -60,9 +64,12 @@ class TestRoundTrip:
             "tasks": 0, "steals": 0, "requeues": 0,
         }
         # ...while a distributed sweep exports its task count.
-        sweep = run_sweep(
-            "fig15-environment", seed_range(3), workers=0,
-            backend="distributed", smoke=True, queue_dir=tmp_path,
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", seed_range(3), smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", no_cache=True,
+                queue_dir=tmp_path,
+            ),
         )
         distributed = load_sweep(sweep_to_json(sweep))["distributed"]
         assert distributed["tasks"] == 3

@@ -1,22 +1,9 @@
-"""Unit tests for the deterministic asyncio exchange stack."""
-
-import asyncio
+"""Unit tests for the exchange engine the IoT experiments flush through."""
 
 import pytest
 
-from repro.iotnet.aio import (
-    AsyncExchangeEngine,
-    ExchangeRequest,
-    FrameQueue,
-    StalledExchangeError,
-    SyncExchangeEngine,
-    _Kernel,
-    exchange_engine,
-)
-from repro.iotnet.device import NodeDevice
-from repro.iotnet.messages import FrameKind
+from repro.iotnet.aio import ExchangeRequest, SyncExchangeEngine
 from repro.iotnet.network import ExperimentalNetwork, UnknownDeviceError
-from repro.iotnet.radio import RadioChannel
 
 
 def small_network(seed: int = 0) -> ExperimentalNetwork:
@@ -26,147 +13,20 @@ def small_network(seed: int = 0) -> ExperimentalNetwork:
     )
 
 
-class TestKernel:
-    def test_sleep_orders_by_virtual_time(self):
-        log = []
-
-        async def sleeper(kernel, delay, tag):
-            await kernel.sleep(delay)
-            log.append((tag, kernel.now))
-
-        async def main():
-            kernel = _Kernel(seed=0)
-            tasks = [
-                kernel.spawn(sleeper(kernel, 30.0, "slow")),
-                kernel.spawn(sleeper(kernel, 10.0, "fast")),
-                kernel.spawn(sleeper(kernel, 20.0, "mid")),
-            ]
-            await kernel.drive(tasks)
-            return kernel.now
-
-        final = asyncio.run(main())
-        assert log == [("fast", 10.0), ("mid", 20.0), ("slow", 30.0)]
-        assert final == 30.0
-
-    def test_same_tick_ordering_is_seeded_and_reproducible(self):
-        def run(seed):
-            log = []
-
-            async def sleeper(kernel, tag):
-                await kernel.sleep(5.0)
-                log.append(tag)
-
-            async def main():
-                kernel = _Kernel(seed=seed)
-                tasks = [
-                    kernel.spawn(sleeper(kernel, tag)) for tag in range(6)
-                ]
-                await kernel.drive(tasks)
-
-            asyncio.run(main())
-            return log
-
-        assert run(3) == run(3)  # deterministic for a fixed seed
-        orders = {tuple(run(seed)) for seed in range(8)}
-        assert len(orders) > 1  # the tie-break really is seed-driven
-
-    def test_negative_sleep_rejected(self):
-        async def main():
-            kernel = _Kernel(seed=0)
-            await kernel.sleep(-1.0)
-
-        with pytest.raises(ValueError):
-            asyncio.run(main())
-
-    def test_stall_detected_instead_of_hanging(self):
-        async def main():
-            kernel = _Kernel(seed=0)
-
-            async def waits_forever():
-                fut = asyncio.get_running_loop().create_future()
-                await kernel._park(fut)
-
-            task = kernel.spawn(waits_forever())
-            await kernel.drive([task])
-
-        with pytest.raises(StalledExchangeError):
-            asyncio.run(main())
-
-
-class TestFrameQueue:
-    def test_fifo_and_backpressure(self):
-        async def main():
-            kernel = _Kernel(seed=0)
-            queue = FrameQueue(kernel, maxsize=2)
-            consumed = []
-
-            async def producer():
-                for item in range(5):
-                    await queue.put(item)
-
-            async def consumer():
-                for _ in range(5):
-                    consumed.append(await queue.get())
-                    await kernel.sleep(1.0)  # slower than the producer
-
-            tasks = [kernel.spawn(producer()), kernel.spawn(consumer())]
-            await kernel.drive(tasks)
-            return consumed
-
-        assert asyncio.run(main()) == [0, 1, 2, 3, 4]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FrameQueue(_Kernel(seed=0), maxsize=0)
-
-
-class TestEngineFactory:
-    def test_backend_names(self):
-        network = small_network()
-        assert exchange_engine("sync", network=network).backend == "sync"
-        assert exchange_engine("async", network=network).backend == "async"
-        with pytest.raises(ValueError):
-            exchange_engine("turbo", network=network)
-
-    def test_exactly_one_address_space(self):
-        network = small_network()
-        with pytest.raises(ValueError):
-            exchange_engine("sync")
-        with pytest.raises(ValueError):
-            exchange_engine(
-                "sync", network=network, devices=network.node_devices
-            )
-
-    def test_devices_iterable_and_mapping(self):
-        channel = RadioChannel()
-        a = NodeDevice("a", channel, x=0.0, y=0.0)
-        b = NodeDevice("b", channel, x=10.0, y=0.0)
-        for devices in ([a, b], {"a": a, "b": b}):
-            engine = exchange_engine("async", devices=devices)
-            [report] = engine.run_exchanges(
-                [ExchangeRequest("a", "b", "hello")]
-            )
-            assert report.delivered
-        assert b.inbox.count("hello") == 2
-
-
 class TestUnknownDestination:
     """The silent-drop fix: unknown ids raise (or are counted), never no-op."""
 
-    @pytest.mark.parametrize("backend", ["sync", "async"])
-    def test_raises_by_default(self, backend):
+    def test_raises_by_default(self):
         network = small_network()
-        engine = exchange_engine(backend, network=network)
+        engine = SyncExchangeEngine(network.device)
         with pytest.raises(UnknownDeviceError):
             engine.run_exchanges(
                 [ExchangeRequest("g0-trustor-0", "ghost", "boo")]
             )
 
-    @pytest.mark.parametrize("backend", ["sync", "async"])
-    def test_count_mode_accounts_and_continues(self, backend):
+    def test_count_mode_accounts_and_continues(self):
         network = small_network()
-        engine = exchange_engine(backend, network=network,
-                                 on_unknown="count")
+        engine = SyncExchangeEngine(network.device, on_unknown="count")
         reports = engine.run_exchanges([
             ExchangeRequest("g0-trustor-0", "ghost", "boo"),
             ExchangeRequest("g0-trustor-0", "g0-honest-0", "hello"),
@@ -179,36 +39,33 @@ class TestUnknownDestination:
 
 
 class TestSyncEngineGuards:
-    def test_timeout_ms_rejected_loudly(self):
-        """The oracle cannot time out mid-exchange; silently ignoring
-        the field would break sync/async bit-identity untraceably."""
-        engine = exchange_engine("sync", network=small_network())
-        with pytest.raises(ValueError, match="timeout_ms"):
-            engine.run_exchanges([
-                ExchangeRequest("g0-trustor-0", "g0-honest-0", "x",
-                                timeout_ms=10.0),
-            ])
-
     def test_misaddressed_batch_mutates_nothing(self):
-        """Both engines resolve up front: a bad destination anywhere in
+        """The engine resolves up front: a bad destination anywhere in
         the batch raises before any device state changes."""
-        for backend in ("sync", "async"):
-            network = small_network()
-            engine = exchange_engine(backend, network=network)
-            with pytest.raises(UnknownDeviceError):
-                engine.run_exchanges([
-                    ExchangeRequest("g0-trustor-0", "g0-honest-0", "ok"),
-                    ExchangeRequest("g0-trustor-0", "ghost", "boo"),
-                ])
-            for device in network.all_devices:
-                assert device.active_time_ms == 0.0
-                assert device.inbox == []
+        network = small_network()
+        engine = SyncExchangeEngine(network.device)
+        with pytest.raises(UnknownDeviceError):
+            engine.run_exchanges([
+                ExchangeRequest("g0-trustor-0", "g0-honest-0", "ok"),
+                ExchangeRequest("g0-trustor-0", "ghost", "boo"),
+            ])
+        for device in network.all_devices:
+            assert device.active_time_ms == 0.0
+            assert device.inbox == []
+
+    def test_bad_on_unknown(self):
+        with pytest.raises(ValueError):
+            SyncExchangeEngine(small_network().device, on_unknown="ignore")
+
+    def test_bad_request_fields(self):
+        with pytest.raises(ValueError):
+            ExchangeRequest("a", "b", "x", max_fragment_size=0)
 
 
 class TestSyncEngineAccounting:
     def test_sync_accounting_balances_and_verifies(self):
         network = small_network()
-        engine = exchange_engine("sync", network=network)
+        engine = SyncExchangeEngine(network.device)
         engine.run_exchanges([
             ExchangeRequest("g0-trustor-0", "g0-honest-0", "a" * 100,
                             max_fragment_size=16),
@@ -220,137 +77,25 @@ class TestSyncEngineAccounting:
         assert accounting.frames_dropped == 0
         accounting.verify()  # the documented self-check must pass
 
-
-class TestAsyncEngine:
     def test_empty_batch(self):
-        engine = exchange_engine("async", network=small_network())
-        engine.run_exchanges([
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", "warm-up"),
-        ])
-        assert engine.last_virtual_ms > 0.0
+        engine = SyncExchangeEngine(small_network().device)
         assert engine.run_exchanges([]) == []
-        # An empty flush must not report the previous flush's makespan.
-        assert engine.last_virtual_ms == 0.0
+        assert engine.accounting.exchanges == 0
+        assert engine.accounting.frames_created == 0
 
-    def test_matches_sync_oracle_on_small_batch(self):
-        results = {}
-        for backend in ("sync", "async"):
-            network = small_network(seed=4)
-            engine = exchange_engine(backend, network=network, seed=4)
-            reports = engine.run_exchanges([
-                ExchangeRequest("g0-trustor-0", "g0-honest-0", "x" * 100,
-                                max_fragment_size=16),
-                ExchangeRequest("g0-honest-0", "g0-trustor-0", "y" * 50),
-                ExchangeRequest("g0-dishonest-0", "coordinator", "z" * 10,
-                                kind=FrameKind.REPORT),
-            ])
-            results[backend] = (
-                reports,
-                {d.device_id: (d.active_time_ms, tuple(d.inbox))
-                 for d in network.all_devices},
-            )
-        assert results["sync"] == results["async"]
-
-    def test_accounting_balances(self):
+    def test_accounting_covers_the_latest_batch_only(self):
         network = small_network()
-        engine = exchange_engine("async", network=network)
+        engine = SyncExchangeEngine(network.device)
         engine.run_exchanges([
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", "a" * 200,
-                            max_fragment_size=8),
-        ])
-        accounting = engine.accounting
-        assert accounting.frames_created == 25
-        assert accounting.frames_delivered == 25
-        assert accounting.frames_dropped == 0
-        assert accounting.frames_processed == 25
-        accounting.verify()  # does not raise
-
-    def test_timeout_drops_are_counted_not_lost(self):
-        network = small_network()
-        engine = exchange_engine("async", network=network)
-        [report] = engine.run_exchanges([
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", "a" * 200,
-                            max_fragment_size=8, timeout_ms=20.0),
-        ])
-        accounting = engine.accounting
-        assert not report.delivered
-        assert accounting.timed_out_exchanges == 1
-        assert accounting.frames_dropped > 0
-        assert (accounting.frames_created
-                == accounting.frames_delivered + accounting.frames_dropped)
-        accounting.verify()
-        # The partial message never completes, so no inbox delivery.
-        assert network.device("g0-honest-0").inbox == []
-
-    def test_timeout_is_per_exchange_not_per_batch(self):
-        """The budget starts when the exchange starts transmitting, so
-        identical requests behave identically at any batch position."""
-        network = small_network()
-        engine = exchange_engine("async", network=network)
-        template = dict(payload="a" * 64, max_fragment_size=16,
-                        timeout_ms=1000.0)
-        reports = engine.run_exchanges([
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", **template),
-            ExchangeRequest("g0-dishonest-0", "coordinator", **template),
-            ExchangeRequest("g0-honest-0", "g0-trustor-0", **template),
-        ])
-        assert [r.delivered for r in reports] == [True, True, True]
-        assert engine.accounting.timed_out_exchanges == 0
-
-    def test_zero_timeout_drops_everything(self):
-        network = small_network()
-        engine = exchange_engine("async", network=network)
-        [report] = engine.run_exchanges([
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", "hello",
-                            timeout_ms=0.0),
-        ])
-        assert not report.delivered
-        assert engine.accounting.frames_delivered == 0
-        assert engine.accounting.frames_dropped == 1
-        engine.accounting.verify()
-
-    def test_deterministic_virtual_makespan(self):
-        def run():
-            network = small_network(seed=2)
-            engine = exchange_engine("async", network=network, seed=2)
-            engine.run_exchanges([
-                ExchangeRequest("g0-trustor-0", "g0-honest-0", "m" * 64),
-                ExchangeRequest("g0-honest-0", "g0-trustor-0", "n" * 64),
-            ])
-            return engine.last_virtual_ms
-
-        first, second = run(), run()
-        assert first == second > 0.0
-
-    def test_overlap_shortens_virtual_makespan(self):
-        """Concurrent receiver processing beats the serial sum."""
-        network = small_network(seed=0)
-        engine = exchange_engine("async", network=network, seed=0)
-        requests = [
-            ExchangeRequest("g0-trustor-0", "g0-honest-0", "p" * 120,
+            ExchangeRequest("g0-trustor-0", "g0-honest-0", "a" * 100,
                             max_fragment_size=16),
-            ExchangeRequest("g0-dishonest-0", "coordinator", "q" * 120,
-                            max_fragment_size=16),
-        ]
-        reports = engine.run_exchanges(requests)
-        serial_sum = sum(
-            r.sender_active_ms + r.receiver_active_ms for r in reports
-        )
-        assert engine.last_virtual_ms < serial_sum
-
-    def test_queue_capacity_one_still_identical(self):
-        def run(backend, capacity=8):
-            network = small_network(seed=5)
-            engine = exchange_engine(backend, network=network, seed=5,
-                                     queue_capacity=capacity)
-            engine.run_exchanges([
-                ExchangeRequest("g0-trustor-0", "g0-honest-0", "w" * 150,
-                                max_fragment_size=8),
-            ])
-            return {d.device_id: (d.active_time_ms, tuple(d.inbox))
-                    for d in network.all_devices}
-
-        assert run("sync") == run("async", capacity=1) == run("async")
+        ])
+        engine.run_exchanges([
+            ExchangeRequest("g0-trustor-0", "g0-honest-0", "b"),
+        ])
+        assert engine.accounting.exchanges == 1
+        assert engine.accounting.frames_created == 1
+        assert network.device("g0-honest-0").inbox == ["a" * 100, "b"]
 
 
 class TestSyncEngineReportTotals:
@@ -374,19 +119,3 @@ class TestSyncEngineReportTotals:
             first.receiver_total_after_ms
             + (second.sender_total_after_ms - second.sender_total_before_ms)
         )
-
-
-class TestAsyncEngineValidation:
-    def test_bad_queue_capacity(self):
-        with pytest.raises(ValueError):
-            AsyncExchangeEngine(small_network().device, queue_capacity=0)
-
-    def test_bad_on_unknown(self):
-        with pytest.raises(ValueError):
-            AsyncExchangeEngine(small_network().device, on_unknown="ignore")
-
-    def test_bad_request_fields(self):
-        with pytest.raises(ValueError):
-            ExchangeRequest("a", "b", "x", max_fragment_size=0)
-        with pytest.raises(ValueError):
-            ExchangeRequest("a", "b", "x", timeout_ms=-1.0)

@@ -114,3 +114,15 @@ class TestLightingExperiment:
         ])
         result = LightingExperiment(schedule=schedule, seed=2).run()
         assert len(result.with_model) == 15
+
+    def test_reports_reach_coordinator(self):
+        """Fig. 16 exchanges real report frames with the coordinator."""
+        network = ExperimentalNetwork(seed=2)
+        schedule = LightEnvironment([
+            LightPhase(4, 500.0, "LIGHT"),
+            LightPhase(4, 15.0, "DARK"),
+            LightPhase(4, 500.0, "LIGHT"),
+        ])
+        LightingExperiment(network=network, schedule=schedule, seed=2).run()
+        # 10 trustors x 12 experiments x 2 policies.
+        assert len(network.coordinator.collected_reports) == 240

@@ -101,16 +101,15 @@ class TestUnknownDeviceRegression:
         with pytest.raises(UnknownDeviceError):
             network.group_of("ghost")
 
-    def test_misaddressed_exchange_raises_through_engines(self):
-        from repro.iotnet.aio import ExchangeRequest, exchange_engine
+    def test_misaddressed_exchange_raises_through_engine(self):
+        from repro.iotnet.aio import ExchangeRequest, SyncExchangeEngine
 
         network = ExperimentalNetwork(seed=0)
-        for backend in ("sync", "async"):
-            engine = exchange_engine(backend, network=network)
-            with pytest.raises(UnknownDeviceError):
-                engine.run_exchanges(
-                    [ExchangeRequest("g0-trustor-0", "ghost", "lost?")]
-                )
+        engine = SyncExchangeEngine(network.device)
+        with pytest.raises(UnknownDeviceError):
+            engine.run_exchanges(
+                [ExchangeRequest("g0-trustor-0", "ghost", "lost?")]
+            )
 
 
 class TestCompactLayout:

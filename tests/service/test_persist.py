@@ -9,9 +9,9 @@ import time
 import pytest
 
 from repro.api import Client, ExecutionProfile, SweepSpec
+from repro.fsproto import owner_id
 from repro.service import JobStateStore, JobTable
 from repro.service.jobs import JobRecord
-from repro.service.persist import default_server_id
 from repro.simulation.sweep import execute_sweep
 
 SPEC = SweepSpec("fig7-mutuality", seeds=[1], smoke=True)
@@ -150,13 +150,14 @@ class TestJobStateStore:
         assert store.lease_live("job-000001") is False
 
     def test_owner_identity_shape(self, tmp_path):
-        owner = default_server_id()
+        owner = owner_id()
         host, pid, token = owner.split(":")
         assert host == socket.gethostname()
         assert int(pid) == os.getpid()
         assert token
+        assert JobStateStore(tmp_path / "state").owner != owner
         store = JobStateStore(tmp_path / "state", owner="h:1:x")
-        assert store.host == "h"
+        assert store.owner == "h:1:x"
 
     def test_rejects_non_positive_ttl(self, tmp_path):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.cache import (
     CacheStats,
     SweepCache,
@@ -12,7 +13,7 @@ from repro.simulation.cache import (
     default_cache_dir,
 )
 from repro.simulation.results import RateSummary, SeriesResult
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 PARAMS = (("network", "twitter"), ("threshold", 0.3))
 
@@ -64,6 +65,19 @@ class TestRoundTrip:
         assert replayed == result
         assert replayed.values == values  # exact float equality
 
+    def test_failed_put_keeps_the_old_entry_and_no_temp_file(
+        self, tmp_path
+    ):
+        cache = SweepCache(tmp_path)
+        old = SeriesResult("curve", [1.0])
+        cache.put("d" * 64, old)
+        with pytest.raises(TypeError):
+            cache.put("d" * 64, old, runtime=0.5, version=object())
+        assert cache.get("d" * 64) == old
+        assert [p.suffix for p in tmp_path.rglob("*") if p.is_file()] == [
+            ".json"
+        ]
+
     def test_miss_returns_none_and_counts(self, tmp_path):
         cache = SweepCache(tmp_path)
         assert cache.get("c" * 64) is None
@@ -114,18 +128,24 @@ class TestRunSweepWithCache:
     SCENARIO = "fig15-environment"
 
     def test_cold_run_is_all_misses(self, tmp_path):
-        sweep = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                          cache_dir=tmp_path)
+        sweep = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert sweep.cache_enabled
         assert sweep.cache_hits == 0
         assert sweep.cache_misses == 3
         assert len(_cache_files(tmp_path)) == 3
 
     def test_warm_rerun_is_all_hits_and_bit_identical(self, tmp_path):
-        cold = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                         cache_dir=tmp_path)
-        warm = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                         cache_dir=tmp_path)
+        cold = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
+        warm = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert warm.cache_hits == 3
         assert warm.cache_misses == 0
         assert warm.per_seed == cold.per_seed
@@ -134,10 +154,14 @@ class TestRunSweepWithCache:
         assert warm.timing.backend == "cache"
 
     def test_incremental_seed_growth_reuses_prior_seeds(self, tmp_path):
-        small = run_sweep(self.SCENARIO, seed_range(4), smoke=True,
-                          cache_dir=tmp_path)
-        grown = run_sweep(self.SCENARIO, seed_range(8), smoke=True,
-                          cache_dir=tmp_path)
+        small = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(4), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
+        grown = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(8), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert grown.cache_hits == 4
         assert grown.cache_misses == 4
         # Timing describes the whole invocation, not just the 4
@@ -146,70 +170,101 @@ class TestRunSweepWithCache:
         # The first four per-seed results are replays of the small sweep.
         assert grown.per_seed[:4] == small.per_seed
         # And identical to computing the eight seeds from scratch.
-        fresh = run_sweep(self.SCENARIO, seed_range(8), smoke=True)
+        fresh = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(8), smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
         assert grown.per_seed == fresh.per_seed
         assert grown.mean == fresh.mean
 
     def test_different_params_do_not_collide(self, tmp_path):
-        run_sweep("fig7-mutuality", seed_range(2), smoke=True,
-                  cache_dir=tmp_path)
-        other = run_sweep("fig7-mutuality", seed_range(2), smoke=True,
-                          overrides={"threshold": 0.6},
-                          cache_dir=tmp_path)
+        execute_sweep(
+            SweepSpec("fig7-mutuality", seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
+        other = execute_sweep(
+            SweepSpec(
+                "fig7-mutuality", seed_range(2), smoke=True,
+                overrides={"threshold": 0.6},
+            ),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert other.cache_hits == 0
         assert other.cache_misses == 2
 
     def test_no_cache_dir_bypasses_reads_and_writes(self, tmp_path):
-        sweep = run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                          cache_dir=None)
+        sweep = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
         assert not sweep.cache_enabled
         assert sweep.cache_hits == 0
         assert sweep.cache_misses == 0
         assert _cache_files(tmp_path) == []
 
     def test_corrupt_cache_file_recomputes(self, tmp_path):
-        clean = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                          cache_dir=tmp_path)
+        clean = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         victim = _cache_files(tmp_path)[1]
         victim.write_text("truncated garbage")
-        recovered = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                              cache_dir=tmp_path)
+        recovered = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert recovered.cache_hits == 2
         assert recovered.cache_misses == 1
         assert recovered.per_seed == clean.per_seed
         assert recovered.mean == clean.mean
         # The corrupt entry was rewritten; a third run is all hits.
-        third = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                          cache_dir=tmp_path)
+        third = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert third.cache_hits == 3
 
     def test_cache_shared_across_worker_counts(self, tmp_path):
-        sequential = run_sweep(self.SCENARIO, seed_range(4), smoke=True,
-                               cache_dir=tmp_path)
-        parallel = run_sweep(self.SCENARIO, seed_range(4), workers=2,
-                             backend="thread", smoke=True,
-                             cache_dir=tmp_path)
+        sequential = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(4), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
+        parallel = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(4), smoke=True),
+            ExecutionProfile(workers=2, backend="thread", cache_dir=tmp_path),
+        )
         assert parallel.cache_hits == 4
         assert parallel.per_seed == sequential.per_seed
 
     def test_empty_seed_list_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):
-            run_sweep(self.SCENARIO, [], smoke=True, cache_dir=tmp_path)
+            execute_sweep(
+                SweepSpec(self.SCENARIO, [], smoke=True),
+                ExecutionProfile(cache_dir=tmp_path),
+            )
 
     def test_runner_args_validated_even_on_warm_cache(self, tmp_path):
-        run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                  cache_dir=tmp_path)
+        execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         # An all-hits replay must reject bad arguments exactly like a
         # cold run would.
         with pytest.raises(ValueError, match="chunk_size"):
-            run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                      cache_dir=tmp_path, chunk_size=0)
+            execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+                ExecutionProfile(chunk_size=0, cache_dir=tmp_path),
+            )
         with pytest.raises(ValueError, match="workers"):
-            run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                      cache_dir=tmp_path, workers=-5)
+            execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+                ExecutionProfile(workers=-5, cache_dir=tmp_path),
+            )
         with pytest.raises(ValueError, match="backend"):
-            run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                      cache_dir=tmp_path, backend="bogus")
+            execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+                ExecutionProfile(backend="bogus", cache_dir=tmp_path),
+            )
 
     def test_unwritable_cache_warns_but_returns_results(
         self, tmp_path, monkeypatch
@@ -220,10 +275,15 @@ class TestRunSweepWithCache:
 
         monkeypatch.setattr(SweepCache, "put", refuse)
         with pytest.warns(RuntimeWarning, match="cache write.*failed"):
-            sweep = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                              cache_dir=tmp_path)
+            sweep = execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+                ExecutionProfile(cache_dir=tmp_path),
+            )
         # The computed results survive the failed persist...
-        clean = run_sweep(self.SCENARIO, seed_range(3), smoke=True)
+        clean = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
         assert sweep.per_seed == clean.per_seed
         assert sweep.mean == clean.mean
         # ...and nothing was written.
@@ -248,13 +308,18 @@ class TestCacheErrorsSurfaced:
         blocker.write_text("i am a file, not a directory")
         bad_dir = blocker / "cache"
         with pytest.warns(RuntimeWarning, match="cache write.*failed"):
-            sweep = run_sweep(self.SCENARIO, seed_range(3), smoke=True,
-                              cache_dir=bad_dir)
+            sweep = execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+                ExecutionProfile(cache_dir=bad_dir),
+            )
         assert sweep.cache_errors == 3
         assert sweep.cache_misses == 3
         assert sweep.cache_hits == 0
         # The results themselves are unharmed.
-        clean = run_sweep(self.SCENARIO, seed_range(3), smoke=True)
+        clean = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
         assert sweep.per_seed == clean.per_seed
 
     def test_error_count_reaches_the_json_export(self, tmp_path):
@@ -263,8 +328,10 @@ class TestCacheErrorsSurfaced:
         blocker = tmp_path / "blocker"
         blocker.write_text("still a file")
         with pytest.warns(RuntimeWarning):
-            sweep = run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                              cache_dir=blocker / "cache")
+            sweep = execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+                ExecutionProfile(cache_dir=blocker / "cache"),
+            )
         payload = load_sweep(sweep_to_json(sweep))
         assert payload["cache"] == {
             "enabled": True, "hits": 0, "misses": 2, "errors": 2,
@@ -274,19 +341,26 @@ class TestCacheErrorsSurfaced:
         blocker = tmp_path / "blocker"
         blocker.write_text("file again")
         with pytest.warns(RuntimeWarning, match="cache write"):
-            sweep = run_sweep(
-                self.SCENARIO, seed_range(3), smoke=True,
-                backend="distributed", workers=0,
-                queue_dir=tmp_path / "q", cache_dir=blocker / "cache",
+            sweep = execute_sweep(
+                SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+                ExecutionProfile(
+                    workers=0, backend="distributed",
+                    cache_dir=blocker / "cache", queue_dir=tmp_path / "q",
+                ),
             )
         # The done markers carried the results despite the dead cache.
         assert sweep.cache_errors == 3
-        clean = run_sweep(self.SCENARIO, seed_range(3), smoke=True)
+        clean = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
         assert sweep.per_seed == clean.per_seed
 
     def test_healthy_cache_reports_zero_errors(self, tmp_path):
-        sweep = run_sweep(self.SCENARIO, seed_range(2), smoke=True,
-                          cache_dir=tmp_path)
+        sweep = execute_sweep(
+            SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert sweep.cache_errors == 0
 
 
@@ -380,13 +454,19 @@ class TestUsageAndPrune:
         assert report.removed == 0
         assert in_flight.exists()
 
-    def test_prune_keeps_entries_written_by_run_sweep(self, tmp_path):
+    def test_prune_keeps_entries_written_by_execute_sweep(
+        self, tmp_path
+    ):
         from repro.simulation.cache import prune_stale
 
-        run_sweep("fig15-environment", seed_range(2), smoke=True,
-                  cache_dir=tmp_path)
+        execute_sweep(
+            SweepSpec("fig15-environment", seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         report = prune_stale(tmp_path)
         assert report.removed == 0 and report.kept == 2
-        warm = run_sweep("fig15-environment", seed_range(2), smoke=True,
-                         cache_dir=tmp_path)
+        warm = execute_sweep(
+            SweepSpec("fig15-environment", seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert warm.cache_hits == 2

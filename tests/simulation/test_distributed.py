@@ -8,23 +8,27 @@ cover the end-to-end crash and bit-identity contracts.
 
 import json
 import os
+import shutil
+import socket
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
+from repro.fsproto import owner_id
 from repro.simulation.distributed import (
+    QueuedJob,
     WorkQueue,
-    default_worker_id,
-    execute_distributed,
+    execute_queued,
     params_signature,
     rehydrate_params,
     worker_loop,
 )
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -163,6 +167,53 @@ class TestLeases:
             thread.join()
         assert len(wins) == 1
 
+    def test_racing_stealers_steal_a_dead_lease_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Stealer B judges the dead lease stale, then stealer A
+        finishes its whole steal before B's rename lands.  B displaces
+        A's fresh lease, must put it back and lose: A keeps heartbeating
+        and the history records one steal for one dead worker."""
+        queue = _make_queue(tmp_path)
+        dead = queue.claim("task-0000", "dead-worker")
+        past = time.time() - 3600
+        os.utime(dead.lease_path, (past, past))
+        a = WorkQueue.open(queue.sweep_dir)
+        b = WorkQueue.open(queue.sweep_dir)
+        real_rename = os.rename
+        stolen_by_a = []
+
+        def rename_after_a_steals(src, dst):
+            # B's verdict is frozen at "stale": A steals in between.
+            if not stolen_by_a:
+                monkeypatch.setattr(os, "rename", real_rename)
+                stolen_by_a.append(
+                    a.claim("task-0000", "stealer-a", lease_ttl=5.0)
+                )
+                monkeypatch.setattr(os, "rename", rename_after_a_steals)
+            return real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename_after_a_steals)
+        assert b.claim("task-0000", "stealer-b", lease_ttl=5.0) is None
+        monkeypatch.setattr(os, "rename", real_rename)
+        [claim_a] = stolen_by_a
+        assert claim_a is not None and claim_a.stolen
+        assert a.heartbeat(claim_a) is True
+        assert queue.counters().steals == 1
+
+    def test_dead_same_host_worker_is_stolen_at_once(self, tmp_path):
+        """A worker on this host whose pid is gone loses its lease even
+        while the lease mtime is fresh; a live one keeps it."""
+        queue = _make_queue(tmp_path)
+        live = queue.claim("task-0000", owner_id(), lease_ttl=30.0)
+        assert queue.claim("task-0000", "bob", lease_ttl=30.0) is None
+        queue.release(live)
+        dead = f"{socket.gethostname()}:999999999:gone"
+        assert queue.claim("task-0000", dead, lease_ttl=30.0)
+        stolen = queue.claim("task-0000", "bob", lease_ttl=30.0)
+        assert stolen is not None and stolen.stolen
+        assert queue.counters().steals == 1
+
     def test_claim_of_done_task_is_refused(self, tmp_path):
         queue = _make_queue(tmp_path)
         queue.mark_done("task-0000", {"results": {}})
@@ -207,6 +258,45 @@ class TestRepair:
         queue.mark_done("task-0000", {"results": {}})
         (queue.sweep_dir / "tasks" / "task-0000.json").write_text("junk")
         assert queue.repair() == 0
+
+    def test_sweep_dir_removed_after_discover_is_left_alone(
+        self, tmp_path
+    ):
+        """The coordinator's cleanup (or another job's) may remove a
+        sweep dir any worker already discovered: repair must neither
+        raise nor recreate anything inside it."""
+        _make_queue(tmp_path)
+        [queue] = WorkQueue.discover(tmp_path / "queue")
+        shutil.rmtree(queue.sweep_dir)
+        assert queue.repair() == 0
+        assert not queue.sweep_dir.exists()
+
+
+class TestVanishedSweepDir:
+    """Every write into a removed sweep dir fails loudly and recreates
+    nothing: the worker pass reads the FileNotFoundError as "gone"."""
+
+    @pytest.mark.parametrize("write", [
+        pytest.param(lambda q: q.claim("task-0000", "alice"), id="claim"),
+        pytest.param(lambda q: q.mark_done("task-0000", {"results": {}}),
+                     id="mark_done"),
+        pytest.param(lambda q: q.record_attempt("task-0000", 1),
+                     id="record_attempt"),
+        pytest.param(lambda q: q.quarantine_seed("task-0000", 1, {}),
+                     id="quarantine_seed"),
+    ])
+    def test_write_raises_and_recreates_nothing(self, tmp_path, write):
+        queue = _make_queue(tmp_path)
+        shutil.rmtree(queue.sweep_dir)
+        with pytest.raises(FileNotFoundError):
+            write(queue)
+        assert not queue.sweep_dir.exists()
+
+    def test_attempt_failure_record_is_best_effort(self, tmp_path):
+        queue = _make_queue(tmp_path)
+        shutil.rmtree(queue.sweep_dir)
+        queue.record_attempt_failure("task-0000", 1, 1, {"error": "x"})
+        assert not queue.sweep_dir.exists()
 
 
 class TestWorkerLoop:
@@ -278,18 +368,31 @@ class TestWorkerLoop:
         stats = worker_loop(tmp_path / "queue", None, stop=stop)
         assert stats.tasks_done <= 1  # terminated, not hung
 
+    def test_worker_pass_treats_a_vanished_sweep_dir_as_gone(
+        self, tmp_path, monkeypatch
+    ):
+        _make_queue(tmp_path)
+        discovered = WorkQueue.discover(tmp_path / "queue")
+        shutil.rmtree(discovered[0].sweep_dir)
+        monkeypatch.setattr(
+            WorkQueue, "discover", classmethod(lambda cls, _: discovered),
+        )
+        stats = worker_loop(tmp_path / "queue", None, drain=True)
+        assert stats.tasks_done == 0 and stats.repairs == 0
+        assert not discovered[0].sweep_dir.exists()
+
     def test_collect_refuses_incomplete_queue(self, tmp_path):
         queue = _make_queue(tmp_path)
         with pytest.raises(RuntimeError, match="pending"):
             queue.collect()
 
 
-class TestExecuteDistributed:
+class TestExecuteQueued:
     def test_inline_drain_matches_oracle(self, tmp_path):
         spec = registry.get(SCENARIO)
         params = spec.params_key(smoke=True)
-        outcome = execute_distributed(
-            SCENARIO, params, [1, 2, 3], workers=0,
+        [outcome] = execute_queued(
+            [QueuedJob(SCENARIO, params, (1, 2, 3))], workers=0,
             queue_dir=tmp_path / "q", cache_root=tmp_path / "c",
         )
         for seed in (1, 2, 3):
@@ -302,27 +405,33 @@ class TestExecuteDistributed:
     def test_negative_workers_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)
         with pytest.raises(ValueError, match="workers"):
-            execute_distributed(
-                SCENARIO, spec.params_key(smoke=True), [1], workers=-1,
-                queue_dir=tmp_path,
+            execute_queued(
+                [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1,))],
+                workers=-1, queue_dir=tmp_path,
             )
 
     def test_bad_lease_ttl_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)
         with pytest.raises(ValueError, match="lease_ttl"):
-            execute_distributed(
-                SCENARIO, spec.params_key(smoke=True), [1], workers=0,
-                queue_dir=tmp_path, lease_ttl=0.0,
+            execute_queued(
+                [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1,))],
+                workers=0, queue_dir=tmp_path, lease_ttl=0.0,
             )
 
 
 class TestRunSweepDistributed:
     def test_local_workers_bit_identical_with_counters(self, tmp_path):
         seeds = seed_range(4)
-        sequential = run_sweep(SCENARIO, seeds, workers=1, smoke=True)
-        distributed = run_sweep(
-            SCENARIO, seeds, workers=2, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
+        distributed = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=2, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
         assert distributed.per_seed == sequential.per_seed
         assert distributed.mean == sequential.mean
@@ -335,13 +444,19 @@ class TestRunSweepDistributed:
 
     def test_warm_cache_skips_the_queue_entirely(self, tmp_path):
         seeds = seed_range(3)
-        cold = run_sweep(
-            SCENARIO, seeds, workers=0, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        cold = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
-        warm = run_sweep(
-            SCENARIO, seeds, workers=0, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        warm = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
         assert warm.cache_hits == len(seeds)
         assert warm.tasks_total == 0  # nothing was enqueued
@@ -366,12 +481,16 @@ class TestRunSweepDistributed:
         thread = threading.Thread(target=external)
         thread.start()
         try:
-            sequential = run_sweep(
-                SCENARIO, seed_range(4), workers=1, smoke=True
+            sequential = execute_sweep(
+                SweepSpec(SCENARIO, seed_range(4), smoke=True),
+                ExecutionProfile(workers=1, no_cache=True),
             )
-            distributed = run_sweep(
-                SCENARIO, seed_range(4), workers=0, backend="distributed",
-                smoke=True, queue_dir=queue_dir, cache_dir=tmp_path / "c",
+            distributed = execute_sweep(
+                SweepSpec(SCENARIO, seed_range(4), smoke=True),
+                ExecutionProfile(
+                    workers=0, backend="distributed",
+                    cache_dir=tmp_path / "c", queue_dir=queue_dir,
+                ),
             )
         finally:
             done.set()
@@ -382,28 +501,51 @@ class TestRunSweepDistributed:
 
     def test_queue_dir_kwargs_rejected_for_pool_backends(self):
         with pytest.raises(ValueError, match="distributed"):
-            run_sweep(SCENARIO, [1], workers=1, backend="process",
-                      smoke=True, queue_dir="/tmp/nope")
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=1, backend="process", no_cache=True,
+                    queue_dir="/tmp/nope",
+                ),
+            )
         with pytest.raises(ValueError, match="distributed"):
-            run_sweep(SCENARIO, [1], workers=1, backend="thread",
-                      smoke=True, lease_ttl=5.0)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=1, backend="thread", no_cache=True, lease_ttl=5.0,
+                ),
+            )
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            run_sweep(SCENARIO, [1], workers=-1, backend="distributed",
-                      smoke=True)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=-1, backend="distributed", no_cache=True,
+                ),
+            )
 
     def test_bad_lease_ttl_rejected_even_on_warm_cache(self, tmp_path):
         """Validation must not depend on cache state: an all-hits
         replay rejects a bad lease_ttl exactly like a cold run."""
-        run_sweep(SCENARIO, [1], workers=0, backend="distributed",
-                  smoke=True, cache_dir=tmp_path)
+        execute_sweep(
+            SweepSpec(SCENARIO, [1], smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path,
+                queue_dir=tmp_path / "q",
+            ),
+        )
         with pytest.raises(ValueError, match="lease_ttl"):
-            run_sweep(SCENARIO, [1], workers=0, backend="distributed",
-                      smoke=True, cache_dir=tmp_path, lease_ttl=-1.0)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=0, backend="distributed", cache_dir=tmp_path,
+                    queue_dir=tmp_path / "q", lease_ttl=-1.0,
+                ),
+            )
 
 
 class TestWorkerIdentity:
-    def test_default_worker_id_names_host_and_pid(self):
-        owner = default_worker_id()
+    def test_owner_id_names_host_and_pid(self):
+        owner = owner_id()
         assert str(os.getpid()) in owner
