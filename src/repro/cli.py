@@ -54,6 +54,7 @@ from repro.simulation.config import (
     TransitivityConfig,
 )
 from repro.simulation.delegation import DelegationSimulation
+from repro.simulation.distributed import DEFAULT_LEASE_TTL
 from repro.simulation.environment import EnvironmentSimulation
 from repro.simulation.mutuality import sweep_thresholds
 from repro.simulation.transitivity import (
@@ -225,28 +226,19 @@ def cmd_fig16(args: argparse.Namespace) -> int:
 
 
 def _profile_from_sweep_args(args: argparse.Namespace):
-    """The :class:`ExecutionProfile` the ``sweep`` flags describe.
+    """The :class:`ExecutionProfile` the ``sweep``/``serve`` flags describe.
 
-    One deprecated-but-pinned combination survives from the legacy CLI:
-    ``--no-cache`` together with ``--cache-dir`` lets ``--no-cache``
-    win, now with a loud stderr notice instead of silence (the new API
-    rejects the combination outright).
+    The profile validates itself, so a contradictory combination (e.g.
+    ``--no-cache`` with ``--cache-dir``) raises ``ValueError`` here
+    exactly as it would in a manifest or over HTTP.
     """
     from repro.api import ExecutionProfile
 
-    cache_dir = args.cache_dir
-    if args.no_cache and cache_dir is not None:
-        print(
-            "warning: --no-cache overrides --cache-dir (this combination "
-            "is deprecated and rejected by repro.api.ExecutionProfile)",
-            file=sys.stderr,
-        )
-        cache_dir = None
     return ExecutionProfile(
         workers=args.workers,
         backend="distributed" if args.distributed else args.backend,
         chunk_size=args.chunk_size,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         queue_dir=args.queue_dir,
         lease_ttl=args.lease_ttl,
@@ -485,25 +477,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _queue_path_error(path: str) -> Optional[str]:
-    """Why ``path`` cannot serve as a queue dir (``None`` when it can).
-
-    ``queue``/``worker`` on a mistyped path used to report an empty
-    queue (or poll it forever); an operator pointing at the wrong
-    volume wants a loud exit instead.  The check itself lives with the
-    queue (:func:`repro.simulation.distributed.queue_path_error`) so
-    the HTTP service validates ``?dir=`` identically.
-    """
-    from repro.simulation.distributed import queue_path_error
-
-    return queue_path_error(path)
-
-
 def cmd_queue(args: argparse.Namespace) -> int:
     """Work-queue observability plus quarantine maintenance."""
-    from repro.simulation.distributed import queue_status
+    from repro.simulation.distributed import queue_path_error, queue_status
 
-    error = _queue_path_error(args.queue_dir)
+    error = queue_path_error(args.queue_dir)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -613,9 +591,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
     """Long-running worker daemon draining a shared sweep queue dir."""
     from repro.fsproto import owner_id
     from repro.simulation.cache import default_cache_dir
-    from repro.simulation.distributed import worker_loop
+    from repro.simulation.distributed import queue_path_error, worker_loop
 
-    error = _queue_path_error(args.queue_dir)
+    error = queue_path_error(args.queue_dir)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -995,10 +973,11 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--poll", type=float, default=0.5,
                         metavar="SECONDS",
                         help="idle poll interval (default 0.5)")
-    worker.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="SECONDS",
+    worker.add_argument("--lease-ttl", type=float,
+                        default=DEFAULT_LEASE_TTL, metavar="SECONDS",
                         help="age after which another worker's lease "
-                             "counts as dead and is stolen (default 30)")
+                             "counts as dead and is stolen (default "
+                             f"{DEFAULT_LEASE_TTL:g})")
     worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
                         help="exit after completing N tasks")
     worker.add_argument("--max-attempts", type=int, default=None,

@@ -5,13 +5,13 @@ front with uniform chunking and a fixed worker fleet.  This package
 adds the three layers that turn that into a scheduler:
 
 * :mod:`repro.sched.estimator` — per-sweep cost estimates from the
-  runtime telemetry the executors record (cache entry metadata, done
-  markers, ``SweepResult.seed_runtimes``), falling back to
+  runtimes the sweep's cached seeds recorded, falling back to
   scenario-family priors when nothing was observed yet.
-* :mod:`repro.sched.planner` — pure planning functions: order a
-  campaign's sweeps long-pole-first and shard each one into chunks
-  that shrink toward the tail, so the last tasks are fine-grained and
-  no worker idles behind one fat chunk.
+* :mod:`repro.sched.planner` — :func:`plan_campaign`, the one layout
+  the coordinator writes to the queue: order a campaign's sweeps
+  (submission order, or long-pole-first) and shard each one into
+  chunks (uniform, or shrinking toward the tail so the last tasks are
+  fine-grained and no worker idles behind one fat chunk).
 * :mod:`repro.sched.autoscale` — a tick-based scaling policy with
   hysteresis plus the coordinator-side :class:`FleetSupervisor` that
   spawns/retires local worker processes from observed queue depth.
@@ -31,7 +31,6 @@ from repro.sched.autoscale import (
 from repro.sched.estimator import (
     CostEstimate,
     estimate_sweep_cost,
-    observed_runtimes,
     prior_seconds_per_seed,
 )
 from repro.sched.planner import (
@@ -53,7 +52,6 @@ __all__ = [
     "estimate_sweep_cost",
     "load_autoscale_events",
     "long_pole_order",
-    "observed_runtimes",
     "plan_campaign",
     "prior_seconds_per_seed",
     "shrinking_chunks",

@@ -3,15 +3,14 @@
 A campaign is a list of sweeps with wildly different per-seed costs
 (``table1-connectivity`` runs ~200x longer than ``fig8-inference``).
 To order the queue long-pole-first the planner needs a cost number per
-sweep *before* anything runs.  Three sources, best first:
+sweep *before* anything runs.  Two sources, best first:
 
-1. **Observed** — per-seed wall times recorded by earlier executions:
-   either passed in directly (``SweepResult.seed_runtimes``) or read
-   from the persistent cache's entry metadata for this exact
-   ``(scenario, params, seed, code_version)`` key set.
-2. **Probe** — optionally, time one real seed and extrapolate.  Exact
-   for homogeneous sweeps, but costs one seed of latency up front.
-3. **Prior** — a small measured table of seconds-per-seed by scenario
+1. **Observed** — per-seed wall times this sweep has already measured.
+   The campaign engine harvests them from the cache entries of the
+   sweep's cached seeds (same scenario, params and code version) and
+   hands them in as ``runtimes``; their mean prices every seed still
+   to run.
+2. **Prior** — a small measured table of seconds-per-seed by scenario
    family, with linear workload scaling on known size parameters
    (``runs``, ``iterations``).  Coarse, but ordering-accurate: the
    planner only needs relative magnitudes, not wall-clock precision.
@@ -23,7 +22,7 @@ what any seed computes — a wrong estimate costs makespan, not results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Params = Tuple[Tuple[str, object], ...]
 
@@ -63,10 +62,10 @@ _WORKLOAD_PARAMS: Dict[str, float] = {
 class CostEstimate:
     """Estimated cost of one sweep.
 
-    ``source`` records provenance: ``"observed"`` (telemetry covered
-    every seed), ``"mixed"`` (telemetry for some seeds, priors for the
-    rest), ``"probe"`` (one timed seed extrapolated), ``"prior"``
-    (family table only).
+    ``source`` records provenance: ``"observed"`` (every estimated
+    seed has its own measurement), ``"mixed"`` (the mean of the
+    sweep's measurements covers seeds without one), ``"prior"`` (family
+    table only).  ``observed_seeds`` counts the measurements averaged.
     """
 
     scenario: str
@@ -96,46 +95,19 @@ def prior_seconds_per_seed(scenario: str, params: Params = ()) -> float:
     return base * scale
 
 
-def observed_runtimes(
-    cache, scenario: str, params: Params, seeds: Sequence[int],
-) -> Dict[int, float]:
-    """Per-seed runtimes the cache has recorded for this exact work.
-
-    Only entries keyed by the *current* code version count — a source
-    edit invalidates the cache, and with it the telemetry.  Lookups go
-    through the cache's own stats-free path would be ideal; they do
-    bump hit/miss counters, so callers estimating against a live
-    sweep's cache instance should pass a fresh one.
-    """
-    from repro.simulation.cache import SweepCache
-
-    runtimes: Dict[int, float] = {}
-    keys = SweepCache.keys_for(scenario, tuple(params), seeds)
-    for seed, key in keys.items():
-        entry = cache.get_entry(key)
-        if entry is None:
-            continue
-        _, runtime = entry
-        if runtime is not None:
-            runtimes[seed] = runtime
-    return runtimes
-
-
 def estimate_sweep_cost(
     scenario: str,
     params: Params,
     seeds: Sequence[int],
-    cache=None,
     runtimes: Optional[Mapping[int, float]] = None,
-    probe: Optional[Callable[[str, Params], float]] = None,
 ) -> CostEstimate:
     """Estimate one sweep's cost, preferring telemetry over priors.
 
-    ``runtimes`` is a ready-made per-seed map (e.g. a previous
-    ``SweepResult.seed_runtimes``); ``cache`` is a ``SweepCache`` to
-    mine for entry metadata; ``probe`` is called as
-    ``probe(scenario, params) -> seconds`` only when nothing was
-    observed.  Seeds without telemetry are costed at the family prior.
+    ``runtimes`` maps seeds of this ``(scenario, params)`` to measured
+    wall times — any seed, not only the ones in ``seeds``: a partially
+    cached sweep is priced from its cached seeds' runtimes.  Values
+    that are not non-negative numbers are ignored; with none left the
+    family prior prices every seed.
     """
     seed_list = list(seeds)
     count = len(seed_list)
@@ -144,44 +116,20 @@ def estimate_sweep_cost(
         return CostEstimate(scenario, 0, prior, "prior")
 
     known: Dict[int, float] = {}
-    if runtimes:
-        for seed, runtime in runtimes.items():
-            try:
-                value = float(runtime)
-            except (TypeError, ValueError):
-                continue
-            if value >= 0 and int(seed) in seed_list:
-                known[int(seed)] = value
-    if cache is not None:
-        missing = [s for s in seed_list if s not in known]
-        if missing:
-            known.update(observed_runtimes(cache, scenario, params, missing))
-
-    if known:
-        observed_mean = sum(known.values()) / len(known)
-        if len(known) == count:
-            return CostEstimate(scenario, count, observed_mean,
-                                "observed", observed_seeds=count)
-        # Cover the unobserved seeds with the observed mean rather than
-        # the prior: same machine, same code, same params — the sweep's
-        # own telemetry is the better predictor of its other seeds.
-        return CostEstimate(scenario, count, observed_mean, "mixed",
-                            observed_seeds=len(known))
-
-    if probe is not None:
-        measured = float(probe(scenario, tuple(params)))
-        if measured >= 0:
-            return CostEstimate(scenario, count, measured, "probe",
-                                observed_seeds=1)
-    return CostEstimate(scenario, count, prior, "prior")
-
-
-def estimate_campaign(
-    jobs: Iterable[Tuple[str, Params, Sequence[int]]],
-    cache=None,
-) -> Tuple[CostEstimate, ...]:
-    """Cost every ``(scenario, params, seeds)`` job of a campaign."""
-    return tuple(
-        estimate_sweep_cost(scenario, params, seeds, cache=cache)
-        for scenario, params, seeds in jobs
+    for seed, runtime in (runtimes or {}).items():
+        try:
+            value = float(runtime)
+        except (TypeError, ValueError):
+            continue
+        if value >= 0:
+            known[seed] = value
+    if not known:
+        return CostEstimate(scenario, count, prior, "prior")
+    # Same machine, same code, same params: the sweep's own telemetry
+    # is the better predictor of its other seeds than the prior.
+    observed_mean = sum(known.values()) / len(known)
+    source = (
+        "observed" if all(seed in known for seed in seed_list) else "mixed"
     )
+    return CostEstimate(scenario, count, observed_mean, source,
+                        observed_seeds=len(known))

@@ -14,6 +14,9 @@ Two classic makespan levers, both result-neutral:
   chunk size as the remaining work drops, so the final tasks are
   single seeds and no worker idles behind one fat last chunk.
 
+:func:`plan_campaign` is the one place a campaign becomes a queue
+layout: :func:`repro.simulation.distributed.execute_queued` writes its
+plan's chunks, ranks and estimates to the task files verbatim.
 Everything here is deterministic and free of I/O, so the Hypothesis
 property suite can hammer it: every plan covers every seed exactly
 once, ordering is stable under ties, chunk sizes never grow.
@@ -21,11 +24,11 @@ once, ordering is stable under ties, chunk sizes never grow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro.sched.estimator import CostEstimate
+from repro.simulation.parallel import _chunked, auto_chunk_size
 
 
 def long_pole_order(costs: Sequence[float]) -> Tuple[int, ...]:
@@ -66,18 +69,6 @@ def shrinking_chunks(
     return tuple(chunks)
 
 
-def auto_base_chunk(seed_count: int, workers: int) -> int:
-    """Default opening chunk size: ~4 chunks per worker.
-
-    Matches the uniform executors' ``auto_chunk_size`` heuristic so
-    the cost scheduler's *opening* granularity equals FIFO's — only
-    the tail shrinks.
-    """
-    if seed_count <= 0:
-        return 1
-    return max(1, math.ceil(seed_count / (max(workers, 1) * 4)))
-
-
 @dataclass(frozen=True)
 class PlannedSweep:
     """One sweep's slot in a campaign plan.
@@ -85,10 +76,14 @@ class PlannedSweep:
     ``index`` is the sweep's position in the submitted campaign;
     ``rank`` is its serving position in the queue (0 = first).  FIFO
     plans have ``rank == index``; cost plans rank long-pole-first.
+    ``chunk_size`` is the base chunk the layout was cut from: FIFO
+    chunks are all that size but the last, cost chunks start there and
+    shrink toward the tail.
     """
 
     index: int
     rank: int
+    chunk_size: int
     chunks: Tuple[Tuple[int, ...], ...]
     estimate: Optional[CostEstimate] = None
 
@@ -121,17 +116,23 @@ def plan_campaign(
     workers: int,
     estimates: Optional[Sequence[Optional[CostEstimate]]] = None,
     schedule: str = "fifo",
+    chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
     """Plan a campaign's queue layout.
 
     ``schedule="fifo"`` preserves submission order with uniform
     chunks — the deterministic baseline.  ``schedule="cost"`` ranks
     sweeps long-pole-first by ``estimates`` (required) and shards each
-    into shrinking chunks.  Either way the plan covers exactly the
-    submitted seeds: scheduling moves work, never changes it.
+    into shrinking chunks.  ``chunk_size`` is the base chunk of every
+    sweep; ``None`` sizes each sweep with
+    :func:`~repro.simulation.parallel.auto_chunk_size` for ``workers``.
+    Either way the plan covers exactly the submitted seeds: scheduling
+    moves work, never changes it.
     """
     if schedule not in ("fifo", "cost"):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     if estimates is None:
         estimates = [None] * len(seed_lists)
     if len(estimates) != len(seed_lists):
@@ -148,18 +149,18 @@ def plan_campaign(
 
     planned = []
     for index, seeds in enumerate(seed_lists):
-        base = auto_base_chunk(len(seeds), workers)
+        base = (
+            chunk_size if chunk_size is not None
+            else auto_chunk_size(len(seeds), workers)
+        )
         if schedule == "cost":
             chunks = shrinking_chunks(seeds, base)
         else:
-            seed_list = list(seeds)
-            chunks = tuple(
-                tuple(seed_list[i:i + base])
-                for i in range(0, len(seed_list), base)
-            )
+            chunks = tuple(_chunked(seeds, base))
         planned.append(PlannedSweep(
             index=index,
             rank=ranks[index],
+            chunk_size=base,
             chunks=chunks,
             estimate=estimates[index],
         ))

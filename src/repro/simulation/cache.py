@@ -172,7 +172,7 @@ class SweepCache:
         path = self._path(key)
         try:
             payload = json.loads(path.read_text())
-            result = _payload_to_reduced(payload["result"])
+            result = reduced_from_payload(payload["result"])
         except FileNotFoundError:
             self.stats.misses += 1
             return None
@@ -202,7 +202,7 @@ class SweepCache:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
-            "result": _reduced_to_payload(result),
+            "result": reduced_to_payload(result),
             # Metadata: the key is the contract; scenario/seed are debug
             # aids, version lets `repro cache prune` drop entries keyed
             # by code this checkout no longer runs.
@@ -225,33 +225,25 @@ class SweepCache:
 _KINDS = {"rates": RateSummary, "series": SeriesResult}
 
 
-def _reduced_to_payload(result: Reduced) -> dict:
+def reduced_to_payload(result: Reduced) -> dict:
+    """The cache's result serialization.
+
+    The distributed work queue inlines the same payloads into its done
+    markers, so a sweep collected from done files is byte-identical to
+    one replayed from the cache.
+    """
     for kind, cls in _KINDS.items():
         if isinstance(result, cls):
             return {"kind": kind, **result.to_payload()}
     raise TypeError(f"cannot cache result of type {type(result).__name__}")
 
 
-def _payload_to_reduced(payload: dict) -> Reduced:
+def reduced_from_payload(payload: dict) -> Reduced:
+    """Inverse of :func:`reduced_to_payload`."""
     kind = payload["kind"]
     if kind not in _KINDS:
         raise ValueError(f"unknown cached result kind: {kind!r}")
     return _KINDS[kind].from_payload(payload)
-
-
-def reduced_to_payload(result: Reduced) -> dict:
-    """Public form of the cache's result serialization.
-
-    The distributed work queue inlines the same payloads into its done
-    markers, so a sweep collected from done files is byte-identical to
-    one replayed from the cache.
-    """
-    return _reduced_to_payload(result)
-
-
-def reduced_from_payload(payload: dict) -> Reduced:
-    """Inverse of :func:`reduced_to_payload`."""
-    return _payload_to_reduced(payload)
 
 
 # ---------------------------------------------------------------------------

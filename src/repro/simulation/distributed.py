@@ -89,7 +89,9 @@ import warnings
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import fsproto
 from repro.fsproto import lease_steal_threshold
@@ -101,8 +103,11 @@ from repro.simulation.cache import (
     reduced_to_payload,
 )
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
-from repro.simulation.parallel import auto_chunk_size
+from repro.simulation.parallel import _chunked
 from repro.simulation.results import RateSummary, SeriesResult
+
+if TYPE_CHECKING:
+    from repro.sched.planner import CampaignPlan
 
 Reduced = Union[RateSummary, SeriesResult]
 Params = Tuple[Tuple[str, object], ...]
@@ -256,9 +261,11 @@ class WorkQueue:
         so every worker serving the sweep applies the same budget, no
         matter how its own daemon was configured.
 
-        The scheduler's levers: ``chunks`` overrides uniform sharding
-        with an explicit chunk list (must concatenate back to
-        ``seeds`` — the planner's shrinking-tail shapes); ``rank``
+        The scheduler's levers: ``chunks`` replaces the default uniform
+        ``chunk_size`` sharding with an explicit layout (it must
+        concatenate back to ``seeds``; the coordinator passes
+        :func:`repro.sched.plan_campaign`'s chunks, so ``chunk_size``
+        then only records the plan's base chunk); ``rank``
         prefixes the sweep directory name so workers — which scan in
         sorted order — serve rank 0 first (the queue's serving order,
         submission order for FIFO, long-pole-first for cost plans);
@@ -277,6 +284,16 @@ class WorkQueue:
         digest = sha256(
             repr((scenario, params, tuple(seeds), code_version())).encode()
         ).hexdigest()[:12]
+        if chunks is None:
+            chunks = _chunked(seeds, chunk_size)
+        chunk_lists = [[int(seed) for seed in chunk] for chunk in chunks]
+        if any(not chunk for chunk in chunk_lists):
+            raise ValueError("chunks must all be non-empty")
+        if [seed for chunk in chunk_lists for seed in chunk] != seeds:
+            raise ValueError(
+                "chunks must concatenate back to the seed list — "
+                "scheduling may reshape chunks, never the work"
+            )
         prefix = "sweep" if rank is None else f"sweep-r{int(rank):04d}"
         sweep_id = f"{prefix}-{digest}-{os.urandom(4).hex()}"
         sweep_dir = Path(queue_dir) / sweep_id
@@ -284,21 +301,6 @@ class WorkQueue:
                     "faults"):
             (sweep_dir / sub).mkdir(parents=True, exist_ok=True)
 
-        if chunks is None:
-            chunk_lists = [
-                seeds[start:start + chunk_size]
-                for start in range(0, len(seeds), chunk_size)
-            ]
-        else:
-            chunk_lists = [[int(seed) for seed in chunk] for chunk in chunks]
-            if any(not chunk for chunk in chunk_lists):
-                raise ValueError("chunks must all be non-empty")
-            flattened = [seed for chunk in chunk_lists for seed in chunk]
-            if flattened != seeds:
-                raise ValueError(
-                    "chunks must concatenate back to the seed list — "
-                    "scheduling may reshape chunks, never the work"
-                )
         task_ids = [f"task-{index:04d}" for index in range(len(chunk_lists))]
         params_json = [[name, value] for name, value in params]
         for task_id, chunk in zip(task_ids, chunk_lists):
@@ -976,7 +978,6 @@ def worker_loop(
     max_tasks: Optional[int] = None,
     max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
-    only_sweep: Optional[str] = None,
     only_sweeps: Optional[Sequence[str]] = None,
     _daemon: bool = False,
 ) -> WorkerStats:
@@ -996,15 +997,13 @@ def worker_loop(
     ``max_attempts`` is this worker's *default* per-seed retry budget;
     a sweep manifest that pins its own budget always wins, so a fleet
     of differently-configured daemons still quarantines consistently.
+    ``only_sweeps`` restricts the worker to those sweep ids (the
+    coordinator's inline drain); ``None`` or empty serves every sweep.
     """
     owner = owner or fsproto.owner_id()
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
     stats = WorkerStats()
-    # ``only_sweep`` (one id) and ``only_sweeps`` (a campaign's ids)
-    # compose into one allow-set; ``None``/empty means "serve all".
     allowed = set(only_sweeps or ())
-    if only_sweep is not None:
-        allowed.add(only_sweep)
     while True:
         progressed = False
         for queue in WorkQueue.discover(queue_dir):
@@ -1088,13 +1087,17 @@ class QueuedJob:
 
     ``spec_payload`` (the :class:`repro.api.SweepSpec` JSON form, when
     the job came through the job API) rides into the sweep manifest so
-    ``repro queue status`` can name what is queued.
+    ``repro queue status`` can name what is queued.  ``runtimes`` maps
+    seeds of the same sweep that already ran (its cache hits) to their
+    measured wall times — what ``schedule="cost"`` prices the queued
+    seeds from.
     """
 
     scenario: str
     params: Params
     seeds: Tuple[int, ...]
     spec_payload: Optional[dict] = None
+    runtimes: Dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -1177,11 +1180,12 @@ def execute_queued(
     markers, quarantine included — the queue dir stays clean for the
     next campaign), and raises :class:`SweepAborted`.
 
-    Scheduling (:mod:`repro.sched`): ``schedule="fifo"`` enqueues the
-    jobs in submission order with uniform chunks; ``schedule="cost"``
-    estimates each sweep's cost from runtime telemetry (cache entry
-    metadata) or family priors, serves the long poles first and
-    shrinks chunk sizes toward each sweep's tail.  ``autoscale=True``
+    Scheduling (:mod:`repro.sched`): the queue layout is
+    :func:`repro.sched.plan_campaign`'s.  ``schedule="fifo"`` enqueues
+    the jobs in submission order with uniform chunks;
+    ``schedule="cost"`` estimates each sweep's cost from its jobs'
+    ``runtimes`` (else the family priors), serves the long poles first
+    and shrinks chunk sizes toward each sweep's tail.  ``autoscale=True``
     replaces the fixed fleet with a supervisor that sizes the local
     fleet from observed queue depth, bounded by ``min_workers`` /
     ``max_workers`` (default ``0`` / ``max(workers, 1)``) with
@@ -1192,10 +1196,6 @@ def execute_queued(
         raise ValueError("need at least one queued job")
     if workers < 0:
         raise ValueError("workers must be >= 0 for the distributed backend")
-    if schedule not in ("fifo", "cost"):
-        raise ValueError(
-            f"schedule must be 'fifo' or 'cost', got {schedule!r}"
-        )
     if not autoscale and (min_workers is not None or max_workers is not None):
         raise ValueError(
             "min_workers/max_workers require autoscale=True"
@@ -1203,6 +1203,24 @@ def execute_queued(
     lease_ttl = DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl)
     if lease_ttl <= 0:
         raise ValueError("lease_ttl must be positive")
+    # Late import: repro.sched builds on this module's queue primitives.
+    from repro.sched.estimator import estimate_sweep_cost
+    from repro.sched.planner import plan_campaign
+
+    fleet_max = max(workers, 1) if max_workers is None else int(max_workers)
+    estimates = None
+    if schedule == "cost":
+        estimates = [
+            estimate_sweep_cost(
+                job.scenario, job.params, job.seeds, runtimes=job.runtimes,
+            )
+            for job in jobs
+        ]
+    # Chunks are sized for the largest fleet that may serve them.
+    plan = plan_campaign(
+        [job.seeds for job in jobs], fleet_max,
+        estimates=estimates, schedule=schedule, chunk_size=chunk_size,
+    )
     made_temp = queue_dir is None
     if made_temp:
         queue_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
@@ -1212,14 +1230,15 @@ def execute_queued(
     start = time.perf_counter()
     try:
         return _run_queued(
-            jobs, queue_root, start,
-            workers=workers, chunk_size=chunk_size,
+            jobs, plan, queue_root, start,
+            workers=workers,
             cache_root=cache_root, lease_ttl=lease_ttl,
             poll=poll, timeout=timeout,
             max_attempts=max_attempts, stop=stop,
             keep_failed_dirs=not made_temp,
-            schedule=schedule, autoscale=autoscale,
-            min_workers=min_workers, max_workers=max_workers,
+            autoscale=autoscale,
+            min_workers=0 if min_workers is None else int(min_workers),
+            max_workers=fleet_max,
         )
     finally:
         # A private temp queue is useless after this call either way:
@@ -1232,78 +1251,48 @@ def execute_queued(
 
 def _run_queued(
     jobs: Sequence[QueuedJob],
+    plan: CampaignPlan,
     queue_root: Path,
     start: float,
     *,
     workers: int,
-    chunk_size: Optional[int],
     cache_root: Optional[Union[str, Path]],
     lease_ttl: float,
     poll: float,
     timeout: float,
-    max_attempts: Optional[int] = None,
-    stop: Optional[Callable[[], bool]] = None,
-    keep_failed_dirs: bool = False,
-    schedule: str = "fifo",
-    autoscale: bool = False,
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
+    max_attempts: Optional[int],
+    stop: Optional[Callable[[], bool]],
+    keep_failed_dirs: bool,
+    autoscale: bool,
+    min_workers: int,
+    max_workers: int,
 ) -> List[DistributedOutcome]:
-    """The enqueue / fleet / wait / collect body of ``execute_queued``."""
-    # Late import: repro.sched builds on this module's queue primitives.
+    """The enqueue / fleet / wait / collect body of ``execute_queued``.
+
+    Every job's sweep is written to the queue exactly as ``plan``
+    lays it out.
+    """
     from repro.sched.autoscale import (
         AutoscalePolicy,
         FleetSupervisor,
         QueueSample,
     )
-    from repro.sched.estimator import estimate_sweep_cost
-    from repro.sched.planner import long_pole_order, shrinking_chunks
 
-    fleet_min = 0 if min_workers is None else int(min_workers)
-    fleet_max = max(workers, 1) if max_workers is None else int(max_workers)
-    planning_workers = fleet_max if autoscale else max(workers, 1)
-
-    estimates: List[Optional[object]] = [None] * len(jobs)
-    ranks = list(range(len(jobs)))  # FIFO: serve in submission order
-    if schedule == "cost":
-        est_cache = (
-            SweepCache(Path(cache_root)) if cache_root is not None else None
-        )
-        estimates = [
-            estimate_sweep_cost(
-                job.scenario, job.params, job.seeds, cache=est_cache,
-            )
-            for job in jobs
-        ]
-        order = long_pole_order(
-            [estimate.total_seconds for estimate in estimates]
-        )
-        for rank, job_index in enumerate(order):
-            ranks[job_index] = rank
-
-    queues: List[WorkQueue] = []
-    chunk_sizes: List[int] = []
-    for index, job in enumerate(jobs):
-        seeds = [int(seed) for seed in job.seeds]
-        effective_chunk = (
-            chunk_size if chunk_size is not None
-            else auto_chunk_size(len(seeds), planning_workers)
-        )
-        chunk_sizes.append(effective_chunk)
-        estimate = estimates[index]
-        queues.append(WorkQueue.create(
-            queue_root, job.scenario, job.params, seeds, effective_chunk,
+    queues = [
+        WorkQueue.create(
+            queue_root, job.scenario, job.params, job.seeds,
+            planned.chunk_size,
             spec_payload=job.spec_payload,
             max_attempts=max_attempts,
-            chunks=(
-                shrinking_chunks(seeds, effective_chunk)
-                if schedule == "cost" else None
-            ),
-            rank=ranks[index],
+            chunks=planned.chunks,
+            rank=planned.rank,
             est_seconds_per_seed=(
-                estimate.seconds_per_seed if estimate is not None else None
+                planned.estimate.seconds_per_seed
+                if planned.estimate is not None else None
             ),
-        ))
+        )
+        for job, planned in zip(jobs, plan.sweeps)
+    ]
     our_sweeps = [queue.sweep_id for queue in queues]
     cache_arg = str(cache_root) if cache_root is not None else None
     context = multiprocessing.get_context()
@@ -1323,7 +1312,7 @@ def _run_queued(
     if autoscale:
         supervisor = FleetSupervisor(
             spawn=_spawn_worker,
-            policy=AutoscalePolicy(fleet_min, fleet_max),
+            policy=AutoscalePolicy(min_workers, max_workers),
             queue_dir=queue_root,
         )
     else:
@@ -1454,7 +1443,7 @@ def _run_queued(
             for queue in queues:
                 queue.cleanup()
     outcomes = []
-    for queue, effective_chunk in zip(queues, chunk_sizes):
+    for queue, planned in zip(queues, plan.sweeps):
         results, failures, totals = queue.collect()
         runtimes = queue.seed_runtimes()
         counters = queue.counters()
@@ -1467,7 +1456,7 @@ def _run_queued(
             queue.cleanup()
         outcomes.append(DistributedOutcome(
             results=results,
-            chunk_size=effective_chunk,
+            chunk_size=planned.chunk_size,
             tasks=counters.tasks,
             steals=counters.steals,
             requeues=counters.requeues,

@@ -138,7 +138,13 @@ def auto_chunk_size(seeds: int, workers: int) -> int:
 
 
 def _chunked(seeds: Sequence[int], chunk_size: int) -> List[Tuple[int, ...]]:
-    """Contiguous seed batches, preserving order."""
+    """Contiguous seed batches, preserving order.
+
+    The one uniform chunker: pool tasks here, FIFO queue layouts in
+    :func:`repro.sched.plan_campaign` and the default sharding of
+    :meth:`repro.simulation.distributed.WorkQueue.create` all cut seeds
+    with it, so every backend batches identically.
+    """
     return [
         tuple(seeds[start:start + chunk_size])
         for start in range(0, len(seeds), chunk_size)

@@ -537,6 +537,7 @@ def _execute_campaign_distributed(
                 params=plan.params,
                 seeds=tuple(plan.missing),
                 spec_payload=plan.spec.to_payload(),
+                runtimes=dict(plan.runtimes),
             ))
             job_plans.append(plan)
     outcomes = []

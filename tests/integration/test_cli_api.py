@@ -56,13 +56,19 @@ class TestSweepAllScenarios:
         ]) == 2
         assert "queue_dir" in capsys.readouterr().err
 
-    def test_no_cache_with_cache_dir_warns_loudly(self, capsys, tmp_path):
-        assert main([
-            "sweep", SCENARIO, "--seeds", "2", "--smoke",
+    @pytest.mark.parametrize("command", [
+        ["sweep", SCENARIO, "--seeds", "2", "--smoke"],
+        ["serve", "127.0.0.1:0"],
+    ])
+    def test_no_cache_with_cache_dir_is_rejected(
+        self, capsys, tmp_path, command
+    ):
+        # The same validator as ExecutionProfile, manifests and HTTP.
+        assert main(command + [
             "--no-cache", "--cache-dir", str(tmp_path / "never"),
-        ]) == 0
-        captured = capsys.readouterr()
-        assert "--no-cache overrides --cache-dir" in captured.err
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "no_cache conflicts with an explicit cache_dir" in err
         assert not (tmp_path / "never").exists()
 
 

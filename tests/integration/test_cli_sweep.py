@@ -111,10 +111,13 @@ class TestSweepCacheCli:
         assert str(cache_dir) in out
         assert list(cache_dir.rglob("*.json"))
 
-    def test_no_cache_bypasses_and_hides_cache_line(self, capsys, tmp_path):
+    def test_no_cache_bypasses_and_hides_cache_line(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "never"))
         assert main([
             "sweep", "fig15-environment", "--seeds", "2", "--smoke",
-            "--no-cache", "--cache-dir", str(tmp_path / "never"),
+            "--no-cache",
         ]) == 0
         out = capsys.readouterr().out
         assert "cache:" not in out

@@ -1,24 +1,18 @@
 """Cost-estimator provenance and scaling.
 
-The estimator's contract is a strict source priority — observed
-telemetry beats a probe beats the family prior — plus linear workload
-scaling so a ``runs=800`` override cannot hide a long pole.  Estimates
-only steer the queue, so the tests check provenance and ordering, not
-wall-clock accuracy.
+The estimator's contract is a strict source priority — the sweep's own
+measured runtimes beat the family prior — plus linear workload scaling
+so a ``runs=800`` override cannot hide a long pole.  Estimates only
+steer the queue, so the tests check provenance and ordering, not
+wall-clock accuracy.  The end-to-end path (cache entry metadata to
+queue rank) is covered in ``test_queue_layout.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import (
-    estimate_sweep_cost,
-    observed_runtimes,
-    prior_seconds_per_seed,
-)
-from repro.sched.estimator import estimate_campaign
-from repro.simulation import registry
-from repro.simulation.cache import SweepCache
+from repro.sched import estimate_sweep_cost, prior_seconds_per_seed
 
 SCENARIO = "fig15-environment"
 
@@ -78,21 +72,17 @@ class TestSourcePriority:
         assert est.observed_seeds == 1
         assert est.seconds_per_seed == pytest.approx(8.0)
 
-    def test_probe_beats_prior_but_not_telemetry(self):
-        calls = []
-
-        def probe(scenario, params):
-            calls.append(scenario)
-            return 1.5
-
-        probed = estimate_sweep_cost(SCENARIO, (), [1, 2], probe=probe)
-        assert probed.source == "probe"
-        assert probed.seconds_per_seed == pytest.approx(1.5)
-        observed = estimate_sweep_cost(
-            SCENARIO, (), [1], runtimes={1: 9.0}, probe=probe,
+    def test_sibling_seed_runtimes_price_the_queued_seeds(self):
+        # A partially cached sweep queues only its missing seeds; the
+        # cached seeds' runtimes price them, not the family prior.
+        est = estimate_sweep_cost(
+            SCENARIO, (), [5, 6, 7, 8],
+            runtimes={1: 4.0, 2: 6.0, 3: 5.0, 4: 5.0},
         )
-        assert observed.source == "observed"
-        assert calls == [SCENARIO]  # probe untouched when telemetry won
+        assert est.source == "mixed"
+        assert est.observed_seeds == 4
+        assert est.seconds_per_seed == pytest.approx(5.0)
+        assert est.total_seconds == pytest.approx(20.0)
 
     def test_no_signal_falls_back_to_prior(self):
         est = estimate_sweep_cost(SCENARIO, (("runs", 10),), [1, 2, 3])
@@ -104,9 +94,18 @@ class TestSourcePriority:
     def test_garbage_runtimes_are_ignored(self):
         est = estimate_sweep_cost(
             SCENARIO, (), [1, 2],
-            runtimes={1: "soon", 2: -3.0, 99: 1.0},
+            runtimes={1: "soon", 2: -3.0, 99: None, 100: float("nan")},
         )
         assert est.source == "prior"
+
+    def test_garbage_runtimes_do_not_dilute_the_observed_mean(self):
+        est = estimate_sweep_cost(
+            SCENARIO, (), [1, 2],
+            runtimes={1: "soon", 2: -3.0, 99: 1.0},
+        )
+        assert est.source == "mixed"
+        assert est.observed_seeds == 1
+        assert est.seconds_per_seed == pytest.approx(1.0)
 
     def test_empty_seed_list_costs_nothing(self):
         est = estimate_sweep_cost(SCENARIO, (), [])
@@ -114,43 +113,21 @@ class TestSourcePriority:
         assert est.total_seconds == 0.0
 
 
-class TestCacheMining:
-    def test_cache_entry_metadata_feeds_the_estimate(self, tmp_path):
-        spec = registry.get(SCENARIO)
-        params = spec.params_key(smoke=True)
-        cache = SweepCache(tmp_path)
-        reduced = spec.bound(smoke=True)(1)
-        keys = SweepCache.keys_for(SCENARIO, params, [1, 2])
-        cache.put(keys[1], reduced, runtime=2.5)
-        cache.put(keys[2], reduced)  # legacy entry: no runtime recorded
-
-        observed = observed_runtimes(cache, SCENARIO, params, [1, 2, 3])
-        assert observed == {1: 2.5}
-
-        est = estimate_sweep_cost(SCENARIO, params, [1], cache=cache)
+class TestTelemetryBeatsPrior:
+    def test_runtimes_win_even_below_the_prior(self):
+        # The prior is only a fallback: a measurement cheaper than the
+        # family table still wins.
+        params = (("runs", 1000),)
+        assert prior_seconds_per_seed(SCENARIO, params) > 0.5
+        est = estimate_sweep_cost(SCENARIO, params, [1], runtimes={1: 0.5})
         assert est.source == "observed"
-        assert est.seconds_per_seed == pytest.approx(2.5)
+        assert est.seconds_per_seed == pytest.approx(0.5)
 
-    def test_explicit_runtimes_shadow_the_cache(self, tmp_path):
-        spec = registry.get(SCENARIO)
-        params = spec.params_key(smoke=True)
-        cache = SweepCache(tmp_path)
-        reduced = spec.bound(smoke=True)(1)
-        keys = SweepCache.keys_for(SCENARIO, params, [1])
-        cache.put(keys[1], reduced, runtime=100.0)
-        est = estimate_sweep_cost(
-            SCENARIO, params, [1], cache=cache, runtimes={1: 1.0},
+    def test_one_estimate_per_sweep_orders_long_poles_first(self):
+        heavy = estimate_sweep_cost("table1-connectivity", (), [1, 2])
+        light = estimate_sweep_cost(SCENARIO, (), [3])
+        assert heavy.total_seconds > light.total_seconds
+        measured = estimate_sweep_cost(
+            SCENARIO, (), [3], runtimes={1: 100.0},
         )
-        assert est.seconds_per_seed == pytest.approx(1.0)
-
-
-class TestCampaignEstimation:
-    def test_one_estimate_per_job_in_order(self):
-        estimates = estimate_campaign([
-            ("table1-connectivity", (), [1, 2]),
-            (SCENARIO, (), [3]),
-        ])
-        assert [est.scenario for est in estimates] == [
-            "table1-connectivity", SCENARIO,
-        ]
-        assert estimates[0].total_seconds > estimates[1].total_seconds
+        assert measured.total_seconds > heavy.total_seconds

@@ -19,7 +19,7 @@ from repro.sched import (
     plan_campaign,
     shrinking_chunks,
 )
-from repro.sched.planner import auto_base_chunk
+from repro.simulation.parallel import auto_chunk_size
 
 _SEEDS = st.lists(
     st.integers(min_value=-10**6, max_value=10**6),
@@ -95,17 +95,19 @@ class TestLongPoleOrder:
         assert long_pole_order([1.0, 9.0, 1.0, 4.0]) == (1, 3, 0, 2)
 
 
-class TestAutoBaseChunk:
+class TestAutoChunkSize:
+    """The planner's default base chunk is the pool's heuristic."""
+
     @given(
-        seed_count=st.integers(min_value=0, max_value=10**4),
-        workers=st.integers(min_value=0, max_value=64),
+        seed_count=st.integers(min_value=1, max_value=10**4),
+        workers=st.integers(min_value=1, max_value=64),
     )
     def test_always_at_least_one(self, seed_count, workers):
-        assert auto_base_chunk(seed_count, workers) >= 1
+        assert auto_chunk_size(seed_count, workers) >= 1
 
     def test_four_chunks_per_worker(self):
-        assert auto_base_chunk(32, 4) == 2
-        assert auto_base_chunk(3, 8) == 1
+        assert auto_chunk_size(32, 4) == 2
+        assert auto_chunk_size(3, 8) == 1
 
 
 def _estimates(costs):
@@ -143,6 +145,42 @@ class TestPlanCampaign:
         ranks = sorted(sweep.rank for sweep in plan.sweeps)
         assert ranks == list(range(len(seed_lists)))
         assert plan.total_seeds == sum(len(s) for s in seed_lists)
+
+    @given(
+        seed_lists=st.lists(_SEEDS, min_size=1, max_size=4),
+        workers=st.integers(min_value=1, max_value=8),
+        chunk_size=st.one_of(st.none(), st.integers(1, 8)),
+    )
+    @settings(max_examples=100)
+    def test_fifo_chunks_are_uniform_at_the_base(
+        self, seed_lists, workers, chunk_size
+    ):
+        plan = plan_campaign(seed_lists, workers, chunk_size=chunk_size)
+        for sweep, seeds in zip(plan.sweeps, seed_lists):
+            base = (chunk_size if chunk_size is not None
+                    else auto_chunk_size(len(seeds), workers))
+            assert sweep.chunk_size == base
+            sizes = [len(chunk) for chunk in sweep.chunks]
+            assert all(size == base for size in sizes[:-1])
+            assert 1 <= sizes[-1] <= base
+
+    def test_explicit_chunk_size_is_the_reported_base(self):
+        # Three seeds at chunk size 5 form one FIFO chunk of 3 (or
+        # three shrunken cost chunks), but the plan (and so the sweep's
+        # RunTiming) still reports 5.
+        for schedule, estimates, chunks in (
+            ("fifo", None, ((1, 2, 3),)),
+            ("cost", _estimates([1.0]), ((1,), (2,), (3,))),
+        ):
+            plan = plan_campaign([[1, 2, 3]], workers=4, chunk_size=5,
+                                 estimates=estimates, schedule=schedule)
+            [sweep] = plan.sweeps
+            assert sweep.chunk_size == 5
+            assert sweep.chunks == chunks
+
+    def test_rejects_non_positive_chunk_size(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            plan_campaign([[1]], workers=1, chunk_size=0)
 
     def test_fifo_rank_is_submission_order(self):
         plan = plan_campaign([[1], [2], [3]], workers=2)
