@@ -380,10 +380,10 @@ class ExecutionProfile:
     # Result-neutral like every other field — the equivalence suite
     # asserts schedule="cost" bit-identical to FIFO.
     schedule: Optional[str] = None
-    # Fleet autoscaling (distributed backend only): replace the fixed
-    # local fleet with a supervisor sizing it from observed queue
-    # depth, bounded by min_workers/max_workers (defaults: 0 and
-    # max(workers, 1)) with hysteresis.
+    # Fleet autoscaling (distributed backend only): widen the local
+    # fleet's bounds from [workers, workers] to min_workers/max_workers
+    # (defaults: 0 and max(workers, 1)), so it follows the observed
+    # queue depth with hysteresis.
     autoscale: bool = False
     min_workers: Optional[int] = None
     max_workers: Optional[int] = None

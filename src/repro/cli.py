@@ -989,8 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lease owner id (default: host:pid:token)")
     worker.add_argument("--stop-file", metavar="PATH", default=None,
                         help="exit gracefully (after the current task) "
-                             "once PATH exists — the autoscaler's "
-                             "retirement protocol, usable manually too")
+                             "once PATH exists")
 
     cache = subparsers.add_parser(
         "cache",

@@ -13,8 +13,10 @@ adds the three layers that turn that into a scheduler:
   chunks (uniform, or shrinking toward the tail so the last tasks are
   fine-grained and no worker idles behind one fat chunk).
 * :mod:`repro.sched.autoscale` — a tick-based scaling policy with
-  hysteresis plus the coordinator-side :class:`FleetSupervisor` that
-  spawns/retires local worker processes from observed queue depth.
+  hysteresis plus the coordinator-side :class:`FleetSupervisor`, the
+  one owner of local worker processes: it keeps a fixed fleet at size
+  and replaces crashed workers, or spawns/retires them from observed
+  queue depth when its bounds differ.
 
 Everything here is **result-neutral**: scheduling changes which worker
 computes which seed when, never what any seed computes — the

@@ -1,23 +1,26 @@
 """Fleet autoscaling: tick-based policy + coordinator-side supervisor.
 
-The fixed-fleet executor spawns ``workers`` processes up front and
-keeps them until the campaign drains — fine for one uniform sweep,
-wasteful for a mixed campaign whose tail needs two workers while the
-fleet holds eight.  The autoscaler splits the problem in two:
+The supervisor is the only code that starts, replaces, retires and
+stops local workers.  A fixed ``--workers N`` fleet is the same
+supervisor with floor = ceiling = ``N``; ``--autoscale`` widens the
+bounds so the fleet follows the queue — a mixed campaign whose tail
+needs two workers need not hold eight.  The problem splits in two:
 
 * :class:`AutoscalePolicy` is a *pure* decision function: feed it one
   :class:`QueueSample` per tick and the current fleet size, get back a
   clamped target with hysteresis (consecutive-tick holds before
   scaling, a cooldown after).  No I/O, no clocks — the Hypothesis
   suite drives it with synthetic traces and asserts the bounds and
-  flap-damping invariants directly.
+  flap-damping invariants directly.  A fleet below its floor (a worker
+  crashed) is repaired at the next tick, bypassing hysteresis.
 * :class:`FleetSupervisor` owns the processes: it samples the queue,
   asks the policy, spawns workers via an injected factory and retires
-  them gracefully through per-worker stop-flag files (a worker
-  finishes its current task, sees the flag, exits — leases are never
-  cut mid-task, so autoscaling can't cause a steal).  Every scaling
-  action appends one JSON line to ``autoscale-events.jsonl`` under the
-  queue directory, which ``repro queue status`` surfaces.
+  them gracefully by setting each worker's own stop event (a worker
+  finishes its current task, sees the event, exits — leases are never
+  cut mid-task, so autoscaling can't cause a steal).  A fleet that can
+  scale (floor < ceiling) appends one JSON line per scaling action to
+  ``autoscale-events.jsonl`` under the queue directory, which ``repro
+  queue status`` surfaces; a fixed fleet writes nothing there.
 
 Autoscaling is result-neutral by construction: it changes how many
 workers pull from the queue, never what any task computes.
@@ -26,14 +29,13 @@ workers pull from the queue, never what any task computes.
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 _EVENTS_NAME = "autoscale-events.jsonl"
-_FLAGS_DIR = "autoscale-flags"
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,6 @@ class QueueSample:
 
     claimable: int
     leased: int = 0
-    oldest_lease_age: float = 0.0
-    steals: int = 0
 
     @property
     def outstanding(self) -> int:
@@ -168,41 +168,40 @@ class AutoscalePolicy:
 
 
 class FleetSupervisor:
-    """Spawn/retire local worker processes from policy decisions.
+    """Spawn, replace, retire and stop local workers as the policy says.
 
-    ``spawn`` is an injected factory ``spawn(stop_flag: Path) ->
-    multiprocessing.Process`` (already started); the supervisor never
-    imports the worker entrypoint itself, keeping this module free of
-    executor dependencies.  Retirement is cooperative: the supervisor
-    touches the worker's stop flag and lets it drain its current task;
-    the process is reaped on a later tick.  ``shutdown`` flags every
-    worker and joins with a timeout, terminating only stragglers.
+    ``spawn`` is an injected factory ``spawn(stop) -> process`` (already
+    started), where ``stop`` is the worker's own
+    :class:`multiprocessing.Event`; the supervisor never imports the
+    worker entrypoint itself, keeping this module free of executor
+    dependencies.  Retirement is cooperative: the supervisor sets the
+    worker's stop event and lets it drain its current task; the process
+    is reaped on a later tick.  ``shutdown`` terminates and joins the
+    whole fleet.  Only a fleet that can scale logs its actions.
     """
 
     def __init__(
         self,
-        spawn: Callable[[Path], object],
+        spawn: Callable[[object], object],
         policy: AutoscalePolicy,
         queue_dir: Union[str, Path],
     ) -> None:
         self._spawn = spawn
         self.policy = policy
-        self.queue_dir = Path(queue_dir)
-        self._flags_dir = self.queue_dir / _FLAGS_DIR
-        self._events_path = self.queue_dir / _EVENTS_NAME
-        self._workers: List[tuple] = []  # (process, stop_flag_path)
-        self._serial = 0
+        self._events_path: Optional[Path] = (
+            Path(queue_dir) / _EVENTS_NAME
+            if policy.min_workers < policy.max_workers else None
+        )
+        self._workers: List[tuple] = []  # (process, stop event)
         self._tick = 0
-        self.spawned_total = 0
-        self.retired_total = 0
 
     # ------------------------------------------------------------------
     def alive(self) -> int:
         """Reap exited workers; the number still running."""
         survivors = []
-        for process, flag in self._workers:
+        for process, stop in self._workers:
             if process.is_alive():
-                survivors.append((process, flag))
+                survivors.append((process, stop))
             else:
                 process.join(timeout=0)
         self._workers = survivors
@@ -214,54 +213,33 @@ class FleetSupervisor:
         decision = self.policy.decide(sample, current)
         if decision.action == "spawn" and decision.target > current:
             for _ in range(decision.target - current):
-                self._spawn_one()
+                stop = multiprocessing.Event()
+                self._workers.append((self._spawn(stop), stop))
         elif decision.action == "retire" and decision.target < current:
             # Newest-first: older workers are warmer (module imports,
             # cache handles) and more likely mid-task.
-            for process, flag in self._workers[decision.target:]:
-                self._flag(flag)
-            self.retired_total += current - decision.target
+            for _, stop in self._workers[decision.target:]:
+                stop.set()
         if decision.action != "hold":
             self._log_event(decision, current, sample)
         self._tick += 1
         return decision
 
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the whole fleet: flag, drain, then terminate stragglers."""
-        for _, flag in self._workers:
-            self._flag(flag)
-        deadline = time.monotonic() + timeout
+    def shutdown(self) -> None:
+        """Stop the whole fleet: terminate every worker, then join."""
         for process, _ in self._workers:
-            process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
-                process.join(timeout=1.0)
+        for process, _ in self._workers:
+            process.join(timeout=5.0)
         self._workers = []
 
     # ------------------------------------------------------------------
-    def _spawn_one(self) -> None:
-        self._flags_dir.mkdir(parents=True, exist_ok=True)
-        flag = self._flags_dir / f"stop-{os.getpid()}-{self._serial}.flag"
-        self._serial += 1
-        try:
-            flag.unlink()
-        except OSError:
-            pass
-        process = self._spawn(flag)
-        self._workers.append((process, flag))
-        self.spawned_total += 1
-
-    @staticmethod
-    def _flag(flag: Path) -> None:
-        try:
-            flag.parent.mkdir(parents=True, exist_ok=True)
-            flag.touch()
-        except OSError:
-            pass  # worst case the worker drains the queue and exits
-
     def _log_event(
         self, decision: ScaleDecision, previous: int, sample: QueueSample,
     ) -> None:
+        if self._events_path is None:
+            return  # a fixed fleet writes nothing under the queue dir
         event = {
             "time": time.time(),
             "tick": self._tick,

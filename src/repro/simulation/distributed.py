@@ -48,9 +48,13 @@ Crash recovery, concretely:
   worker (or the coordinator) rewrites the task file from it
   atomically (counted as a *requeue* via a content-keyed marker, so
   concurrent repairers do not double-count);
-* **every worker dead** — the coordinator (:func:`execute_queued`)
-  notices the queue stalling and drains the remaining tasks inline, so
-  a distributed sweep always terminates with the oracle's results;
+* **local worker dead** — the coordinator's fleet supervisor
+  (:mod:`repro.sched.autoscale`) replaces it at the next tick, and the
+  replacement steals its orphaned lease; when nothing drains the queue
+  for a full stall window (an external fleet that died, say) the
+  coordinator (:func:`execute_queued`) drains the remaining tasks
+  inline, so a distributed sweep always terminates with the oracle's
+  results;
 * **poison seed** — a seed whose scenario *raises* is caught at the
   per-seed error boundary instead of crashing the worker.  Every
   started attempt leaves an ``O_EXCL`` marker under ``attempts/`` (so
@@ -79,6 +83,7 @@ process.  See :mod:`repro.simulation.faults`.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import shutil
@@ -107,6 +112,7 @@ from repro.simulation.parallel import _chunked
 from repro.simulation.results import RateSummary, SeriesResult
 
 if TYPE_CHECKING:
+    from repro.sched.autoscale import AutoscalePolicy
     from repro.sched.planner import CampaignPlan
 
 Reduced = Union[RateSummary, SeriesResult]
@@ -1053,28 +1059,29 @@ def worker_loop(
             time.sleep(poll)
 
 
-def _local_worker_main(
+def _spawn_local_worker(
     queue_dir: str,
     cache_dir: Optional[str],
     poll: float,
     lease_ttl: float,
-    stop_flag: Optional[str] = None,
-) -> None:
-    """Entry point of a coordinator-spawned local worker process.
+    stop,
+) -> multiprocessing.Process:
+    """Start one coordinator-spawned local worker daemon.
 
-    ``stop_flag`` names a file whose existence asks this worker to
-    retire: it finishes its current task, sees the flag between
-    claims, and exits — the autoscaler's graceful scale-down (a lease
-    is never cut mid-task, so retiring can never cause a steal).
+    ``stop`` is the worker's own stop event.  Once it is set the worker
+    finishes its current task, sees the event between claims, and
+    exits — the autoscaler's graceful scale-down (a lease is never cut
+    mid-task, so retiring can never cause a steal).
     """
-    stop = None
-    if stop_flag is not None:
-        flag = Path(stop_flag)
-        stop = flag.exists
-    worker_loop(
-        queue_dir, cache_dir, poll=poll, lease_ttl=lease_ttl,
-        stop=stop, _daemon=True,
+    process = multiprocessing.Process(
+        target=worker_loop,
+        args=(queue_dir, cache_dir),
+        kwargs={"poll": poll, "lease_ttl": lease_ttl,
+                "stop": stop.is_set, "_daemon": True},
+        daemon=True,
     )
+    process.start()
+    return process
 
 
 # ---------------------------------------------------------------------------
@@ -1135,7 +1142,6 @@ def execute_queued(
     max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
     schedule: str = "fifo",
-    autoscale: bool = False,
     min_workers: Optional[int] = None,
     max_workers: Optional[int] = None,
 ) -> List[DistributedOutcome]:
@@ -1143,14 +1149,18 @@ def execute_queued(
 
     Every job is sharded into task files under ``queue_dir`` (a private
     temp dir when ``None``) **before** any worker starts, then one
-    fleet of ``workers`` local worker daemons drains all of them
-    concurrently — a campaign's sweeps multiplex over the same workers
-    instead of idling between scenarios.  The coordinator waits for
+    fleet of local worker daemons drains all of them concurrently — a
+    campaign's sweeps multiplex over the same workers instead of idling
+    between scenarios.  The fleet is a
+    :class:`repro.sched.autoscale.FleetSupervisor` bounded by
+    ``[min_workers, max_workers]`` (both default to ``workers``, a
+    fixed fleet): a crashed worker is replaced at the next tick, and
+    wider bounds let the fleet follow the queue depth with hysteresis.
+    With a ceiling of 0 there is no fleet.  The coordinator waits for
     every task's done marker, stepping in itself whenever nobody else
-    is working: with ``workers=0`` it drains inline as long as no
-    external daemon holds a lease (so an attached worker fleet keeps
-    the tasks, but a lone coordinator never waits on anyone); with
-    local daemons it drains when they have all died or when no done
+    is working: it drains inline when no local worker is alive and no
+    lease is active (so an attached external fleet keeps the tasks,
+    but a lone coordinator never waits on anyone), or when no done
     marker lands for a full stall window.  External ``repro worker``
     daemons pointed at the same ``queue_dir`` join transparently — the
     lease protocol does not care who claims.
@@ -1175,39 +1185,39 @@ def execute_queued(
     before.
 
     ``stop`` is polled between claims and wait-loop passes; when it
-    turns true the coordinator abandons the run, terminates its local
-    daemons, removes every sweep directory it created (leases, attempt
-    markers, quarantine included — the queue dir stays clean for the
-    next campaign), and raises :class:`SweepAborted`.
+    turns true the coordinator abandons the run, terminates and joins
+    its local daemons, then removes every sweep directory it created
+    (leases, attempt markers, quarantine included — the queue dir stays
+    clean for the next campaign), and raises :class:`SweepAborted`.
 
     Scheduling (:mod:`repro.sched`): the queue layout is
     :func:`repro.sched.plan_campaign`'s.  ``schedule="fifo"`` enqueues
     the jobs in submission order with uniform chunks;
     ``schedule="cost"`` estimates each sweep's cost from its jobs'
     ``runtimes`` (else the family priors), serves the long poles first
-    and shrinks chunk sizes toward each sweep's tail.  ``autoscale=True``
-    replaces the fixed fleet with a supervisor that sizes the local
-    fleet from observed queue depth, bounded by ``min_workers`` /
-    ``max_workers`` (default ``0`` / ``max(workers, 1)``) with
-    hysteresis.  Both levers are result-neutral — every mode's results
-    are bit-identical to the sequential oracle's.
+    and shrinks chunk sizes toward each sweep's tail.  Either way chunks
+    are sized for a fleet of ``max(max_workers, 1)``.  Fleet size and
+    schedule are both result-neutral — every mode's results are
+    bit-identical to the sequential oracle's.
     """
     if not jobs:
         raise ValueError("need at least one queued job")
     if workers < 0:
         raise ValueError("workers must be >= 0 for the distributed backend")
-    if not autoscale and (min_workers is not None or max_workers is not None):
-        raise ValueError(
-            "min_workers/max_workers require autoscale=True"
-        )
     lease_ttl = DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl)
     if lease_ttl <= 0:
         raise ValueError("lease_ttl must be positive")
     # Late import: repro.sched builds on this module's queue primitives.
+    from repro.sched.autoscale import AutoscalePolicy
     from repro.sched.estimator import estimate_sweep_cost
     from repro.sched.planner import plan_campaign
 
-    fleet_max = max(workers, 1) if max_workers is None else int(max_workers)
+    floor = workers if min_workers is None else int(min_workers)
+    ceiling = workers if max_workers is None else int(max_workers)
+    # No fleet at all when both bounds are 0: the coordinator drains.
+    fleet = (
+        None if floor == ceiling == 0 else AutoscalePolicy(floor, ceiling)
+    )
     estimates = None
     if schedule == "cost":
         estimates = [
@@ -1218,7 +1228,7 @@ def execute_queued(
         ]
     # Chunks are sized for the largest fleet that may serve them.
     plan = plan_campaign(
-        [job.seeds for job in jobs], fleet_max,
+        [job.seeds for job in jobs], max(ceiling, 1),
         estimates=estimates, schedule=schedule, chunk_size=chunk_size,
     )
     made_temp = queue_dir is None
@@ -1231,14 +1241,11 @@ def execute_queued(
     try:
         return _run_queued(
             jobs, plan, queue_root, start,
-            workers=workers,
             cache_root=cache_root, lease_ttl=lease_ttl,
             poll=poll, timeout=timeout,
             max_attempts=max_attempts, stop=stop,
             keep_failed_dirs=not made_temp,
-            autoscale=autoscale,
-            min_workers=0 if min_workers is None else int(min_workers),
-            max_workers=fleet_max,
+            fleet=fleet,
         )
     finally:
         # A private temp queue is useless after this call either way:
@@ -1255,7 +1262,6 @@ def _run_queued(
     queue_root: Path,
     start: float,
     *,
-    workers: int,
     cache_root: Optional[Union[str, Path]],
     lease_ttl: float,
     poll: float,
@@ -1263,20 +1269,15 @@ def _run_queued(
     max_attempts: Optional[int],
     stop: Optional[Callable[[], bool]],
     keep_failed_dirs: bool,
-    autoscale: bool,
-    min_workers: int,
-    max_workers: int,
+    fleet: Optional[AutoscalePolicy],
 ) -> List[DistributedOutcome]:
     """The enqueue / fleet / wait / collect body of ``execute_queued``.
 
     Every job's sweep is written to the queue exactly as ``plan``
-    lays it out.
+    lays it out; the local fleet is one supervisor run by the
+    ``fleet`` policy, or none.
     """
-    from repro.sched.autoscale import (
-        AutoscalePolicy,
-        FleetSupervisor,
-        QueueSample,
-    )
+    from repro.sched.autoscale import FleetSupervisor, QueueSample
 
     queues = [
         WorkQueue.create(
@@ -1295,39 +1296,15 @@ def _run_queued(
     ]
     our_sweeps = [queue.sweep_id for queue in queues]
     cache_arg = str(cache_root) if cache_root is not None else None
-    context = multiprocessing.get_context()
-
-    def _spawn_worker(stop_flag: Path):
-        process = context.Process(
-            target=_local_worker_main,
-            args=(str(queue_root), cache_arg, poll, lease_ttl,
-                  str(stop_flag)),
-            daemon=True,
-        )
-        process.start()
-        return process
-
-    supervisor: Optional[FleetSupervisor] = None
-    processes: List[multiprocessing.Process] = []
-    if autoscale:
-        supervisor = FleetSupervisor(
-            spawn=_spawn_worker,
-            policy=AutoscalePolicy(min_workers, max_workers),
-            queue_dir=queue_root,
-        )
-    else:
-        processes = [
-            context.Process(
-                target=_local_worker_main,
-                args=(str(queue_root), cache_arg, poll, lease_ttl),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
+    supervisor = None if fleet is None else FleetSupervisor(
+        spawn=functools.partial(
+            _spawn_local_worker, str(queue_root), cache_arg, poll, lease_ttl,
+        ),
+        policy=fleet,
+        queue_dir=queue_root,
+    )
     aborted = False
     try:
-        for process in processes:
-            process.start()
         # The stall window: how long the queue may go without a new done
         # marker before the coordinator drains inline.  At least one
         # lease TTL, so a crashed worker's chunk can first be stolen by
@@ -1380,30 +1357,21 @@ def _run_queued(
             if supervisor is not None and (
                 last_scale is None or now - last_scale >= scale_every
             ):
-                # One autoscaler tick (the first sizes the fleet from
-                # the full queue depth, so work starts immediately).
+                # One fleet tick: the first fills the fleet to the
+                # floor, or to the queue depth when the floor is 0, so
+                # work starts immediately; later ones replace crashed
+                # workers and scale within the bounds.
                 last_scale = now
                 supervisor.observe(QueueSample(
                     claimable=max(total_tasks - done_now - active, 0),
                     leased=active,
                 ))
-            if supervisor is not None:
-                # The supervisor respawns workers as needed, so a dead
-                # fleet is a scaling event, not a drain trigger; only a
-                # deliberately-empty idle fleet falls through inline.
-                peers_gone = False
-                fleet_idle = supervisor.alive() == 0 and active == 0
-            else:
-                peers_gone = bool(processes) and not any(
-                    process.is_alive() for process in processes
-                )
-                fleet_idle = workers == 0 and active == 0
-            # Drain inline when nobody else is on the job: no local
-            # daemons requested and no external lease active, every
-            # local daemon dead, or the queue stalled a full window
-            # (which also steals expired leases).
-            if (fleet_idle
-                    or peers_gone
+            # Drain inline when nobody else is on the job — no live
+            # local worker and no active lease — or the queue stalled a
+            # full window (which also steals expired leases).  A crashed
+            # local worker is no trigger: the next tick replaces it.
+            live = supervisor.alive() if supervisor is not None else 0
+            if ((live == 0 and active == 0)
                     or now - last_progress > stall_window):
                 drained = worker_loop(
                     queue_root,
@@ -1431,11 +1399,6 @@ def _run_queued(
     finally:
         if supervisor is not None:
             supervisor.shutdown()
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
         if aborted:
             # Leave nothing behind: a cancelled campaign's sweep dirs
             # (tasks, leases, attempt markers, quarantine diagnostics)

@@ -545,6 +545,13 @@ def _execute_campaign_distributed(
         cache_root = (
             plans[0].cache.root if plans[0].cache is not None else None
         )
+        # One local fleet: fixed at `workers`, or elastic within the
+        # autoscaler's bounds.
+        if profile.autoscale:
+            floor = profile.min_workers or 0
+            ceiling = profile.max_workers or max(profile.workers, 1)
+        else:
+            floor = ceiling = profile.workers
         outcomes = execute_queued(
             jobs,
             workers=profile.workers,
@@ -555,9 +562,8 @@ def _execute_campaign_distributed(
             max_attempts=profile.resolved_max_attempts(),
             stop=stop,
             schedule=profile.resolved_schedule(),
-            autoscale=profile.autoscale,
-            min_workers=profile.min_workers,
-            max_workers=profile.max_workers,
+            min_workers=floor,
+            max_workers=ceiling,
         )
     results: Dict[int, SweepResult] = {}
     for plan, outcome in zip(job_plans, outcomes):

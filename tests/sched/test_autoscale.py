@@ -5,7 +5,7 @@ queue traces and asserts the contract directly: the fleet target never
 leaves ``[min_workers, max_workers]``, and consecutive scaling actions
 are always separated by the cooldown.  ``FleetSupervisor`` is tested
 against a fake process factory — no real workers, just the spawn /
-flag / reap mechanics and the JSONL event log.
+stop-event / reap / terminate mechanics and the JSONL event log.
 """
 
 import json
@@ -132,11 +132,13 @@ class TestPolicyHysteresis:
 
 
 class _FakeProcess:
-    """A worker stand-in: 'exits' once its stop flag appears and it is
-    joined or reaped, like a drained worker daemon."""
+    """A worker stand-in: 'exits' once its stop event is set and it is
+    joined or reaped, like a drained worker daemon.  ``calls`` is the
+    fleet-wide log of terminate/join calls, in order."""
 
-    def __init__(self, flag):
-        self.flag = flag
+    def __init__(self, stop, calls):
+        self.stop = stop
+        self.calls = calls
         self.terminated = False
         self._dead = False
 
@@ -144,15 +146,17 @@ class _FakeProcess:
         self._dead = True
 
     def is_alive(self):
-        if self.flag.exists():
+        if self.stop.is_set():
             self._dead = True
         return not self._dead
 
     def join(self, timeout=None):
-        if self.flag.exists():
+        self.calls.append(("join", self))
+        if self.stop.is_set():
             self._dead = True
 
     def terminate(self):
+        self.calls.append(("terminate", self))
         self.terminated = True
         self._dead = True
 
@@ -160,9 +164,10 @@ class _FakeProcess:
 class TestFleetSupervisor:
     def _supervisor(self, tmp_path, policy=None):
         spawned = []
+        calls = []
 
-        def spawn(flag):
-            process = _FakeProcess(flag)
+        def spawn(stop):
+            process = _FakeProcess(stop, calls)
             spawned.append(process)
             return process
 
@@ -179,7 +184,7 @@ class TestFleetSupervisor:
         assert decision.action == "spawn"
         assert supervisor.alive() == 3  # clamped to max_workers
         assert len(spawned) == 3
-        assert all(not p.flag.exists() for p in spawned)
+        assert all(not p.stop.is_set() for p in spawned)
         (event,) = load_autoscale_events(tmp_path)
         assert event["action"] == "spawn"
         assert event["from"] == 0 and event["to"] == 3
@@ -190,14 +195,17 @@ class TestFleetSupervisor:
         supervisor.observe(QueueSample(claimable=10))
         decision = supervisor.observe(QueueSample(claimable=0, leased=1))
         assert (decision.action, decision.target) == ("retire", 1)
-        # The two newest workers got their flags; the oldest keeps
+        # The two newest workers got their stop events; the oldest keeps
         # running — retirement never terminates, only asks.
-        assert [p.flag.exists() for p in spawned] == [False, True, True]
+        assert [p.stop.is_set() for p in spawned] == [False, True, True]
         assert all(not p.terminated for p in spawned)
-        assert supervisor.alive() == 1  # flagged workers drained out
-        assert supervisor.retired_total == 2
-        actions = [e["action"] for e in load_autoscale_events(tmp_path)]
-        assert actions == ["spawn", "retire"]
+        assert supervisor.alive() == 1  # stopped workers drained out
+        events = load_autoscale_events(tmp_path)
+        assert [e["action"] for e in events] == ["spawn", "retire"]
+        assert events[1]["from"] - events[1]["to"] == 2
+        assert list(tmp_path.iterdir()) == [
+            tmp_path / "autoscale-events.jsonl"
+        ]
 
     def test_dead_workers_are_reaped_and_replaced(self, tmp_path):
         supervisor, spawned = self._supervisor(
@@ -210,15 +218,34 @@ class TestFleetSupervisor:
         # Below min_workers: repaired immediately, bypassing hysteresis.
         assert decision.action == "spawn"
         assert supervisor.alive() == 2
-        assert supervisor.spawned_total == 3
+        assert len(spawned) == 3
+
+    def test_fixed_fleet_repairs_crashes_and_logs_nothing(self, tmp_path):
+        supervisor, spawned = self._supervisor(
+            tmp_path, AutoscalePolicy(2, 2),
+        )
+        supervisor.observe(QueueSample(claimable=10))
+        assert supervisor.alive() == 2
+        spawned[1].kill_now()
+        assert supervisor.observe(QueueSample(claimable=10)).action == (
+            "spawn"
+        )
+        supervisor.observe(QueueSample(claimable=0))  # never retires
+        assert supervisor.alive() == 2
+        assert len(spawned) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_shutdown_flags_everyone_and_clears_the_fleet(self, tmp_path):
         supervisor, spawned = self._supervisor(tmp_path)
         supervisor.observe(QueueSample(claimable=3))
-        supervisor.shutdown(timeout=0.5)
-        assert all(p.flag.exists() for p in spawned)
-        assert all(not p.is_alive() for p in spawned)
-        assert not any(p.terminated for p in spawned)  # all drained
+        # One shutdown: terminate every worker, then join them all; no
+        # stop event is set and nobody waits for a graceful exit.
+        supervisor.shutdown()
+        calls = spawned[0].calls
+        assert [kind for kind, _ in calls] == ["terminate"] * 3 + ["join"] * 3
+        assert [p for _, p in calls] == spawned * 2
+        assert all(p.terminated and not p.is_alive() for p in spawned)
+        assert not any(p.stop.is_set() for p in spawned)
         assert supervisor.alive() == 0
 
     def test_hold_ticks_log_nothing(self, tmp_path):
@@ -244,3 +271,26 @@ class TestEventLog:
         assert [e["tick"] for e in events] == [0, 1, 2, 3, 4]
         assert [e["tick"] for e in load_autoscale_events(tmp_path, limit=2)
                 ] == [3, 4]
+
+
+class TestLocalFleetEndToEnd:
+    def test_autoscaled_campaign_leaves_only_the_event_log(self, tmp_path):
+        """Workers retire through their stop events, so an explicit
+        queue dir ends up holding the scaling history and nothing
+        else — no per-worker stop files."""
+        from repro.api import ExecutionProfile, SweepSpec
+        from repro.simulation.sweep import execute_campaign
+
+        queue_dir = tmp_path / "queue"
+        profile = ExecutionProfile(
+            workers=2, backend="distributed", no_cache=True,
+            queue_dir=str(queue_dir), autoscale=True,
+        )
+        specs = [SweepSpec("fig7-mutuality", range(1, 9), smoke=True)]
+        oracle = execute_campaign(specs, ExecutionProfile(no_cache=True))
+        results = execute_campaign(specs, profile)
+        assert results[0].per_seed == oracle[0].per_seed
+        assert [path.name for path in queue_dir.iterdir()] == [
+            "autoscale-events.jsonl"
+        ]
+        assert load_autoscale_events(queue_dir)[0]["action"] == "spawn"

@@ -123,7 +123,7 @@ def test_autoscaled_chunks_are_sized_for_the_largest_fleet(
     written, tmp_path
 ):
     jobs = _jobs(3)
-    _enqueue_only(jobs, tmp_path, autoscale=True, max_workers=3)
+    _enqueue_only(jobs, tmp_path, min_workers=0, max_workers=3)
     plan = plan_campaign([job.seeds for job in jobs], 3)
     assert [layout["chunks"] for layout in written] == [
         planned.chunks for planned in plan.sweeps

@@ -17,6 +17,7 @@ raise; ``flaky:<seed>:<k>`` fails the seed's first ``k`` attempts
 sweep-wide; ``hang:<seed>`` makes one daemon sleep past its lease TTL.
 """
 
+import json
 import multiprocessing
 import os
 import time
@@ -543,16 +544,18 @@ class TestRequeueQuarantined:
 
 class TestCoordinatorOfLastResort:
     def test_sweep_completes_when_every_worker_dies(self, tmp_path):
-        """All local daemons dead: the coordinator notices the stall
-        and drains inline — a distributed sweep always terminates."""
+        """The only local daemon dies: the supervisor replaces it at
+        the next tick (and the coordinator drains inline should the
+        queue stall a full window) — a distributed sweep always
+        terminates."""
         seeds = seed_range(3)
         sequential = execute_sweep(
             SweepSpec(SCENARIO, seeds, smoke=True),
             ExecutionProfile(workers=1, no_cache=True),
         )
         # Every worker that picks up seed 1's task dies... but the
-        # exactly-once flag means only the first daemon dies; with one
-        # worker the coordinator must finish the job itself.
+        # exactly-once flag means only the first daemon dies; its
+        # replacement (or the coordinator) finishes the job.
         os.environ["REPRO_WORKER_FAULT"] = "sigkill:1"
         try:
             distributed = execute_sweep(
@@ -568,3 +571,41 @@ class TestCoordinatorOfLastResort:
         assert distributed.per_seed == sequential.per_seed
         assert distributed.mean == sequential.mean
         assert distributed.steals >= 1
+
+    def test_crashed_local_worker_is_replaced(self, tmp_path, monkeypatch):
+        """A fixed one-worker fleet whose only daemon is SIGKILLed
+        mid-chunk: the floor repair spawns a replacement that steals
+        the orphaned lease and completes the task — the coordinator
+        never drains it inline."""
+        done_markers = []
+        collect = WorkQueue.collect
+
+        def spy(queue):
+            done_markers.extend(
+                json.loads(path.read_text())
+                for path in sorted((queue.sweep_dir / "done").glob("*.json"))
+            )
+            return collect(queue)
+
+        monkeypatch.setattr(WorkQueue, "collect", spy)
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "sigkill:1")
+        seeds = seed_range(3)
+        # The default lease TTL makes the stall window long: only a
+        # replacement worker can finish the task in time.
+        distributed = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=1, backend="distributed", chunk_size=3,
+                cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
+            ),
+        )
+        assert distributed.per_seed == execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        ).per_seed
+        assert distributed.steals == 1
+        (marker,) = done_markers
+        assert marker["stolen"]
+        pid = int(marker["worker"].split(":")[1])
+        assert pid != os.getpid()
+        assert list((tmp_path / "q").iterdir()) == []
