@@ -26,25 +26,25 @@ make that achievable:
   expressions mirroring the scalar expression trees (same operations,
   same association order) produce identical doubles elementwise.
 
-Everything degrades gracefully: without numpy installed ``HAVE_NUMPY``
-is ``False`` and every caller falls back to the python kernels, which
+numpy is imported on first vectorized use, not with this module:
+``HAVE_NUMPY`` says whether it is importable without importing it, and
+the python path (``resolve_compute("python")``, :func:`forget_scan`,
+:func:`rank_order`) never loads it, so a freshly started worker's first
+python-path seed does not pay for numpy's import.
+Everything degrades gracefully: without numpy installed (or with one
+that fails to import) ``resolve_compute("vectorized")`` returns
+``"python"`` and every caller falls back to the python kernels, which
 *are* the oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import random
+import sys
 import threading
 from typing import List, Optional, Sequence, Union
-
-try:  # numpy is optional: the python kernels are always available.
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-    HAVE_NUMPY = False
 
 from repro.core.ids import validate_probability
 from repro.core.policy import (
@@ -69,6 +69,64 @@ __all__ = [
     "combine_chain_columns",
     "traditional_chain_columns",
 ]
+
+
+# ---------------------------------------------------------------------------
+# numpy, loaded on first vectorized use
+# ---------------------------------------------------------------------------
+
+def _numpy_importable() -> bool:
+    """Whether numpy can be imported, answered without importing it.
+
+    A ``None`` entry in ``sys.modules`` is how Python spells "this
+    import is blocked", and a loaded module may carry no ``__spec__``,
+    so ``find_spec`` is asked only when numpy is not loaded yet.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"] is not None
+    return importlib.util.find_spec("numpy") is not None
+
+
+# numpy is optional: the python kernels are always available.
+HAVE_NUMPY = _numpy_importable()
+
+
+def _load_numpy() -> bool:
+    """Bind numpy into this module; ``False`` when it cannot be imported.
+
+    A broken install (found, but raising on import) flips
+    ``HAVE_NUMPY`` off, so :func:`resolve_compute` degrades to python.
+    """
+    global _np, HAVE_NUMPY
+    if HAVE_NUMPY and isinstance(_np, _LazyNumpy):
+        try:
+            import numpy
+        except ImportError:
+            HAVE_NUMPY = False
+        else:
+            _np = numpy
+    return HAVE_NUMPY
+
+
+class _LazyNumpy:
+    """Stands in for numpy until the first attribute lookup loads it.
+
+    After that lookup ``_np`` is numpy itself, so the vectorized kernels
+    pay no indirection per call.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if not _load_numpy():
+            raise RuntimeError(
+                "the vectorized kernels need numpy; gate on "
+                "kernels.resolve_compute('vectorized')"
+            )
+        return getattr(_np, name)
+
+
+_np = _LazyNumpy()
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +175,6 @@ class DrawStream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: Union[int, str, bytes]) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "DrawStream needs numpy; gate on kernels.HAVE_NUMPY"
-            )
         self._state = _np.random.RandomState(mt_seed_key(seed))
 
     def reseed(self, seed: Union[int, str, bytes]) -> "DrawStream":
@@ -164,6 +218,13 @@ def borrow_stream(seed: Union[int, str, bytes]) -> DrawStream:
     return stream.reseed(seed)
 
 
+def _is_ndarray(value) -> bool:
+    """``isinstance(value, numpy.ndarray)`` without loading numpy: no
+    ndarray can exist before something imported it."""
+    numpy = sys.modules.get("numpy")
+    return numpy is not None and isinstance(value, numpy.ndarray)
+
+
 def bernoulli_block(draws, threshold):
     """``1.0 if draw < threshold else 0.0`` over a block of draws.
 
@@ -197,7 +258,7 @@ def forget_scan(
     draws, vector comparisons, de-biasing).
     """
     validate_probability(beta, "forgetting factor beta")
-    if HAVE_NUMPY and isinstance(observed, _np.ndarray):
+    if _is_ndarray(observed):
         observed = observed.tolist()
     weight = 1.0 - beta
     estimate = initial
@@ -279,9 +340,7 @@ def rank_order(scores) -> List[int]:
     deterministic) placement of NaN scores, which an ``argsort`` would
     order differently.
     """
-    values = scores.tolist() if HAVE_NUMPY and isinstance(
-        scores, _np.ndarray
-    ) else list(scores)
+    values = scores.tolist() if _is_ndarray(scores) else list(scores)
     return sorted(range(len(values)), key=values.__getitem__, reverse=True)
 
 
@@ -327,6 +386,6 @@ def resolve_compute(compute: str) -> str:
         raise ValueError(
             f"compute must be 'python' or 'vectorized', got {compute!r}"
         )
-    if compute == "vectorized" and not HAVE_NUMPY:
+    if compute == "vectorized" and not _load_numpy():
         return "python"
     return compute

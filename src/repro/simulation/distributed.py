@@ -83,6 +83,7 @@ process.  See :mod:`repro.simulation.faults`.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -985,6 +986,7 @@ def worker_loop(
     max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
     only_sweeps: Optional[Sequence[str]] = None,
+    on_task_done: Optional[Callable[[], None]] = None,
     _daemon: bool = False,
 ) -> WorkerStats:
     """One worker: claim, execute and complete tasks under ``queue_dir``.
@@ -1005,6 +1007,8 @@ def worker_loop(
     of differently-configured daemons still quarantines consistently.
     ``only_sweeps`` restricts the worker to those sweep ids (the
     coordinator's inline drain); ``None`` or empty serves every sweep.
+    ``on_task_done`` runs after each processed task — how a
+    coordinator-spawned worker wakes its coordinator.
     """
     owner = owner or fsproto.owner_id()
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
@@ -1049,6 +1053,8 @@ def worker_loop(
                         raise
                     break  # the sweep dir was removed under us: gone
                 progressed = True
+                if on_task_done is not None:
+                    on_task_done()
                 if max_tasks is not None and stats.tasks_done >= max_tasks:
                     return stats
         if stop is not None and stop():
@@ -1064,6 +1070,7 @@ def _spawn_local_worker(
     cache_dir: Optional[str],
     poll: float,
     lease_ttl: float,
+    wake,
     stop,
 ) -> multiprocessing.Process:
     """Start one coordinator-spawned local worker daemon.
@@ -1071,13 +1078,15 @@ def _spawn_local_worker(
     ``stop`` is the worker's own stop event.  Once it is set the worker
     finishes its current task, sees the event between claims, and
     exits — the autoscaler's graceful scale-down (a lease is never cut
-    mid-task, so retiring can never cause a steal).
+    mid-task, so retiring can never cause a steal).  ``wake`` is the
+    coordinator's event, set after every task the worker processes.
     """
     process = multiprocessing.Process(
         target=worker_loop,
         args=(queue_dir, cache_dir),
         kwargs={"poll": poll, "lease_ttl": lease_ttl,
-                "stop": stop.is_set, "_daemon": True},
+                "stop": stop.is_set, "on_task_done": wake.set,
+                "_daemon": True},
         daemon=True,
     )
     process.start()
@@ -1156,14 +1165,19 @@ def execute_queued(
     ``[min_workers, max_workers]`` (both default to ``workers``, a
     fixed fleet): a crashed worker is replaced at the next tick, and
     wider bounds let the fleet follow the queue depth with hysteresis.
-    With a ceiling of 0 there is no fleet.  The coordinator waits for
-    every task's done marker, stepping in itself whenever nobody else
-    is working: it drains inline when no local worker is alive and no
-    lease is active (so an attached external fleet keeps the tasks,
-    but a lone coordinator never waits on anyone), or when no done
-    marker lands for a full stall window.  External ``repro worker``
-    daemons pointed at the same ``queue_dir`` join transparently — the
-    lease protocol does not care who claims.
+    With a ceiling of 0 there is no fleet.  Before the fleet starts,
+    the coordinator builds every job's arena, so its forked workers
+    inherit them warm (a long-lived caller keeps one arena per distinct
+    ``(scenario, params)``, as sequential mode does).  The coordinator
+    waits for every task's done marker — each local worker wakes it
+    after every task, external ones are polled — stepping in itself
+    whenever nobody else is working: it drains inline when no local
+    worker is alive and no lease is active (so an attached external
+    fleet keeps the tasks, but a lone coordinator never waits on
+    anyone), or when no done marker lands for a full stall window.
+    External ``repro worker`` daemons pointed at the same
+    ``queue_dir`` join transparently — the lease protocol does not care
+    who claims.
 
     Completion is unconditional: every sweep's results are exactly the
     sequential oracle's whether computed by local daemons, remote
@@ -1296,15 +1310,30 @@ def _run_queued(
     ]
     our_sweeps = [queue.sweep_id for queue in queues]
     cache_arg = str(cache_root) if cache_root is not None else None
+    # Set by local workers after each task; the coordinator's idle waits
+    # return on it instead of sleeping out their backoff.
+    wake = multiprocessing.Event()
     supervisor = None if fleet is None else FleetSupervisor(
         spawn=functools.partial(
             _spawn_local_worker, str(queue_root), cache_arg, poll, lease_ttl,
+            wake,
         ),
         policy=fleet,
         queue_dir=queue_root,
     )
     aborted = False
     try:
+        if supervisor is not None:
+            # Build each job's arena here, once: the fleet forks from
+            # this process and inherits it (and the network cache)
+            # copy-on-write instead of every worker rebuilding it.  A
+            # build that raises is left to the workers, whose error
+            # boundary quarantines its seeds as usual.
+            for job in jobs:
+                with contextlib.suppress(Exception):
+                    registry.warm_arena(
+                        job.scenario, params_signature(job.params)
+                    )
         # The stall window: how long the queue may go without a new done
         # marker before the coordinator drains inline.  At least one
         # lease TTL, so a crashed worker's chunk can first be stolen by
@@ -1312,11 +1341,13 @@ def _run_queued(
         stall_window = max(lease_ttl, 1.0)
         repair_every = max(poll * 10.0, 0.5)
         scale_every = max(poll * 5.0, 0.25)
-        # Adaptive wait: the idle sleep doubles while no task completes
+        # Adaptive wait: the idle wait doubles while no task completes
         # (capped well under the stall window so stall detection keeps
-        # its resolution) and snaps back to ``poll`` on any progress —
-        # a quiet queue stops burning scans, a completion still wakes
-        # the coordinator promptly.
+        # its resolution) and snaps back to ``poll`` on any progress, so
+        # a quiet queue stops burning scans.  A local worker cuts the
+        # wait short through ``wake`` the moment it finishes a task;
+        # external ``repro worker`` fleets are seen at the next scan.
+        # Completion itself is decided by the done markers alone.
         sleep_cap = max(poll, min(0.5, stall_window / 4.0))
         idle_sleep = poll
         total_tasks = sum(len(queue.task_ids()) for queue in queues)
@@ -1388,10 +1419,12 @@ def _run_queued(
                 else:
                     # Nothing claimable yet (e.g. an orphaned lease
                     # still inside its TTL) — wait, don't spin.
-                    time.sleep(idle_sleep)
+                    wake.wait(idle_sleep)
+                    wake.clear()
                     idle_sleep = min(idle_sleep * 2.0, sleep_cap)
             else:
-                time.sleep(idle_sleep)
+                wake.wait(idle_sleep)
+                wake.clear()
                 idle_sleep = min(idle_sleep * 2.0, sleep_cap)
     except SweepAborted:
         aborted = True

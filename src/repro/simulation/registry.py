@@ -408,11 +408,10 @@ def _reduce_beta(results) -> SeriesResult:
 
 
 def _seed_combiner(arena, params: Mapping[str, object], seed: int):
-    if params.get("compute", "python") == "vectorized":
-        from repro.core.kernels import HAVE_NUMPY
+    from repro.core.kernels import resolve_compute
 
-        if HAVE_NUMPY:
-            return _seed_combiner_vectorized(params, seed)
+    if resolve_compute(params.get("compute", "python")) == "vectorized":
+        return _seed_combiner_vectorized(params, seed)
     rng = random.Random(seed)
     rows = []
     for length in params["lengths"]:

@@ -12,6 +12,7 @@ import shutil
 import socket
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,22 @@ class TestWorkerLoop:
         assert stats.tasks_done == 0 and stats.repairs == 0
         assert not discovered[0].sweep_dir.exists()
 
+    def test_on_task_done_fires_once_per_completed_task(self, tmp_path):
+        queue = _make_queue(tmp_path, seeds=(1, 2, 3), chunk_size=1)
+        calls = []
+        stats = worker_loop(
+            tmp_path / "queue", None, drain=True,
+            on_task_done=lambda: calls.append(None),
+        )
+        assert stats.tasks_done == 3 and len(calls) == 3
+        assert queue.is_complete()
+        # A pass that finds nothing claimable never fires it.
+        worker_loop(
+            tmp_path / "queue", None, drain=True,
+            on_task_done=lambda: calls.append(None),
+        )
+        assert len(calls) == 3
+
     def test_collect_refuses_incomplete_queue(self, tmp_path):
         queue = _make_queue(tmp_path)
         with pytest.raises(RuntimeError, match="pending"):
@@ -401,6 +418,64 @@ class TestExecuteQueued:
         assert outcome.steals == 0 and outcome.requeues == 0
         # The sweep directory is cleaned up after collection.
         assert not list((tmp_path / "q").iterdir())
+
+    def test_forked_workers_inherit_the_warm_arena(
+        self, tmp_path, monkeypatch
+    ):
+        name = "fig7-mutuality"
+        spec = registry.get(name)
+        builds = tmp_path / "builds.log"
+
+        def spy_build(params):
+            with open(builds, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return spec._build(params)
+
+        registry.clear_arenas()
+        monkeypatch.setitem(
+            registry._REGISTRY, name, replace(spec, _build=spy_build)
+        )
+        try:
+            [outcome] = execute_queued(
+                [QueuedJob(name, spec.params_key(smoke=True), (1, 2, 3, 4))],
+                workers=2, chunk_size=1, queue_dir=tmp_path / "q",
+            )
+        finally:
+            registry.clear_arenas()
+        pids = builds.read_text().split()
+        # One build, by the coordinator: the forked fleet inherited it.
+        assert pids == [str(os.getpid())]
+        assert outcome.tasks == 4
+        for seed in (1, 2, 3, 4):
+            assert outcome.results[seed] == spec.run(seed, smoke=True)
+
+    def test_local_workers_wake_the_coordinator(self, tmp_path):
+        # With a 5 s poll the coordinator's first idle wait alone would
+        # outlast the whole job; each finished task cuts it short.
+        spec = registry.get(SCENARIO)
+        poll = 5.0
+        began = time.monotonic()
+        [outcome] = execute_queued(
+            [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1, 2, 3, 4))],
+            workers=2, chunk_size=1, poll=poll, queue_dir=tmp_path,
+        )
+        assert time.monotonic() - began < poll / 2
+        for seed in (1, 2, 3, 4):
+            assert outcome.results[seed] == spec.run(seed, smoke=True)
+
+    def test_a_build_that_raises_quarantines_its_seeds(self, tmp_path):
+        # The coordinator's warm-up build fails too, but the failure
+        # surfaces per seed through the workers' error boundary.
+        spec = registry.get("fig7-mutuality")
+        [outcome] = execute_queued(
+            [QueuedJob(
+                "fig7-mutuality", spec.params_key(smoke=True, network="nope"),
+                (1, 2),
+            )],
+            workers=2, chunk_size=1, max_attempts=1, queue_dir=tmp_path,
+        )
+        assert outcome.results == {}
+        assert sorted(outcome.failed_seeds) == [1, 2]
 
     def test_negative_workers_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)
