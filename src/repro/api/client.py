@@ -204,10 +204,12 @@ class CampaignHandle(_Handle):
 
     def __init__(
         self, specs: Sequence[SweepSpec], profile: ExecutionProfile,
+        fleet: Callable[[], object] = lambda: None,
     ) -> None:
         self.specs = tuple(specs)
         self.labels = campaign_labels(self.specs)
         self.profile = profile
+        self._fleet = fleet
         self._completed = 0
         self._started = 0
         self._skip_rest = False
@@ -230,7 +232,8 @@ class CampaignHandle(_Handle):
 
             try:
                 sweeps = execute_campaign(
-                    list(self.specs), self.profile, stop=stop
+                    list(self.specs), self.profile, stop=stop,
+                    fleet=self._fleet(),
                 )
             except SweepAborted as error:
                 raise CancelledError(
@@ -303,10 +306,43 @@ class Client:
 
     A per-call ``profile=`` overrides the client's default, so one
     client can mix quick local runs with distributed campaigns.
+
+    ``keep_fleet=True`` keeps one local worker fleet for the client's
+    distributed profile alive across submissions (``repro serve`` does
+    this): it forks on the first queued job, its workers keep their
+    arenas from job to job, and concurrent jobs share it.  A submission
+    whose profile asks for another queue dir, cache dir, worker bounds
+    or lease TTL runs on a fleet of its own.  :meth:`close` stops the
+    fleet.
     """
 
-    def __init__(self, profile: Optional[ExecutionProfile] = None) -> None:
+    def __init__(
+        self, profile: Optional[ExecutionProfile] = None,
+        keep_fleet: bool = False,
+    ) -> None:
         self.profile = profile if profile is not None else ExecutionProfile()
+        self._keep_fleet = keep_fleet and self.profile.distributed
+        self._fleet = None
+        self._fleet_lock = threading.Lock()
+
+    def _shared_fleet(self):
+        """The kept fleet, opened on first use (``None`` when the client
+        keeps none, or was closed)."""
+        with self._fleet_lock:
+            if self._keep_fleet and self._fleet is None:
+                from repro.simulation.sweep import open_fleet
+
+                self._fleet = open_fleet(self.profile)
+            return self._fleet
+
+    def close(self) -> None:
+        """Stop the kept fleet, if any.  A distributed job still running
+        on it aborts; later submissions run on fleets of their own."""
+        with self._fleet_lock:
+            fleet, self._fleet = self._fleet, None
+            self._keep_fleet = False
+        if fleet is not None:
+            fleet.close()
 
     def _effective(
         self, profile: Optional[ExecutionProfile]
@@ -329,12 +365,17 @@ class Client:
             raise TypeError(
                 f"expected a SweepSpec, got {type(spec).__name__}"
             )
-        from repro.simulation.sweep import execute_sweep
+        from repro.simulation.sweep import execute_campaign, execute_sweep
 
         effective = self._effective(profile)
-        return SweepHandle(
-            spec, effective, lambda: execute_sweep(spec, effective)
-        )
+
+        def work():
+            fleet = self._shared_fleet() if effective.distributed else None
+            if fleet is None:
+                return execute_sweep(spec, effective)
+            return execute_campaign([spec], effective, fleet=fleet)[0]
+
+        return SweepHandle(spec, effective, work)
 
     def run(
         self, spec: SweepSpec,
@@ -358,7 +399,9 @@ class Client:
                     f"expected SweepSpec entries, got "
                     f"{type(spec).__name__}"
                 )
-        return CampaignHandle(specs, self._effective(profile))
+        return CampaignHandle(
+            specs, self._effective(profile), self._shared_fleet,
+        )
 
     def run_campaign(
         self, specs: Sequence[SweepSpec],

@@ -457,6 +457,16 @@ class ExecutionProfile:
         """The queue serving order this profile means."""
         return self.schedule if self.schedule is not None else "fifo"
 
+    def fleet_bounds(self) -> Tuple[int, int]:
+        """The local queue fleet's ``(floor, ceiling)``: fixed at
+        ``workers``, or the autoscaler's bounds."""
+        if self.autoscale:
+            return (
+                self.min_workers or 0,
+                self.max_workers or max(self.workers, 1),
+            )
+        return self.workers, self.workers
+
     # -- serialization (campaign manifests) ----------------------------
     def to_payload(self) -> Dict[str, object]:
         return {

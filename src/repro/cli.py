@@ -911,14 +911,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "job table from it on startup (restart-"
                             "durable; multiple servers sharing DIR "
                             "dispatch each job exactly once)")
-    serve.add_argument("--parallel-jobs", type=int, default=1,
+    serve.add_argument("--parallel-jobs", type=int, default=None,
                        metavar="N",
-                       help="jobs executed concurrently; submissions "
-                            "beyond this wait as 'queued' (default 1 — "
-                            "one fleet, strict submission order)")
+                       help="jobs in flight at once; submissions beyond "
+                            "this wait as 'queued' (default: the local "
+                            "fleet size max(workers, 1) with "
+                            "--distributed, whose jobs share the "
+                            "resident fleet; 1 for pools)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="pool size per job; 1 = sequential "
-                            "(default)")
+                       help="pool size per job, or with --distributed "
+                            "the resident worker fleet every job "
+                            "shares; 1 = sequential (default)")
     serve.add_argument("--backend", choices=("process", "thread"),
                        default="process",
                        help="pool backend when workers > 1")

@@ -25,6 +25,10 @@ implementation of the three primitives they need:
   is linked back into place — and then taking the vacant slot with
   another exclusive create.
 
+A directory that others may be scanning leaves in one step
+(:func:`remove_tree`): it is renamed to a dot-prefixed tombstone, which
+scanners skip, before it is emptied.
+
 One liveness rule (:func:`owner_live`) decides every lease: it is live
 while its mtime is within :func:`lease_steal_threshold` of now and,
 when its owner names a pid on this host (the ``host:pid:token`` shape
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import socket
 import tempfile
 import time
@@ -130,6 +135,24 @@ def unlink_quietly(path: Path) -> None:
         path.unlink()
     except OSError:
         pass
+
+
+def remove_tree(path: Path) -> None:
+    """Remove the directory ``path`` in one step others can see.
+
+    ``rmtree`` empties a tree bottom-up, so a concurrent scanner could
+    find its top-level files with subdirectories already gone.  The tree
+    is first renamed to a dot-prefixed tombstone beside it; scanners
+    skip dot-prefixed entries.  A missing ``path`` is already removed.
+    """
+    tombstone = path.with_name(f".{path.name}.removing-{os.urandom(4).hex()}")
+    try:
+        os.rename(path, tombstone)
+    except FileNotFoundError:
+        return
+    except OSError:
+        tombstone = path
+    shutil.rmtree(tombstone, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

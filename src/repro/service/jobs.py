@@ -5,9 +5,12 @@ Many HTTP clients, one execution fleet: every ``POST`` lands a
 dispatcher threads drains the table in submission order through one
 shared :class:`~repro.api.Client`.  That is what makes the server a
 multiplexer instead of a fork bomb — a hundred simultaneous submitters
-share ``parallel_jobs`` dispatchers (default 1) and the client's one
-worker pool / distributed fleet, rather than each HTTP connection
-spawning its own.
+share ``parallel_jobs`` dispatchers and the client's one worker pool /
+distributed fleet, rather than each HTTP connection spawning its own.
+``parallel_jobs`` is a plain in-flight cap: the table defaults to 1,
+and :class:`~repro.service.server.JobServer` raises it to the size of
+its resident worker fleet, so concurrent jobs run side by side on the
+same warm workers.
 
 Job lifecycle mirrors the API handles — ``queued`` → ``running`` →
 ``done`` / ``failed`` / ``cancelled`` — and cancellation keeps the

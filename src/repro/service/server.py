@@ -39,7 +39,12 @@ wire as they do in ``SweepResult.failed_seeds``.
 
 Built on ``ThreadingHTTPServer`` — one thread per connection, which the
 bounded :class:`~repro.service.jobs.JobTable` turns into "hundreds of
-submitters, one fleet" instead of hundreds of pools.
+submitters, one fleet" instead of hundreds of pools.  Under a
+distributed profile that fleet is resident: the server's
+:class:`~repro.api.Client` forks its local workers on the first queued
+job and keeps them, arenas and all, until :meth:`JobServer.close`, and
+up to ``parallel_jobs`` jobs (default: the fleet size) run on it side
+by side.
 """
 
 from __future__ import annotations
@@ -178,6 +183,14 @@ class JobServer:
     with a ``server_restart`` error; unstarted work re-dispatches), and
     multiple servers sharing the dir dispatch each job exactly once via
     ``O_EXCL`` leases.  ``max_poll_wait`` caps ``?wait=`` long-polls.
+
+    ``parallel_jobs`` caps the jobs in flight.  Under a distributed
+    profile it defaults to the local fleet size, ``max(workers, 1)`` (the
+    autoscaler's ceiling with autoscaling), so as many clients as there
+    are workers never queue behind each other on the shared fleet; a
+    pool profile forks a pool per job and defaults to 1.  A client the
+    server builds itself keeps its fleet (see :class:`~repro.api.Client`)
+    and is closed with the server.
     """
 
     def __init__(
@@ -185,7 +198,7 @@ class JobServer:
         profile: Optional[ExecutionProfile] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        parallel_jobs: int = 1,
+        parallel_jobs: Optional[int] = None,
         client: Optional[Client] = None,
         verbose: bool = False,
         state_dir=None,
@@ -194,7 +207,18 @@ class JobServer:
     ) -> None:
         if max_poll_wait < 0:
             raise ValueError("max_poll_wait must be >= 0")
-        self.client = client if client is not None else Client(profile)
+        self._owns_client = client is None
+        self.client = (
+            client if client is not None else Client(profile, keep_fleet=True)
+        )
+        if parallel_jobs is None:
+            # The resident fleet's size; a pool profile forks a pool
+            # per job, so its jobs run one at a time.
+            profile = self.client.profile
+            parallel_jobs = (
+                max(profile.fleet_bounds()[1], 1)
+                if profile.distributed else 1
+            )
         self.store = (
             JobStateStore(state_dir, lease_ttl=job_lease_ttl)
             if state_dir is not None else None
@@ -236,8 +260,10 @@ class JobServer:
         self._http.serve_forever()
 
     def close(self) -> None:
-        """Stop listening and stop the dispatchers (running jobs finish
-        on their daemon threads; queued jobs never run)."""
+        """Stop listening, stop the dispatchers (queued jobs never run)
+        and close the server's own client, stopping its resident fleet
+        (a distributed job still running on it aborts; other running
+        jobs finish on their daemon threads)."""
         if self._closed:
             return
         self._closed = True
@@ -246,6 +272,8 @@ class JobServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         self.table.close()
+        if self._owns_client:
+            self.client.close()
 
     def __enter__(self) -> "JobServer":
         return self.start()

@@ -69,6 +69,12 @@ Crash recovery, concretely:
   ``requeue_quarantined`` releases a quarantined seed for another
   round of attempts after a fix.
 
+Local workers belong to a :class:`LocalFleet`.  ``repro sweep
+--distributed`` and campaigns build one per :func:`execute_queued`
+call; ``repro serve`` keeps one for its lifetime, so its workers serve
+job after job with their arenas warm.  The fleet's wake channel is
+pipes, so a worker SIGKILLed at any instant never wedges a coordinator.
+
 Fault injection (the test harness's hook): ``REPRO_WORKER_FAULT``
 holds comma-separated specs — ``sigkill:<seed>`` (one daemon SIGKILLs
 itself, exactly once per sweep), ``hang:<seed>`` (one daemon sleeps
@@ -87,9 +93,11 @@ import contextlib
 import functools
 import multiprocessing
 import os
+import select
 import shutil
 import signal
 import tempfile
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -113,7 +121,6 @@ from repro.simulation.parallel import _chunked
 from repro.simulation.results import RateSummary, SeriesResult
 
 if TYPE_CHECKING:
-    from repro.sched.autoscale import AutoscalePolicy
     from repro.sched.planner import CampaignPlan
 
 Reduced = Union[RateSummary, SeriesResult]
@@ -122,6 +129,9 @@ Params = Tuple[Tuple[str, object], ...]
 DEFAULT_LEASE_TTL = 30.0
 DEFAULT_POLL = 0.05
 _ENV_FAULT = faults.ENV_FAULT
+# Fleet workers are forked, whatever the platform default: they inherit
+# the coordinator's warm arenas and their wake pipes by descriptor.
+_FORK = multiprocessing.get_context("fork")
 
 
 class SweepAborted(RuntimeError):
@@ -368,6 +378,8 @@ class WorkQueue:
             return []
         queues = []
         for child in sorted(queue_dir.iterdir()):
+            if child.name.startswith("."):
+                continue  # a sweep mid-removal (see cleanup)
             try:
                 queues.append(cls.open(child))
             except (FileNotFoundError, NotADirectoryError):
@@ -647,8 +659,10 @@ class WorkQueue:
         truth for every chunk.  Each repair leaves a marker keyed by a
         hash of the corrupt content, so two workers repairing the same
         corruption concurrently count one requeue, not two.  A sweep
-        directory removed under us (collected or cancelled) has nothing
-        left to repair, and nothing in it is recreated.
+        directory removed under us (collected or cancelled), or one
+        whose ``tasks/`` is already gone, has nothing left to repair,
+        and nothing in it is recreated: a publish never creates a
+        missing parent directory.
         """
         repaired = 0
         for task_id in self.task_ids():
@@ -676,9 +690,7 @@ class WorkQueue:
                 if fsproto.create_exclusive(marker):
                     repaired += 1
             except FileNotFoundError:
-                if self.sweep_dir.exists():
-                    raise
-                return repaired
+                return repaired  # the sweep is being removed
         return repaired
 
     def collect(
@@ -770,8 +782,13 @@ class WorkQueue:
         return runtimes
 
     def cleanup(self) -> None:
-        """Remove the sweep directory (after a successful collect)."""
-        shutil.rmtree(self.sweep_dir, ignore_errors=True)
+        """Remove the sweep directory (after a successful collect).
+
+        It leaves the queue in one step (:func:`repro.fsproto.remove_tree`),
+        so a worker scanning meanwhile never finds the manifest with
+        ``tasks/`` already gone.
+        """
+        fsproto.remove_tree(self.sweep_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1004,7 @@ def worker_loop(
     stop: Optional[Callable[[], bool]] = None,
     only_sweeps: Optional[Sequence[str]] = None,
     on_task_done: Optional[Callable[[], None]] = None,
+    idle: Callable[[float], object] = time.sleep,
     _daemon: bool = False,
 ) -> WorkerStats:
     """One worker: claim, execute and complete tasks under ``queue_dir``.
@@ -1007,8 +1025,9 @@ def worker_loop(
     of differently-configured daemons still quarantines consistently.
     ``only_sweeps`` restricts the worker to those sweep ids (the
     coordinator's inline drain); ``None`` or empty serves every sweep.
-    ``on_task_done`` runs after each processed task — how a
-    coordinator-spawned worker wakes its coordinator.
+    ``on_task_done`` runs after each processed task, and ``idle(poll)``
+    waits between empty daemon passes — how a fleet worker wakes its
+    coordinators and is woken by new work (see :class:`LocalFleet`).
     """
     owner = owner or fsproto.owner_id()
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
@@ -1062,35 +1081,260 @@ def worker_loop(
         if not progressed:
             if drain:
                 return stats
-            time.sleep(poll)
+            idle(poll)
 
 
-def _spawn_local_worker(
-    queue_dir: str,
-    cache_dir: Optional[str],
+# ---------------------------------------------------------------------------
+# the local fleet
+# ---------------------------------------------------------------------------
+
+def _nudge(fd: int) -> None:
+    """Write one wake byte to a pipe without blocking or raising: a full
+    pipe already holds an unread wake, a closed one has nobody to wake."""
+    try:
+        os.write(fd, b"\0")
+    except OSError:
+        pass
+
+
+def _fleet_worker(
+    queue_root: str,
+    cache_root: Optional[str],
     poll: float,
     lease_ttl: float,
-    wake,
+    progress_fd: int,
+    doorbell_fd: int,
     stop,
-) -> multiprocessing.Process:
-    """Start one coordinator-spawned local worker daemon.
+) -> None:
+    """The body of one local worker daemon, forked by its fleet.
 
-    ``stop`` is the worker's own stop event.  Once it is set the worker
-    finishes its current task, sees the event between claims, and
-    exits — the autoscaler's graceful scale-down (a lease is never cut
-    mid-task, so retiring can never cause a steal).  ``wake`` is the
-    coordinator's event, set after every task the worker processes.
+    Between empty passes the worker waits on its own doorbell pipe
+    instead of sleeping, so an enqueue wakes it at once; after every
+    task it nudges the fleet's progress pipe.  It leaves once its stop
+    event is set (graceful retirement) or its parent is gone, so a
+    coordinator killed hard strands no orphan.  Ctrl-C is the
+    coordinator's to handle: the fleet terminates its workers itself.
     """
-    process = multiprocessing.Process(
-        target=worker_loop,
-        args=(queue_dir, cache_dir),
-        kwargs={"poll": poll, "lease_ttl": lease_ttl,
-                "stop": stop.is_set, "on_task_done": wake.set,
-                "_daemon": True},
-        daemon=True,
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = os.getppid()
+
+    def idle(seconds: float) -> None:
+        if select.select([doorbell_fd], [], [], seconds)[0]:
+            os.read(doorbell_fd, 4096)
+
+    def stopped() -> bool:
+        return stop.is_set() or os.getppid() != parent
+
+    worker_loop(
+        queue_root, cache_root, poll=poll, lease_ttl=lease_ttl,
+        stop=stopped, on_task_done=functools.partial(_nudge, progress_fd),
+        idle=idle, _daemon=True,
     )
-    process.start()
-    return process
+
+
+class LocalFleet:
+    """The local worker daemons draining one queue root.
+
+    :func:`execute_queued` always runs on one.  A call given none builds
+    its own and closes it on return (``repro sweep --distributed``,
+    campaigns).  A long-lived caller keeps one open across calls — the
+    HTTP server's :class:`repro.api.Client` does — so its workers serve
+    job after job and keep their arenas, which the registry memoises per
+    ``(scenario, params)`` in each process.  ``key`` is the profile the
+    fleet was built for: a call asking for a different queue dir, cache
+    dir, worker bounds or lease TTL gets a fleet of its own instead.
+    ``queue_dir=None`` makes a private temp root that lives until
+    :meth:`close`.
+
+    The processes are a :class:`repro.sched.autoscale.FleetSupervisor`
+    bounded by ``[min_workers, max_workers]``, spawned lazily by the
+    first :meth:`tick` (no fleet at all when both bounds are 0); ticks
+    from concurrent coordinators are serialized under one lock.
+
+    The wake channel is pipes, never ``multiprocessing`` locks: a worker
+    may be SIGKILLed at any instant, and a semaphore it held would wedge
+    every coordinator for good.
+
+    * **progress** — every worker writes a byte to one shared pipe
+      after each task.  One listener thread turns bytes into a
+      generation bump and wakes *every* coordinator parked in
+      :meth:`wait`; a waiter passes the generation it saw before its
+      last check, so no wakeup is lost with many jobs in flight.
+    * **doorbells** — each worker waits on a pipe of its own between
+      empty passes; :meth:`ring` writes to all of them after an
+      enqueue, so idle workers claim new tasks at once.  External
+      ``repro worker`` daemons keep polling.
+    """
+
+    def __init__(
+        self,
+        queue_dir: Optional[Union[str, Path]] = None,
+        cache_root: Optional[Union[str, Path]] = None,
+        *,
+        min_workers: int = 1,
+        max_workers: int = 1,
+        lease_ttl: Optional[float] = None,
+        poll: float = DEFAULT_POLL,
+    ) -> None:
+        # Late import: repro.sched builds on this module's queue primitives.
+        from repro.sched.autoscale import AutoscalePolicy, FleetSupervisor
+
+        self.key = self.key_for(
+            queue_dir, cache_root, min_workers, max_workers, lease_ttl,
+        )
+        policy = (
+            None if min_workers == max_workers == 0
+            else AutoscalePolicy(min_workers, max_workers)
+        )
+        self.private = queue_dir is None
+        if self.private:
+            self.queue_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
+        else:
+            self.queue_root = Path(queue_dir).expanduser()
+            self.queue_root.mkdir(parents=True, exist_ok=True)
+        self.cache_root = None if cache_root is None else str(cache_root)
+        self.lease_ttl = self.key[-1]
+        self.poll = poll
+        self.closed = False
+        self._lock = threading.Lock()
+        self._progress = threading.Condition()
+        self._generation = 0
+        self._doorbells: Dict[object, int] = {}  # process -> write fd
+        self._supervisor = None
+        self._listener: Optional[threading.Thread] = None
+        if policy is not None:
+            read_fd, self._progress_fd = os.pipe()
+            os.set_blocking(self._progress_fd, False)
+            self._supervisor = FleetSupervisor(
+                spawn=self._spawn, policy=policy, queue_dir=self.queue_root,
+            )
+            self._listener = threading.Thread(
+                target=self._listen, args=(read_fd,), daemon=True,
+                name="repro-fleet-progress",
+            )
+            self._listener.start()
+
+    @staticmethod
+    def key_for(queue_dir, cache_root, min_workers, max_workers, lease_ttl):
+        """The profile a fleet serves, in comparable form."""
+        def where(path):
+            return None if path is None else str(Path(path).expanduser())
+
+        return (
+            where(queue_dir), where(cache_root),
+            int(min_workers), int(max_workers),
+            DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl),
+        )
+
+    @property
+    def has_workers(self) -> bool:
+        """Whether this fleet ever runs local workers (ceiling > 0)."""
+        return self._supervisor is not None
+
+    # -- processes -----------------------------------------------------
+    def _spawn(self, stop) -> "multiprocessing.process.BaseProcess":
+        read_fd, write_fd = os.pipe()
+        os.set_blocking(write_fd, False)
+        process = _FORK.Process(
+            target=_fleet_worker,
+            args=(str(self.queue_root), self.cache_root, self.poll,
+                  self.lease_ttl, self._progress_fd, read_fd, stop),
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            os.close(write_fd)
+            raise
+        finally:
+            os.close(read_fd)
+        self._doorbells[process] = write_fd
+        return process
+
+    def tick(self, sample) -> None:
+        """One supervisor tick: fill, repair or scale the fleet."""
+        with self._lock:
+            if self._supervisor is not None and not self.closed:
+                self._supervisor.observe(sample)
+
+    def alive(self) -> int:
+        """How many local workers are running (reaping the dead)."""
+        with self._lock:
+            if self._supervisor is None or self.closed:
+                return 0
+            return self._supervisor.alive()
+
+    def pids(self) -> List[int]:
+        """The running local workers' pids, sorted."""
+        with self._lock:
+            return sorted(
+                process.pid for process in self._doorbells
+                if process.is_alive()
+            )
+
+    # -- the wake channel ----------------------------------------------
+    def ring(self) -> None:
+        """Wake every idle worker: new tasks are in the queue."""
+        with self._lock:
+            for process, fd in list(self._doorbells.items()):
+                if process.is_alive():
+                    _nudge(fd)
+                else:
+                    os.close(fd)
+                    del self._doorbells[process]
+
+    @property
+    def generation(self) -> int:
+        """How many progress wakes the fleet has seen so far."""
+        with self._progress:
+            return self._generation
+
+    def wait(self, seen: int, timeout: float) -> int:
+        """Block until the generation moves past ``seen`` or ``timeout``
+        elapses; returns the current generation."""
+        with self._progress:
+            self._progress.wait_for(
+                lambda: self._generation != seen, timeout,
+            )
+            return self._generation
+
+    def _bump(self) -> None:
+        with self._progress:
+            self._generation += 1
+            self._progress.notify_all()
+
+    def _listen(self, read_fd: int) -> None:
+        with os.fdopen(read_fd, "rb", buffering=0) as pipe:
+            while pipe.read(4096) and not self.closed:
+                self._bump()
+
+    # -- lifecycle -----------------------------------------------------
+    def close(self) -> None:
+        """Terminate the workers, stop the listener, wake every waiter
+        (a coordinator on a closed fleet aborts) and remove a private
+        queue root.  Idempotent."""
+        with self._lock:
+            if self.closed:
+                return
+            self.closed = True
+            if self._supervisor is not None:
+                self._supervisor.shutdown()
+                _nudge(self._progress_fd)  # the listener sees `closed`
+                os.close(self._progress_fd)
+            for fd in self._doorbells.values():
+                os.close(fd)
+            self._doorbells.clear()
+        if self._listener is not None:
+            self._listener.join(timeout=5.0)
+        self._bump()
+        if self.private:
+            shutil.rmtree(self.queue_root, ignore_errors=True)
+
+    def __enter__(self) -> "LocalFleet":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # ---------------------------------------------------------------------------
@@ -1153,31 +1397,37 @@ def execute_queued(
     schedule: str = "fifo",
     min_workers: Optional[int] = None,
     max_workers: Optional[int] = None,
+    fleet: Optional[LocalFleet] = None,
 ) -> List[DistributedOutcome]:
     """Run one or more sweeps through the shared-directory queue.
 
-    Every job is sharded into task files under ``queue_dir`` (a private
-    temp dir when ``None``) **before** any worker starts, then one
-    fleet of local worker daemons drains all of them concurrently — a
-    campaign's sweeps multiplex over the same workers instead of idling
-    between scenarios.  The fleet is a
-    :class:`repro.sched.autoscale.FleetSupervisor` bounded by
-    ``[min_workers, max_workers]`` (both default to ``workers``, a
-    fixed fleet): a crashed worker is replaced at the next tick, and
-    wider bounds let the fleet follow the queue depth with hysteresis.
-    With a ceiling of 0 there is no fleet.  Before the fleet starts,
-    the coordinator builds every job's arena, so its forked workers
-    inherit them warm (a long-lived caller keeps one arena per distinct
-    ``(scenario, params)``, as sequential mode does).  The coordinator
-    waits for every task's done marker — each local worker wakes it
-    after every task, external ones are polled — stepping in itself
-    whenever nobody else is working: it drains inline when no local
-    worker is alive and no lease is active (so an attached external
-    fleet keeps the tasks, but a lone coordinator never waits on
-    anyone), or when no done marker lands for a full stall window.
-    External ``repro worker`` daemons pointed at the same
-    ``queue_dir`` join transparently — the lease protocol does not care
-    who claims.
+    The one per-job entry point: every job is sharded into task files
+    under ``queue_dir`` (a private temp dir when ``None``), one fleet of
+    local worker daemons drains all of them concurrently — a campaign's
+    sweeps multiplex over the same workers instead of idling between
+    scenarios — and the coordinator waits on its own jobs' done markers,
+    then collects.
+
+    The fleet is a :class:`LocalFleet` bounded by ``[min_workers,
+    max_workers]`` (both default to ``workers``, a fixed fleet): a
+    crashed worker is replaced at the next tick, and wider bounds let
+    the fleet follow the queue depth with hysteresis.  With a ceiling of
+    0 there is no fleet.  ``fleet`` is one that outlives this call: when
+    its ``key`` matches this call's queue dir, cache dir, worker bounds
+    and lease TTL, the jobs run on its resident workers, which keep
+    their arenas from earlier jobs and are woken by the enqueue.
+    Otherwise (or with no ``fleet``) the call builds a fleet of its own
+    and closes it on return; before that fleet forks, the coordinator
+    builds every job's arena, so the workers inherit them warm.
+
+    The coordinator waits for every task's done marker — each local
+    worker wakes it after every task, external ones are polled —
+    stepping in itself whenever nobody else is working: it drains inline
+    when no local worker is alive and no lease is active (so an attached
+    external fleet keeps the tasks, but a lone coordinator never waits
+    on anyone), or when no done marker lands for a full stall window.
+    External ``repro worker`` daemons pointed at the same ``queue_dir``
+    join transparently — the lease protocol does not care who claims.
 
     Completion is unconditional: every sweep's results are exactly the
     sequential oracle's whether computed by local daemons, remote
@@ -1199,10 +1449,12 @@ def execute_queued(
     before.
 
     ``stop`` is polled between claims and wait-loop passes; when it
-    turns true the coordinator abandons the run, terminates and joins
-    its local daemons, then removes every sweep directory it created
-    (leases, attempt markers, quarantine included — the queue dir stays
-    clean for the next campaign), and raises :class:`SweepAborted`.
+    turns true the coordinator abandons the run, then removes every
+    sweep directory it created (leases, attempt markers, quarantine
+    included — the queue dir stays clean for the next campaign), and
+    raises :class:`SweepAborted`; a fleet of its own is terminated
+    first.  A shared fleet closed under a running call aborts it the
+    same way.
 
     Scheduling (:mod:`repro.sched`): the queue layout is
     :func:`repro.sched.plan_campaign`'s.  ``schedule="fifo"`` enqueues
@@ -1222,16 +1474,11 @@ def execute_queued(
     if lease_ttl <= 0:
         raise ValueError("lease_ttl must be positive")
     # Late import: repro.sched builds on this module's queue primitives.
-    from repro.sched.autoscale import AutoscalePolicy
     from repro.sched.estimator import estimate_sweep_cost
     from repro.sched.planner import plan_campaign
 
     floor = workers if min_workers is None else int(min_workers)
     ceiling = workers if max_workers is None else int(max_workers)
-    # No fleet at all when both bounds are 0: the coordinator drains.
-    fleet = (
-        None if floor == ceiling == 0 else AutoscalePolicy(floor, ceiling)
-    )
     estimates = None
     if schedule == "cost":
         estimates = [
@@ -1245,57 +1492,52 @@ def execute_queued(
         [job.seeds for job in jobs], max(ceiling, 1),
         estimates=estimates, schedule=schedule, chunk_size=chunk_size,
     )
-    made_temp = queue_dir is None
-    if made_temp:
-        queue_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
-    else:
-        queue_root = Path(queue_dir).expanduser()
-        queue_root.mkdir(parents=True, exist_ok=True)
+    own = fleet is None or fleet.key != LocalFleet.key_for(
+        queue_dir, cache_root, floor, ceiling, lease_ttl,
+    )
+    if own:
+        fleet = LocalFleet(
+            queue_dir, cache_root, min_workers=floor, max_workers=ceiling,
+            lease_ttl=lease_ttl, poll=poll,
+        )
     start = time.perf_counter()
     try:
         return _run_queued(
-            jobs, plan, queue_root, start,
-            cache_root=cache_root, lease_ttl=lease_ttl,
+            jobs, plan, fleet, start, own=own,
             poll=poll, timeout=timeout,
             max_attempts=max_attempts, stop=stop,
-            keep_failed_dirs=not made_temp,
-            fleet=fleet,
         )
     finally:
-        # A private temp queue is useless after this call either way:
-        # on success every sweep dir was collected and cleaned, and on
-        # failure (stall timeout, unreadable done marker) nobody can
-        # ever reach the directory again — don't leak it.
-        if made_temp:
-            shutil.rmtree(queue_root, ignore_errors=True)
+        # A fleet of our own (and its private temp queue, on success
+        # already collected and cleaned, on failure unreachable) is
+        # useless after this call either way — don't leak it.
+        if own:
+            fleet.close()
 
 
 def _run_queued(
     jobs: Sequence[QueuedJob],
     plan: CampaignPlan,
-    queue_root: Path,
+    fleet: LocalFleet,
     start: float,
     *,
-    cache_root: Optional[Union[str, Path]],
-    lease_ttl: float,
+    own: bool,
     poll: float,
     timeout: float,
     max_attempts: Optional[int],
     stop: Optional[Callable[[], bool]],
-    keep_failed_dirs: bool,
-    fleet: Optional[AutoscalePolicy],
 ) -> List[DistributedOutcome]:
-    """The enqueue / fleet / wait / collect body of ``execute_queued``.
+    """The enqueue / wait / collect body of ``execute_queued``.
 
-    Every job's sweep is written to the queue exactly as ``plan``
-    lays it out; the local fleet is one supervisor run by the
-    ``fleet`` policy, or none.
+    Every job's sweep is written to the fleet's queue root exactly as
+    ``plan`` lays it out; ``own`` says whether the fleet was built for
+    this call (and so forks from it later) or is shared.
     """
-    from repro.sched.autoscale import FleetSupervisor, QueueSample
+    from repro.sched.autoscale import QueueSample
 
     queues = [
         WorkQueue.create(
-            queue_root, job.scenario, job.params, job.seeds,
+            fleet.queue_root, job.scenario, job.params, job.seeds,
             planned.chunk_size,
             spec_payload=job.spec_payload,
             max_attempts=max_attempts,
@@ -1309,21 +1551,9 @@ def _run_queued(
         for job, planned in zip(jobs, plan.sweeps)
     ]
     our_sweeps = [queue.sweep_id for queue in queues]
-    cache_arg = str(cache_root) if cache_root is not None else None
-    # Set by local workers after each task; the coordinator's idle waits
-    # return on it instead of sleeping out their backoff.
-    wake = multiprocessing.Event()
-    supervisor = None if fleet is None else FleetSupervisor(
-        spawn=functools.partial(
-            _spawn_local_worker, str(queue_root), cache_arg, poll, lease_ttl,
-            wake,
-        ),
-        policy=fleet,
-        queue_dir=queue_root,
-    )
     aborted = False
     try:
-        if supervisor is not None:
+        if own and fleet.has_workers:
             # Build each job's arena here, once: the fleet forks from
             # this process and inherits it (and the network cache)
             # copy-on-write instead of every worker rebuilding it.  A
@@ -1334,20 +1564,24 @@ def _run_queued(
                     registry.warm_arena(
                         job.scenario, params_signature(job.params)
                     )
+        # A shared fleet's idle workers claim the new tasks now, not at
+        # their next poll.
+        fleet.ring()
         # The stall window: how long the queue may go without a new done
         # marker before the coordinator drains inline.  At least one
         # lease TTL, so a crashed worker's chunk can first be stolen by
         # its peers (that is the point of the exercise).
-        stall_window = max(lease_ttl, 1.0)
+        stall_window = max(fleet.lease_ttl, 1.0)
         repair_every = max(poll * 10.0, 0.5)
         scale_every = max(poll * 5.0, 0.25)
         # Adaptive wait: the idle wait doubles while no task completes
         # (capped well under the stall window so stall detection keeps
         # its resolution) and snaps back to ``poll`` on any progress, so
         # a quiet queue stops burning scans.  A local worker cuts the
-        # wait short through ``wake`` the moment it finishes a task;
-        # external ``repro worker`` fleets are seen at the next scan.
-        # Completion itself is decided by the done markers alone.
+        # wait short through the fleet's progress channel the moment it
+        # finishes a task; external ``repro worker`` fleets are seen at
+        # the next scan.  Completion itself is decided by the done
+        # markers alone.
         sleep_cap = max(poll, min(0.5, stall_window / 4.0))
         idle_sleep = poll
         total_tasks = sum(len(queue.task_ids()) for queue in queues)
@@ -1356,9 +1590,17 @@ def _run_queued(
         last_repair = 0.0
         last_scale: Optional[float] = None
         while True:
+            # Read before the scan, so a task finishing mid-scan still
+            # cuts the next wait short.
+            seen = fleet.generation
             if stop is not None and stop():
                 raise SweepAborted(
                     "distributed execution cancelled; queued sweeps "
+                    "abandoned and their directories removed"
+                )
+            if fleet.closed:
+                raise SweepAborted(
+                    "the local worker fleet was closed; queued sweeps "
                     "abandoned and their directories removed"
                 )
             now = time.monotonic()
@@ -1385,15 +1627,13 @@ def _run_queued(
                 for queue in queues:
                     queue.repair()
             active = sum(queue.active_leases() for queue in queues)
-            if supervisor is not None and (
-                last_scale is None or now - last_scale >= scale_every
-            ):
+            if last_scale is None or now - last_scale >= scale_every:
                 # One fleet tick: the first fills the fleet to the
                 # floor, or to the queue depth when the floor is 0, so
                 # work starts immediately; later ones replace crashed
                 # workers and scale within the bounds.
                 last_scale = now
-                supervisor.observe(QueueSample(
+                fleet.tick(QueueSample(
                     claimable=max(total_tasks - done_now - active, 0),
                     leased=active,
                 ))
@@ -1401,14 +1641,13 @@ def _run_queued(
             # local worker and no active lease — or the queue stalled a
             # full window (which also steals expired leases).  A crashed
             # local worker is no trigger: the next tick replaces it.
-            live = supervisor.alive() if supervisor is not None else 0
-            if ((live == 0 and active == 0)
+            if ((fleet.alive() == 0 and active == 0)
                     or now - last_progress > stall_window):
                 drained = worker_loop(
-                    queue_root,
-                    cache_arg,
+                    fleet.queue_root,
+                    fleet.cache_root,
                     poll=poll,
-                    lease_ttl=lease_ttl,
+                    lease_ttl=fleet.lease_ttl,
                     drain=True,
                     stop=stop,
                     only_sweeps=our_sweeps,
@@ -1416,23 +1655,18 @@ def _run_queued(
                 if drained.tasks_done > 0:
                     last_progress = time.monotonic()
                     idle_sleep = poll
-                else:
-                    # Nothing claimable yet (e.g. an orphaned lease
-                    # still inside its TTL) — wait, don't spin.
-                    wake.wait(idle_sleep)
-                    wake.clear()
-                    idle_sleep = min(idle_sleep * 2.0, sleep_cap)
-            else:
-                wake.wait(idle_sleep)
-                wake.clear()
-                idle_sleep = min(idle_sleep * 2.0, sleep_cap)
+                    continue
+                # Nothing claimable yet (e.g. an orphaned lease still
+                # inside its TTL) — wait, don't spin.
+            fleet.wait(seen, idle_sleep)
+            idle_sleep = min(idle_sleep * 2.0, sleep_cap)
     except SweepAborted:
         aborted = True
         raise
     finally:
-        if supervisor is not None:
-            supervisor.shutdown()
         if aborted:
+            if own:
+                fleet.close()  # no worker of ours outlives the abort
             # Leave nothing behind: a cancelled campaign's sweep dirs
             # (tasks, leases, attempt markers, quarantine diagnostics)
             # must not confuse the next campaign on this queue dir.
@@ -1443,7 +1677,7 @@ def _run_queued(
         results, failures, totals = queue.collect()
         runtimes = queue.seed_runtimes()
         counters = queue.counters()
-        if failures and keep_failed_dirs:
+        if failures and not fleet.private:
             # Keep the sweep dir: its quarantine diagnostics stay
             # inspectable (`repro queue status`) and releasable
             # (`repro queue requeue`) until someone acts on them.

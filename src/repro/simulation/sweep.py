@@ -468,6 +468,7 @@ def execute_campaign(
     specs: Sequence[SweepSpec],
     profile: Optional[ExecutionProfile] = None,
     stop=None,
+    fleet=None,
 ) -> List[SweepResult]:
     """Run many specs under one profile; one result per spec, in order.
 
@@ -489,6 +490,12 @@ def execute_campaign(
     the queue coordinator; when it turns true the campaign aborts
     cooperatively — queue directories cleaned — with
     :class:`repro.simulation.distributed.SweepAborted`.
+
+    ``fleet`` (distributed only) is a
+    :class:`~repro.simulation.distributed.LocalFleet` that outlives the
+    call, such as one from :func:`open_fleet`; the queued seeds run on
+    it when it was opened for the same queue, cache, worker bounds and
+    lease TTL, and on a fleet of their own otherwise.
     """
     profile = profile if profile is not None else ExecutionProfile()
     specs = list(specs)
@@ -510,7 +517,7 @@ def execute_campaign(
                 timing, failures = None, {}
             results.append(_assemble(plan, timing, failures=failures))
     else:
-        results = _execute_campaign_distributed(specs, profile, stop)
+        results = _execute_campaign_distributed(specs, profile, stop, fleet)
     if profile.resolved_on_error() == "raise":
         for result in results:
             if result.failed_seeds:
@@ -520,10 +527,24 @@ def execute_campaign(
     return results
 
 
+def open_fleet(profile: ExecutionProfile):
+    """A :class:`~repro.simulation.distributed.LocalFleet` for running
+    many of ``profile``'s jobs; the caller closes it.  Its workers start
+    with the first queued job."""
+    from repro.simulation.distributed import LocalFleet
+
+    floor, ceiling = profile.fleet_bounds()
+    return LocalFleet(
+        profile.queue_dir, profile.resolved_cache_dir(),
+        min_workers=floor, max_workers=ceiling, lease_ttl=profile.lease_ttl,
+    )
+
+
 def _execute_campaign_distributed(
     specs: Sequence[SweepSpec],
     profile: ExecutionProfile,
     stop=None,
+    fleet=None,
 ) -> List[SweepResult]:
     from repro.simulation.distributed import QueuedJob, execute_queued
 
@@ -545,13 +566,7 @@ def _execute_campaign_distributed(
         cache_root = (
             plans[0].cache.root if plans[0].cache is not None else None
         )
-        # One local fleet: fixed at `workers`, or elastic within the
-        # autoscaler's bounds.
-        if profile.autoscale:
-            floor = profile.min_workers or 0
-            ceiling = profile.max_workers or max(profile.workers, 1)
-        else:
-            floor = ceiling = profile.workers
+        floor, ceiling = profile.fleet_bounds()
         outcomes = execute_queued(
             jobs,
             workers=profile.workers,
@@ -564,6 +579,7 @@ def _execute_campaign_distributed(
             schedule=profile.resolved_schedule(),
             min_workers=floor,
             max_workers=ceiling,
+            fleet=fleet,
         )
     results: Dict[int, SweepResult] = {}
     for plan, outcome in zip(job_plans, outcomes):
