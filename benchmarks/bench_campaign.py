@@ -1,5 +1,5 @@
-"""Campaign scheduling benchmark — cost-aware ordering + autoscaling
-vs the FIFO fixed-fleet baseline, on a deliberately mixed campaign.
+"""Campaign scheduling benchmark — cost-aware ordering vs FIFO on the
+same fixed fleet, on a deliberately mixed campaign.
 
 The campaign is the scheduler's target case: several cheap filler
 sweeps submitted first and one expensive long-pole sweep submitted
@@ -8,41 +8,46 @@ cost scales linearly with ``runs``, which is exactly what the family
 priors model).  FIFO serves in submission order, so the fleet drains
 the fillers together and then watches the long pole grind at the end;
 the cost scheduler ranks the long pole first from its prior, so its
-work overlaps everything else.  Both modes run the identical specs:
+work overlaps everything else.  Both modes run the identical specs on
+a fleet of ``workers`` local daemons:
 
-* ``fifo_fixed``     — ``schedule="fifo"``, fixed fleet of ``workers``;
-* ``cost_autoscale`` — ``schedule="cost"`` + ``autoscale=True`` with
-  the same worker ceiling.
+* ``fifo_fixed`` — ``schedule="fifo"``;
+* ``cost_fixed`` — ``schedule="cost"``.
 
-Timing is *recorded, never asserted* (shared CI runners make timing
-assertions flaky); the makespans, speedup and worker-seconds land in
-``BENCH_campaign.json``.  What **is** asserted — and exits non-zero
-from the CLI — is the scheduler's contract: both modes produce
-bit-identical per-seed results and means against the sequential
-oracle, with zero steals and zero requeues.
+The two modes alternate for ``--reps`` rounds (FIFO first in even
+rounds, cost first in odd ones), and each mode's makespan is reported
+as the median and quartiles over its rounds.  Timing is *recorded,
+never asserted* (shared CI runners make timing assertions flaky); it
+lands in ``BENCH_campaign.json``.  What **is** asserted — and exits
+non-zero from the CLI — is the scheduler's contract: every run of
+both modes produces bit-identical per-seed results and means against
+the sequential oracle, with zero steals and zero requeues.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_campaign.py \
-        --smoke --out BENCH_campaign.json
+        --smoke --reps 10 --out BENCH_campaign.json
     PYTHONPATH=src python -m pytest -o python_files="bench_*.py" \
         benchmarks/bench_campaign.py -s
 """
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
 from repro.api import ExecutionProfile, SweepSpec
-from repro.sched import estimate_sweep_cost, load_autoscale_events
+from repro.sched import estimate_sweep_cost
 from repro.simulation.cache import code_version
 from repro.simulation.sweep import execute_campaign, execute_sweep
 
 SCENARIO = "fig15-environment"
 DEFAULT_WORKERS = 3
+DEFAULT_REPS = 3
+MODES = {"fifo_fixed": "fifo", "cost_fixed": "cost"}
 
 # Smoke scale: the long pole is ~2x any single worker's share of the
 # fillers, so FIFO's tail is structural, not noise.
@@ -73,28 +78,22 @@ def _timed_campaign(specs, profile):
     return results, time.perf_counter() - start
 
 
-def _autoscale_worker_seconds(events, start_time, end_time, fallback):
-    """Integrate fleet size over the event log (piecewise constant)."""
-    if not events:
-        return fallback
-    total, size, previous = 0.0, 0, start_time
-    for event in events:
-        stamp = event.get("time")
-        if not isinstance(stamp, (int, float)):
-            continue
-        stamp = min(max(float(stamp), start_time), end_time)
-        total += size * (stamp - previous)
-        size = int(event.get("to", size))
-        previous = stamp
-    total += size * (end_time - previous)
-    return total
+def _spread(values):
+    """Median and quartiles (one value is its own quartiles)."""
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
 
 
-def run_bench(workers: int = 0, scale: dict = None) -> dict:
-    """Both modes once; returns the ``BENCH_campaign.json`` payload.
+def run_bench(workers: int = 0, scale: dict = None,
+              reps: int = DEFAULT_REPS) -> dict:
+    """Both modes, alternated for ``reps`` rounds; returns the
+    ``BENCH_campaign.json`` payload.
 
-    Raises ``AssertionError`` if either mode's results diverge from
-    the sequential oracle — the only failure this bench can produce.
+    Raises ``AssertionError`` if any run diverges from the sequential
+    oracle or steals or requeues — the only failure this bench can
+    produce.
     """
     workers = workers or DEFAULT_WORKERS
     scale = dict(SMOKE if scale is None else scale)
@@ -105,43 +104,38 @@ def run_bench(workers: int = 0, scale: dict = None) -> dict:
         for spec in specs
     ]
 
+    walls = {name: [] for name in MODES}
     with tempfile.TemporaryDirectory(prefix="bench-campaign-") as tmp:
-        fifo_profile = ExecutionProfile(
-            workers=workers, backend="distributed", no_cache=True,
-            queue_dir=str(Path(tmp) / "fifo"),
-        )
-        fifo_results, fifo_wall = _timed_campaign(specs, fifo_profile)
+        for rep in range(reps):
+            order = list(MODES) if rep % 2 == 0 else list(MODES)[::-1]
+            for name in order:
+                profile = ExecutionProfile(
+                    workers=workers, backend="distributed", no_cache=True,
+                    queue_dir=str(Path(tmp) / f"{name}-{rep}"),
+                    schedule=MODES[name],
+                )
+                results, wall = _timed_campaign(specs, profile)
+                # Correctness gate: scheduling moved the work, never
+                # changed it.
+                for spec, sweep, oracle in zip(specs, results, oracles):
+                    assert sweep.per_seed == oracle.per_seed, (
+                        f"{name} per-seed results diverge from the "
+                        f"oracle on {spec.scenario} "
+                        f"x{dict(spec.overrides)}"
+                    )
+                    assert sweep.mean == oracle.mean, (
+                        f"{name} mean diverges from the oracle"
+                    )
+                    assert sweep.steals == 0, f"{name} stole a lease"
+                    assert sweep.requeues == 0, f"{name} requeued a task"
+                walls[name].append(wall)
 
-        cost_dir = Path(tmp) / "cost"
-        cost_profile = ExecutionProfile(
-            workers=workers, backend="distributed", no_cache=True,
-            queue_dir=str(cost_dir), schedule="cost",
-            autoscale=True, min_workers=1, max_workers=workers,
-        )
-        cost_start = time.time()
-        cost_results, cost_wall = _timed_campaign(specs, cost_profile)
-        cost_end = time.time()
-        events = load_autoscale_events(cost_dir)
-
-    # Correctness gate: scheduling moved the work, never changed it.
-    for name, results in (("fifo_fixed", fifo_results),
-                          ("cost_autoscale", cost_results)):
-        for spec, sweep, oracle in zip(specs, results, oracles):
-            assert sweep.per_seed == oracle.per_seed, (
-                f"{name} per-seed results diverge from the oracle "
-                f"on {spec.scenario} x{dict(spec.overrides)}"
-            )
-            assert sweep.mean == oracle.mean, (
-                f"{name} mean diverges from the oracle"
-            )
-            assert sweep.steals == 0, f"{name} stole a lease"
-            assert sweep.requeues == 0, f"{name} requeued a task"
-    assert events, "autoscaler ran but logged no scaling events"
-
-    fifo_worker_seconds = workers * fifo_wall
-    cost_worker_seconds = _autoscale_worker_seconds(
-        events, cost_start, cost_end, workers * cost_wall,
-    )
+    modes = {
+        name: {"schedule": MODES[name], "wall_seconds": walls[name],
+               "makespan": _spread(walls[name])}
+        for name in MODES
+    }
+    cost_median = modes["cost_fixed"]["makespan"]["median"]
     estimates = [
         estimate_sweep_cost(spec.scenario, spec.overrides, spec.seeds)
         for spec in specs
@@ -149,33 +143,15 @@ def run_bench(workers: int = 0, scale: dict = None) -> dict:
     return {
         "scenario": SCENARIO,
         "workers": workers,
+        "reps": reps,
         "scale": scale,
         "sweeps": len(specs),
         "total_seeds": sum(len(spec.seeds) for spec in specs),
         "code_version": code_version(),
         "equivalent": True,
-        "modes": {
-            "fifo_fixed": {
-                "wall_seconds": fifo_wall,
-                "worker_seconds": fifo_worker_seconds,
-                "schedule": "fifo",
-                "autoscale": False,
-            },
-            "cost_autoscale": {
-                "wall_seconds": cost_wall,
-                "worker_seconds": cost_worker_seconds,
-                "schedule": "cost",
-                "autoscale": True,
-                "scaling_events": len(events),
-            },
-        },
-        "speedups": {
-            "makespan": (fifo_wall / cost_wall
-                         if cost_wall > 0 else float("inf")),
-            "worker_seconds": (fifo_worker_seconds / cost_worker_seconds
-                               if cost_worker_seconds > 0
-                               else float("inf")),
-        },
+        "modes": modes,
+        "speedup": (modes["fifo_fixed"]["makespan"]["median"] / cost_median
+                    if cost_median > 0 else float("inf")),
         "estimates": [
             {"scenario": est.scenario, "seeds": est.seeds,
              "seconds_per_seed": est.seconds_per_seed,
@@ -191,11 +167,13 @@ def test_campaign_scheduler(once, tmp_path):
         workers=2,
         scale=dict(long_runs=600, long_seeds=1,
                    filler_runs=25, filler_sweeps=6, filler_seeds=6),
+        reps=2,
     ))
     assert payload["equivalent"]
-    assert set(payload["modes"]) == {"fifo_fixed", "cost_autoscale"}
-    assert payload["modes"]["cost_autoscale"]["scaling_events"] >= 1
-    assert payload["speedups"]["makespan"] > 0.0
+    assert set(payload["modes"]) == set(MODES)
+    assert all(len(mode["wall_seconds"]) == 2
+               for mode in payload["modes"].values())
+    assert payload["speedup"] > 0.0
     # The long pole's prior dwarfs the fillers', so the planner had a
     # real ordering signal (the makespan itself is never asserted).
     totals = [est["total_seconds"] for est in payload["estimates"]]
@@ -207,25 +185,21 @@ def test_campaign_scheduler(once, tmp_path):
 
 
 def _summary(payload: dict) -> str:
-    modes = payload["modes"]
-    speedups = payload["speedups"]
     lines = [
         f"campaign scheduling — {payload['sweeps']} sweep(s), "
-        f"{payload['total_seeds']} seeds, up to {payload['workers']} "
-        f"workers (code {payload['code_version']})"
+        f"{payload['total_seeds']} seeds, {payload['workers']} workers, "
+        f"{payload['reps']} alternating rep(s) "
+        f"(code {payload['code_version']})"
     ]
-    for name, mode in modes.items():
-        extra = (f", {mode['scaling_events']} scaling event(s)"
-                 if "scaling_events" in mode else "")
+    for name, mode in payload["modes"].items():
+        spread = mode["makespan"]
         lines.append(
-            f"  {name:<15} {mode['wall_seconds']:7.3f}s makespan, "
-            f"{mode['worker_seconds']:7.3f} worker-seconds"
-            f"  [schedule={mode['schedule']}]{extra}"
+            f"  {name:<11} makespan median {spread['median']:7.3f}s "
+            f"[q1 {spread['q1']:.3f}s, q3 {spread['q3']:.3f}s]"
+            f"  [schedule={mode['schedule']}]"
         )
     lines.append(
-        f"  cost+autoscale vs fifo+fixed: "
-        f"{speedups['makespan']:.2f}x makespan, "
-        f"{speedups['worker_seconds']:.2f}x worker-seconds"
+        f"  cost vs fifo: {payload['speedup']:.2f}x median makespan"
     )
     long_pole = payload["estimates"][-1]
     lines.append(
@@ -242,17 +216,23 @@ def main(argv=None) -> int:
                     "correctness (equivalence), never on timing.",
     )
     parser.add_argument("--workers", type=int, default=0,
-                        help=f"worker ceiling (default {DEFAULT_WORKERS})")
+                        help=f"fleet size (default {DEFAULT_WORKERS})")
+    parser.add_argument("--reps", type=int, default=DEFAULT_REPS,
+                        help="alternating rounds of both modes "
+                             f"(default {DEFAULT_REPS})")
     parser.add_argument("--smoke", action="store_true",
                         help="CI-sized campaign")
     parser.add_argument("--out", default="BENCH_campaign.json",
                         help="artifact path (default BENCH_campaign.json)")
     args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
 
     try:
         payload = run_bench(
             workers=args.workers,
             scale=SMOKE if args.smoke else FULL,
+            reps=args.reps,
         )
     except AssertionError as error:
         print(f"EQUIVALENCE FAILURE: {error}", file=sys.stderr)

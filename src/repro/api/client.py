@@ -311,7 +311,7 @@ class Client:
     distributed profile alive across submissions (``repro serve`` does
     this): it forks on the first queued job, its workers keep their
     arenas from job to job, and concurrent jobs share it.  A submission
-    whose profile asks for another queue dir, cache dir, worker bounds
+    whose profile asks for another queue dir, cache dir, worker count
     or lease TTL runs on a fleet of its own.  :meth:`close` stops the
     fleet.
     """

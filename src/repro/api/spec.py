@@ -58,9 +58,6 @@ def validate_execution(
     max_attempts: Optional[int] = None,
     on_error: Optional[str] = None,
     schedule: Optional[str] = None,
-    autoscale: bool = False,
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
 ) -> None:
     """Reject contradictory or out-of-range execution options.
 
@@ -81,10 +78,7 @@ def validate_execution(
       can ever join a private temp dir, so nobody but the coordinator
       could compute anything.
     * ``schedule`` outside :data:`SCHEDULE_MODES`; ``schedule="cost"``
-      or ``autoscale=True`` with a non-distributed backend (scheduling
-      and fleet sizing are work-queue concepts);
-    * ``min_workers``/``max_workers`` without ``autoscale=True``,
-      negative bounds, ``max_workers < 1``, or ``min > max``.
+      with a non-distributed backend (scheduling orders a work queue).
     """
     if backend not in EXECUTION_BACKENDS:
         raise ValueError(
@@ -157,41 +151,10 @@ def validate_execution(
         raise ValueError(
             f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
         )
-    if not isinstance(autoscale, bool):
-        raise ValueError(f"autoscale must be a boolean, got {autoscale!r}")
-    if backend != "distributed":
-        if schedule == "cost":
-            raise ValueError(
-                "schedule='cost' requires backend='distributed' (the "
-                "scheduler orders a shared work queue)"
-            )
-        if autoscale:
-            raise ValueError(
-                "autoscale requires backend='distributed' (the "
-                "supervisor sizes a work-queue fleet)"
-            )
-    if not autoscale and (min_workers is not None or max_workers is not None):
+    if backend != "distributed" and schedule == "cost":
         raise ValueError(
-            "min_workers/max_workers require autoscale=true"
-        )
-    for name, bound in (("min_workers", min_workers),
-                        ("max_workers", max_workers)):
-        if bound is not None and (
-            not isinstance(bound, int) or isinstance(bound, bool)
-        ):
-            raise ValueError(f"{name} must be an integer, got {bound!r}")
-    if min_workers is not None and min_workers < 0:
-        raise ValueError("min_workers must be >= 0")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    if (
-        min_workers is not None
-        and max_workers is not None
-        and min_workers > max_workers
-    ):
-        raise ValueError(
-            f"min_workers ({min_workers}) exceeds "
-            f"max_workers ({max_workers})"
+            "schedule='cost' requires backend='distributed' (the "
+            "scheduler orders a shared work queue)"
         )
 
 
@@ -380,13 +343,6 @@ class ExecutionProfile:
     # Result-neutral like every other field — the equivalence suite
     # asserts schedule="cost" bit-identical to FIFO.
     schedule: Optional[str] = None
-    # Fleet autoscaling (distributed backend only): widen the local
-    # fleet's bounds from [workers, workers] to min_workers/max_workers
-    # (defaults: 0 and max(workers, 1)), so it follows the observed
-    # queue depth with hysteresis.
-    autoscale: bool = False
-    min_workers: Optional[int] = None
-    max_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name in ("cache_dir", "queue_dir"):
@@ -405,9 +361,6 @@ class ExecutionProfile:
             max_attempts=self.max_attempts,
             on_error=self.on_error,
             schedule=self.schedule,
-            autoscale=self.autoscale,
-            min_workers=self.min_workers,
-            max_workers=self.max_workers,
         )
 
     @classmethod
@@ -456,16 +409,6 @@ class ExecutionProfile:
     def resolved_schedule(self) -> str:
         """The queue serving order this profile means."""
         return self.schedule if self.schedule is not None else "fifo"
-
-    def fleet_bounds(self) -> Tuple[int, int]:
-        """The local queue fleet's ``(floor, ceiling)``: fixed at
-        ``workers``, or the autoscaler's bounds."""
-        if self.autoscale:
-            return (
-                self.min_workers or 0,
-                self.max_workers or max(self.workers, 1),
-            )
-        return self.workers, self.workers
 
     # -- serialization (campaign manifests) ----------------------------
     def to_payload(self) -> Dict[str, object]:

@@ -246,9 +246,6 @@ def _profile_from_sweep_args(args: argparse.Namespace):
         max_attempts=args.max_attempts,
         on_error=args.on_error,
         schedule=args.schedule,
-        autoscale=args.autoscale,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
     )
 
 
@@ -412,7 +409,7 @@ def _campaign_profile_overrides(args: argparse.Namespace, profile):
 
     The manifest describes the campaign's default machinery; the flags
     let one invocation rent a different fleet (more workers, a shared
-    queue dir, cost scheduling, autoscaling) without editing the file.
+    queue dir, cost scheduling) without editing the file.
     ``dataclasses.replace`` re-runs the profile's validation, so a
     contradictory combination fails exactly like it would in a
     manifest.
@@ -426,12 +423,6 @@ def _campaign_profile_overrides(args: argparse.Namespace, profile):
         updates["queue_dir"] = args.queue_dir
     if args.schedule is not None:
         updates["schedule"] = args.schedule
-    if args.autoscale:
-        updates["autoscale"] = True
-    if args.min_workers is not None:
-        updates["min_workers"] = args.min_workers
-    if args.max_workers is not None:
-        updates["max_workers"] = args.max_workers
     return dataclasses.replace(profile, **updates) if updates else profile
 
 
@@ -506,15 +497,10 @@ def cmd_queue(args: argparse.Namespace) -> int:
         _emit(args, "\n".join(lines), payload)
         return 0
 
-    from repro.sched.autoscale import load_autoscale_events
-
     statuses = queue_status(args.queue_dir)
-    events = load_autoscale_events(args.queue_dir)
-    if not statuses and not events:
+    if not statuses:
         text = f"no sweeps under {args.queue_dir}"
-        payload = json.dumps(
-            {"sweeps": [], "autoscaler_events": []}, indent=2,
-        )
+        payload = json.dumps({"sweeps": []}, indent=2)
         _emit(args, text, payload)
         return 0
     lines = [f"queue: {args.queue_dir} ({len(statuses)} sweep(s))"]
@@ -567,20 +553,8 @@ def cmd_queue(args: argparse.Namespace) -> int:
             f"  estimated remaining: ~{sum(remaining):.2f}s "
             f"across {len(remaining)} costed sweep(s)"
         )
-    if events:
-        lines.append(f"  autoscaler: {len(events)} scaling event(s)")
-        for event in events[-5:]:
-            lines.append(
-                f"    [tick {event.get('tick', '?')}] "
-                f"{event.get('action', '?')} "
-                f"{event.get('from', '?')} -> {event.get('to', '?')} "
-                f"({event.get('reason', '')})"
-            )
     payload = json.dumps(
-        {
-            "sweeps": [status.to_payload() for status in statuses],
-            "autoscaler_events": events,
-        },
+        {"sweeps": [status.to_payload() for status in statuses]},
         indent=2, sort_keys=True,
     )
     _emit(args, "\n".join(lines), payload)
@@ -774,7 +748,7 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 
 
 def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
-    """The campaign-scheduler flags shared by sweep/campaign/serve."""
+    """The campaign-scheduler flag shared by sweep/campaign/serve."""
     parser.add_argument("--schedule", choices=("fifo", "cost"),
                         default=None,
                         help="queue serving order for --distributed: "
@@ -782,16 +756,6 @@ def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
                              "'cost' serves estimated long poles first "
                              "with tail-shrinking chunks (results are "
                              "bit-identical either way)")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="size the local worker fleet from observed "
-                             "queue depth instead of holding a fixed "
-                             "fleet (--distributed only)")
-    parser.add_argument("--min-workers", type=int, default=None,
-                        metavar="N",
-                        help="autoscaler floor (default 0)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        metavar="N",
-                        help="autoscaler ceiling (default: --workers)")
 
 
 def build_parser() -> argparse.ArgumentParser:

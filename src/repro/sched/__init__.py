@@ -1,8 +1,8 @@
-"""Cost-aware campaign scheduling and fleet autoscaling.
+"""Cost-aware campaign scheduling.
 
 The distributed campaign machinery (PR 4/5) enqueues every sweep up
-front with uniform chunking and a fixed worker fleet.  This package
-adds the three layers that turn that into a scheduler:
+front with uniform chunking onto a fixed worker fleet.  This package
+adds the two layers that turn that into a scheduler:
 
 * :mod:`repro.sched.estimator` — per-sweep cost estimates from the
   runtimes the sweep's cached seeds recorded, falling back to
@@ -12,24 +12,16 @@ adds the three layers that turn that into a scheduler:
   (submission order, or long-pole-first) and shard each one into
   chunks (uniform, or shrinking toward the tail so the last tasks are
   fine-grained and no worker idles behind one fat chunk).
-* :mod:`repro.sched.autoscale` — a tick-based scaling policy with
-  hysteresis plus the coordinator-side :class:`FleetSupervisor`, the
-  one owner of local worker processes: it keeps a fixed fleet at size
-  and replaces crashed workers, or spawns/retires them from observed
-  queue depth when its bounds differ.
+
+The fleet itself is a fixed number of local workers
+(:class:`repro.simulation.distributed.LocalFleet`); scheduling only
+decides the order and size of the tasks it drains.
 
 Everything here is **result-neutral**: scheduling changes which worker
 computes which seed when, never what any seed computes — the
 equivalence suite asserts ``schedule="cost"`` bit-identical to FIFO.
 """
 
-from repro.sched.autoscale import (
-    AutoscalePolicy,
-    FleetSupervisor,
-    QueueSample,
-    ScaleDecision,
-    load_autoscale_events,
-)
 from repro.sched.estimator import (
     CostEstimate,
     estimate_sweep_cost,
@@ -44,15 +36,10 @@ from repro.sched.planner import (
 )
 
 __all__ = [
-    "AutoscalePolicy",
     "CampaignPlan",
     "CostEstimate",
-    "FleetSupervisor",
     "PlannedSweep",
-    "QueueSample",
-    "ScaleDecision",
     "estimate_sweep_cost",
-    "load_autoscale_events",
     "long_pole_order",
     "plan_campaign",
     "prior_seconds_per_seed",

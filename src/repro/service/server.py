@@ -185,12 +185,11 @@ class JobServer:
     ``O_EXCL`` leases.  ``max_poll_wait`` caps ``?wait=`` long-polls.
 
     ``parallel_jobs`` caps the jobs in flight.  Under a distributed
-    profile it defaults to the local fleet size, ``max(workers, 1)`` (the
-    autoscaler's ceiling with autoscaling), so as many clients as there
-    are workers never queue behind each other on the shared fleet; a
-    pool profile forks a pool per job and defaults to 1.  A client the
-    server builds itself keeps its fleet (see :class:`~repro.api.Client`)
-    and is closed with the server.
+    profile it defaults to the local fleet size, ``max(workers, 1)``, so
+    as many clients as there are workers never queue behind each other
+    on the shared fleet; a pool profile forks a pool per job and
+    defaults to 1.  A client the server builds itself keeps its fleet
+    (see :class:`~repro.api.Client`) and is closed with the server.
     """
 
     def __init__(
@@ -216,8 +215,7 @@ class JobServer:
             # per job, so its jobs run one at a time.
             profile = self.client.profile
             parallel_jobs = (
-                max(profile.fleet_bounds()[1], 1)
-                if profile.distributed else 1
+                max(profile.workers, 1) if profile.distributed else 1
             )
         self.store = (
             JobStateStore(state_dir, lease_ttl=job_lease_ttl)

@@ -48,13 +48,12 @@ Crash recovery, concretely:
   worker (or the coordinator) rewrites the task file from it
   atomically (counted as a *requeue* via a content-keyed marker, so
   concurrent repairers do not double-count);
-* **local worker dead** — the coordinator's fleet supervisor
-  (:mod:`repro.sched.autoscale`) replaces it at the next tick, and the
-  replacement steals its orphaned lease; when nothing drains the queue
-  for a full stall window (an external fleet that died, say) the
-  coordinator (:func:`execute_queued`) drains the remaining tasks
-  inline, so a distributed sweep always terminates with the oracle's
-  results;
+* **local worker dead** — its :class:`LocalFleet` replaces it at the
+  coordinator's next tick, and the replacement steals its orphaned
+  lease; when nothing drains the queue for a full stall window (an
+  external fleet that died, say) the coordinator
+  (:func:`execute_queued`) drains the remaining tasks inline, so a
+  distributed sweep always terminates with the oracle's results;
 * **poison seed** — a seed whose scenario *raises* is caught at the
   per-seed error boundary instead of crashing the worker.  Every
   started attempt leaves an ``O_EXCL`` marker under ``attempts/`` (so
@@ -1104,16 +1103,15 @@ def _fleet_worker(
     lease_ttl: float,
     progress_fd: int,
     doorbell_fd: int,
-    stop,
 ) -> None:
     """The body of one local worker daemon, forked by its fleet.
 
     Between empty passes the worker waits on its own doorbell pipe
     instead of sleeping, so an enqueue wakes it at once; after every
-    task it nudges the fleet's progress pipe.  It leaves once its stop
-    event is set (graceful retirement) or its parent is gone, so a
-    coordinator killed hard strands no orphan.  Ctrl-C is the
-    coordinator's to handle: the fleet terminates its workers itself.
+    task it nudges the fleet's progress pipe.  It runs until its fleet
+    terminates it, or leaves once its parent is gone, so a coordinator
+    killed hard strands no orphan.  Ctrl-C is the coordinator's to
+    handle: the fleet terminates its workers itself.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     parent = os.getppid()
@@ -1122,12 +1120,10 @@ def _fleet_worker(
         if select.select([doorbell_fd], [], [], seconds)[0]:
             os.read(doorbell_fd, 4096)
 
-    def stopped() -> bool:
-        return stop.is_set() or os.getppid() != parent
-
     worker_loop(
         queue_root, cache_root, poll=poll, lease_ttl=lease_ttl,
-        stop=stopped, on_task_done=functools.partial(_nudge, progress_fd),
+        stop=lambda: os.getppid() != parent,
+        on_task_done=functools.partial(_nudge, progress_fd),
         idle=idle, _daemon=True,
     )
 
@@ -1142,14 +1138,15 @@ class LocalFleet:
     job after job and keep their arenas, which the registry memoises per
     ``(scenario, params)`` in each process.  ``key`` is the profile the
     fleet was built for: a call asking for a different queue dir, cache
-    dir, worker bounds or lease TTL gets a fleet of its own instead.
+    dir, worker count or lease TTL gets a fleet of its own instead.
     ``queue_dir=None`` makes a private temp root that lives until
     :meth:`close`.
 
-    The processes are a :class:`repro.sched.autoscale.FleetSupervisor`
-    bounded by ``[min_workers, max_workers]``, spawned lazily by the
-    first :meth:`tick` (no fleet at all when both bounds are 0); ticks
-    from concurrent coordinators are serialized under one lock.
+    The fleet keeps ``workers`` daemons alive: the first :meth:`tick`
+    forks them (``workers=0`` never forks any), and every later tick
+    reaps the dead and forks their replacements.  The doorbell map is
+    the only record of the processes; ticks from concurrent
+    coordinators are serialized under one lock.
 
     The wake channel is pipes, never ``multiprocessing`` locks: a worker
     may be SIGKILLed at any instant, and a semaphore it held would wedge
@@ -1171,21 +1168,11 @@ class LocalFleet:
         queue_dir: Optional[Union[str, Path]] = None,
         cache_root: Optional[Union[str, Path]] = None,
         *,
-        min_workers: int = 1,
-        max_workers: int = 1,
+        workers: int = 1,
         lease_ttl: Optional[float] = None,
         poll: float = DEFAULT_POLL,
     ) -> None:
-        # Late import: repro.sched builds on this module's queue primitives.
-        from repro.sched.autoscale import AutoscalePolicy, FleetSupervisor
-
-        self.key = self.key_for(
-            queue_dir, cache_root, min_workers, max_workers, lease_ttl,
-        )
-        policy = (
-            None if min_workers == max_workers == 0
-            else AutoscalePolicy(min_workers, max_workers)
-        )
+        self.key = self.key_for(queue_dir, cache_root, workers, lease_ttl)
         self.private = queue_dir is None
         if self.private:
             self.queue_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
@@ -1193,6 +1180,7 @@ class LocalFleet:
             self.queue_root = Path(queue_dir).expanduser()
             self.queue_root.mkdir(parents=True, exist_ok=True)
         self.cache_root = None if cache_root is None else str(cache_root)
+        self.workers = self.key[2]
         self.lease_ttl = self.key[-1]
         self.poll = poll
         self.closed = False
@@ -1200,14 +1188,10 @@ class LocalFleet:
         self._progress = threading.Condition()
         self._generation = 0
         self._doorbells: Dict[object, int] = {}  # process -> write fd
-        self._supervisor = None
         self._listener: Optional[threading.Thread] = None
-        if policy is not None:
+        if self.has_workers:
             read_fd, self._progress_fd = os.pipe()
             os.set_blocking(self._progress_fd, False)
-            self._supervisor = FleetSupervisor(
-                spawn=self._spawn, policy=policy, queue_dir=self.queue_root,
-            )
             self._listener = threading.Thread(
                 target=self._listen, args=(read_fd,), daemon=True,
                 name="repro-fleet-progress",
@@ -1215,30 +1199,29 @@ class LocalFleet:
             self._listener.start()
 
     @staticmethod
-    def key_for(queue_dir, cache_root, min_workers, max_workers, lease_ttl):
+    def key_for(queue_dir, cache_root, workers, lease_ttl):
         """The profile a fleet serves, in comparable form."""
         def where(path):
             return None if path is None else str(Path(path).expanduser())
 
         return (
-            where(queue_dir), where(cache_root),
-            int(min_workers), int(max_workers),
+            where(queue_dir), where(cache_root), int(workers),
             DEFAULT_LEASE_TTL if lease_ttl is None else float(lease_ttl),
         )
 
     @property
     def has_workers(self) -> bool:
-        """Whether this fleet ever runs local workers (ceiling > 0)."""
-        return self._supervisor is not None
+        """Whether this fleet ever runs local workers (``workers > 0``)."""
+        return self.workers > 0
 
-    # -- processes -----------------------------------------------------
-    def _spawn(self, stop) -> "multiprocessing.process.BaseProcess":
+    # -- processes (callers hold the lock) -----------------------------
+    def _spawn(self) -> None:
         read_fd, write_fd = os.pipe()
         os.set_blocking(write_fd, False)
         process = _FORK.Process(
             target=_fleet_worker,
             args=(str(self.queue_root), self.cache_root, self.poll,
-                  self.lease_ttl, self._progress_fd, read_fd, stop),
+                  self.lease_ttl, self._progress_fd, read_fd),
             daemon=True,
         )
         try:
@@ -1249,20 +1232,26 @@ class LocalFleet:
         finally:
             os.close(read_fd)
         self._doorbells[process] = write_fd
-        return process
 
-    def tick(self, sample) -> None:
-        """One supervisor tick: fill, repair or scale the fleet."""
+    def _reap(self) -> None:
+        for process in [p for p in self._doorbells if not p.is_alive()]:
+            process.join(timeout=0)
+            os.close(self._doorbells.pop(process))
+
+    def tick(self) -> None:
+        """Reap dead workers and top the fleet up to ``workers``."""
         with self._lock:
-            if self._supervisor is not None and not self.closed:
-                self._supervisor.observe(sample)
+            if self.closed:
+                return
+            self._reap()
+            for _ in range(self.workers - len(self._doorbells)):
+                self._spawn()
 
     def alive(self) -> int:
         """How many local workers are running (reaping the dead)."""
         with self._lock:
-            if self._supervisor is None or self.closed:
-                return 0
-            return self._supervisor.alive()
+            self._reap()
+            return len(self._doorbells)
 
     def pids(self) -> List[int]:
         """The running local workers' pids, sorted."""
@@ -1276,12 +1265,9 @@ class LocalFleet:
     def ring(self) -> None:
         """Wake every idle worker: new tasks are in the queue."""
         with self._lock:
-            for process, fd in list(self._doorbells.items()):
-                if process.is_alive():
-                    _nudge(fd)
-                else:
-                    os.close(fd)
-                    del self._doorbells[process]
+            self._reap()
+            for fd in self._doorbells.values():
+                _nudge(fd)
 
     @property
     def generation(self) -> int:
@@ -1317,13 +1303,17 @@ class LocalFleet:
             if self.closed:
                 return
             self.closed = True
-            if self._supervisor is not None:
-                self._supervisor.shutdown()
-                _nudge(self._progress_fd)  # the listener sees `closed`
-                os.close(self._progress_fd)
-            for fd in self._doorbells.values():
+            # Terminate every worker first, then join them all.
+            for process in self._doorbells:
+                if process.is_alive():
+                    process.terminate()
+            for process, fd in self._doorbells.items():
+                process.join(timeout=5.0)
                 os.close(fd)
             self._doorbells.clear()
+            if self.has_workers:
+                _nudge(self._progress_fd)  # the listener sees `closed`
+                os.close(self._progress_fd)
         if self._listener is not None:
             self._listener.join(timeout=5.0)
         self._bump()
@@ -1395,8 +1385,6 @@ def execute_queued(
     max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
     schedule: str = "fifo",
-    min_workers: Optional[int] = None,
-    max_workers: Optional[int] = None,
     fleet: Optional[LocalFleet] = None,
 ) -> List[DistributedOutcome]:
     """Run one or more sweeps through the shared-directory queue.
@@ -1408,14 +1396,12 @@ def execute_queued(
     scenarios — and the coordinator waits on its own jobs' done markers,
     then collects.
 
-    The fleet is a :class:`LocalFleet` bounded by ``[min_workers,
-    max_workers]`` (both default to ``workers``, a fixed fleet): a
-    crashed worker is replaced at the next tick, and wider bounds let
-    the fleet follow the queue depth with hysteresis.  With a ceiling of
-    0 there is no fleet.  ``fleet`` is one that outlives this call: when
-    its ``key`` matches this call's queue dir, cache dir, worker bounds
-    and lease TTL, the jobs run on its resident workers, which keep
-    their arenas from earlier jobs and are woken by the enqueue.
+    The fleet is a :class:`LocalFleet` of ``workers`` daemons: a crashed
+    worker is replaced at the next tick.  With ``workers=0`` there is no
+    fleet.  ``fleet`` is one that outlives this call: when its ``key``
+    matches this call's queue dir, cache dir, worker count and lease
+    TTL, the jobs run on its resident workers, which keep their arenas
+    from earlier jobs and are woken by the enqueue.
     Otherwise (or with no ``fleet``) the call builds a fleet of its own
     and closes it on return; before that fleet forks, the coordinator
     builds every job's arena, so the workers inherit them warm.
@@ -1462,7 +1448,7 @@ def execute_queued(
     ``schedule="cost"`` estimates each sweep's cost from its jobs'
     ``runtimes`` (else the family priors), serves the long poles first
     and shrinks chunk sizes toward each sweep's tail.  Either way chunks
-    are sized for a fleet of ``max(max_workers, 1)``.  Fleet size and
+    are sized for a fleet of ``max(workers, 1)``.  Fleet size and
     schedule are both result-neutral — every mode's results are
     bit-identical to the sequential oracle's.
     """
@@ -1477,8 +1463,6 @@ def execute_queued(
     from repro.sched.estimator import estimate_sweep_cost
     from repro.sched.planner import plan_campaign
 
-    floor = workers if min_workers is None else int(min_workers)
-    ceiling = workers if max_workers is None else int(max_workers)
     estimates = None
     if schedule == "cost":
         estimates = [
@@ -1487,18 +1471,17 @@ def execute_queued(
             )
             for job in jobs
         ]
-    # Chunks are sized for the largest fleet that may serve them.
     plan = plan_campaign(
-        [job.seeds for job in jobs], max(ceiling, 1),
+        [job.seeds for job in jobs], max(workers, 1),
         estimates=estimates, schedule=schedule, chunk_size=chunk_size,
     )
     own = fleet is None or fleet.key != LocalFleet.key_for(
-        queue_dir, cache_root, floor, ceiling, lease_ttl,
+        queue_dir, cache_root, workers, lease_ttl,
     )
     if own:
         fleet = LocalFleet(
-            queue_dir, cache_root, min_workers=floor, max_workers=ceiling,
-            lease_ttl=lease_ttl, poll=poll,
+            queue_dir, cache_root, workers=workers, lease_ttl=lease_ttl,
+            poll=poll,
         )
     start = time.perf_counter()
     try:
@@ -1533,8 +1516,6 @@ def _run_queued(
     ``plan`` lays it out; ``own`` says whether the fleet was built for
     this call (and so forks from it later) or is shared.
     """
-    from repro.sched.autoscale import QueueSample
-
     queues = [
         WorkQueue.create(
             fleet.queue_root, job.scenario, job.params, job.seeds,
@@ -1573,7 +1554,7 @@ def _run_queued(
         # its peers (that is the point of the exercise).
         stall_window = max(fleet.lease_ttl, 1.0)
         repair_every = max(poll * 10.0, 0.5)
-        scale_every = max(poll * 5.0, 0.25)
+        tick_every = max(poll * 5.0, 0.25)
         # Adaptive wait: the idle wait doubles while no task completes
         # (capped well under the stall window so stall detection keeps
         # its resolution) and snaps back to ``poll`` on any progress, so
@@ -1588,7 +1569,7 @@ def _run_queued(
         last_done = -1
         last_progress = time.monotonic()
         last_repair = 0.0
-        last_scale: Optional[float] = None
+        last_tick: Optional[float] = None
         while True:
             # Read before the scan, so a task finishing mid-scan still
             # cuts the next wait short.
@@ -1627,16 +1608,11 @@ def _run_queued(
                 for queue in queues:
                     queue.repair()
             active = sum(queue.active_leases() for queue in queues)
-            if last_scale is None or now - last_scale >= scale_every:
-                # One fleet tick: the first fills the fleet to the
-                # floor, or to the queue depth when the floor is 0, so
-                # work starts immediately; later ones replace crashed
-                # workers and scale within the bounds.
-                last_scale = now
-                fleet.tick(QueueSample(
-                    claimable=max(total_tasks - done_now - active, 0),
-                    leased=active,
-                ))
+            if last_tick is None or now - last_tick >= tick_every:
+                # One fleet tick: the first forks the fleet, so work
+                # starts immediately; later ones replace crashed workers.
+                last_tick = now
+                fleet.tick()
             # Drain inline when nobody else is on the job — no live
             # local worker and no active lease — or the queue stalled a
             # full window (which also steals expired leases).  A crashed

@@ -494,7 +494,7 @@ def execute_campaign(
     ``fleet`` (distributed only) is a
     :class:`~repro.simulation.distributed.LocalFleet` that outlives the
     call, such as one from :func:`open_fleet`; the queued seeds run on
-    it when it was opened for the same queue, cache, worker bounds and
+    it when it was opened for the same queue, cache, worker count and
     lease TTL, and on a fleet of their own otherwise.
     """
     profile = profile if profile is not None else ExecutionProfile()
@@ -533,10 +533,9 @@ def open_fleet(profile: ExecutionProfile):
     with the first queued job."""
     from repro.simulation.distributed import LocalFleet
 
-    floor, ceiling = profile.fleet_bounds()
     return LocalFleet(
         profile.queue_dir, profile.resolved_cache_dir(),
-        min_workers=floor, max_workers=ceiling, lease_ttl=profile.lease_ttl,
+        workers=profile.workers, lease_ttl=profile.lease_ttl,
     )
 
 
@@ -566,7 +565,6 @@ def _execute_campaign_distributed(
         cache_root = (
             plans[0].cache.root if plans[0].cache is not None else None
         )
-        floor, ceiling = profile.fleet_bounds()
         outcomes = execute_queued(
             jobs,
             workers=profile.workers,
@@ -577,8 +575,6 @@ def _execute_campaign_distributed(
             max_attempts=profile.resolved_max_attempts(),
             stop=stop,
             schedule=profile.resolved_schedule(),
-            min_workers=floor,
-            max_workers=ceiling,
             fleet=fleet,
         )
     results: Dict[int, SweepResult] = {}

@@ -197,6 +197,16 @@ class TestExecutionProfileCache:
         with pytest.raises(ValueError, match="unknown execution profile"):
             ExecutionProfile.from_payload({"workerz": 2})
 
+    @pytest.mark.parametrize(
+        "field", ["autoscale", "min_workers", "max_workers"],
+    )
+    def test_removed_fleet_sizing_fields_rejected(self, field):
+        # Older manifests may still ask for an elastic fleet; the one
+        # fleet is fixed at `workers`, so the keys are simply unknown.
+        payload = {"workers": 2, "backend": "distributed", field: 1}
+        with pytest.raises(ValueError, match="unknown execution profile"):
+            ExecutionProfile.from_payload(payload)
+
     def test_mistyped_payload_values_fail_cleanly(self):
         # A manifest with "workers": "4" must raise ValueError (which
         # the CLI turns into `error: ...` + exit 2), not TypeError.

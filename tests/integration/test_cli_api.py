@@ -154,9 +154,19 @@ class TestCampaignCli:
 
 
 class TestQueueCli:
-    def test_status_on_empty_dir(self, capsys, tmp_path):
-        assert main(["queue", "status", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("stale_event_log", [False, True])
+    def test_status_on_empty_dir(self, capsys, tmp_path, stale_event_log):
+        if stale_event_log:
+            # Left by an older version with an elastic fleet.
+            (tmp_path / "autoscale-events.jsonl").write_text(
+                '{"tick": 0, "action": "spawn", "from": 0, "to": 2}\n'
+            )
+        json_path = tmp_path / "status.json"
+        assert main([
+            "queue", "status", str(tmp_path), "--json", str(json_path),
+        ]) == 0
         assert "no sweeps" in capsys.readouterr().out
+        assert json.loads(json_path.read_text()) == {"sweeps": []}
 
     def test_status_reports_progress_and_leases(self, capsys, tmp_path):
         spec = registry.get(SCENARIO)
@@ -174,7 +184,7 @@ class TestQueueCli:
         assert "2 pending" in out
         assert "task-0001 held by worker-xyz" in out
         payload = json.loads(json_path.read_text())
-        assert payload["autoscaler_events"] == []
+        assert list(payload) == ["sweeps"]
         sweeps = payload["sweeps"]
         assert sweeps[0]["pending"] == 2
         assert sweeps[0]["leased"][0]["owner"] == "worker-xyz"

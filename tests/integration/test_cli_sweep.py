@@ -75,6 +75,12 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "fig7-mutuality", "--backend", "carrier-pigeon"])
 
+    def test_removed_fleet_sizing_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "fig7-mutuality", "--distributed", "--autoscale"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_chunk_size_exits_cleanly(self, capsys):
         assert main([
             "sweep", "fig15-environment", "--chunk-size", "0",

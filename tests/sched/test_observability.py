@@ -1,11 +1,10 @@
-"""Scheduling observability: cost/ETA in queue status, autoscaler
-events in ``repro queue status``, and the ranked sweep-directory
-naming the scheduler relies on for serving order."""
+"""Scheduling observability: cost/ETA in ``repro queue status``, and
+the ranked sweep-directory naming the scheduler relies on for serving
+order."""
 
 import json
 
 from repro.cli import main
-from repro.sched import load_autoscale_events
 from repro.simulation import registry
 from repro.simulation.distributed import WorkQueue, queue_status
 
@@ -92,38 +91,3 @@ class TestQueueStatusCli:
         out = capsys.readouterr().out
         assert "cost: ~0.250s/seed, ~0.75s remaining" in out
         assert "estimated remaining: ~0.75s across 1 costed sweep(s)" in out
-
-    def test_autoscaler_events_rendered_and_in_json(
-        self, capsys, tmp_path
-    ):
-        _stage(tmp_path)
-        events_path = tmp_path / "autoscale-events.jsonl"
-        events_path.write_text(
-            json.dumps({"time": 1.0, "tick": 0, "action": "spawn",
-                        "from": 0, "to": 3, "reason": "9 tasks",
-                        "claimable": 9, "leased": 0}) + "\n"
-        )
-        json_path = tmp_path / "status.json"
-        assert main([
-            "queue", "status", str(tmp_path), "--json", str(json_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "autoscaler: 1 scaling event(s)" in out
-        assert "[tick 0] spawn 0 -> 3 (9 tasks)" in out
-        payload = json.loads(json_path.read_text())
-        assert payload["autoscaler_events"] == load_autoscale_events(
-            tmp_path
-        )
-        assert payload["autoscaler_events"][0]["to"] == 3
-
-    def test_events_without_sweeps_still_report(self, capsys, tmp_path):
-        """A drained campaign's cleaned queue dir keeps its event log;
-        status shows the scaling history, not 'no sweeps'."""
-        (tmp_path / "autoscale-events.jsonl").write_text(
-            json.dumps({"tick": 0, "action": "spawn",
-                        "from": 0, "to": 2, "reason": "r"}) + "\n"
-        )
-        assert main(["queue", "status", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "no sweeps" not in out
-        assert "autoscaler: 1 scaling event(s)" in out

@@ -119,17 +119,6 @@ def test_task_files_are_the_plan(
     assert list((tmp_path / "queue").iterdir()) == []
 
 
-def test_autoscaled_chunks_are_sized_for_the_largest_fleet(
-    written, tmp_path
-):
-    jobs = _jobs(3)
-    _enqueue_only(jobs, tmp_path, min_workers=0, max_workers=3)
-    plan = plan_campaign([job.seeds for job in jobs], 3)
-    assert [layout["chunks"] for layout in written] == [
-        planned.chunks for planned in plan.sweeps
-    ]
-
-
 def test_unknown_schedule_is_rejected_before_anything_is_written(tmp_path):
     with pytest.raises(ValueError, match="schedule"):
         execute_queued(_jobs(1), workers=0, queue_dir=tmp_path / "queue",

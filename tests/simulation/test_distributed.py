@@ -87,10 +87,23 @@ class TestWorkQueueLayout:
         assert [q.sweep_id for q in found] == [queue.sweep_id]
 
     def test_discover_skips_junk_entries(self, tmp_path):
-        _make_queue(tmp_path)
+        queue = _make_queue(tmp_path)
         (tmp_path / "queue" / "not-a-sweep").mkdir()
         (tmp_path / "queue" / "stray.txt").write_text("junk")
+        # The scaling log an older version's elastic fleet left behind.
+        (tmp_path / "queue" / "autoscale-events.jsonl").write_text(
+            '{"tick": 0, "action": "spawn", "from": 0, "to": 3}\n'
+        )
         assert len(WorkQueue.discover(tmp_path / "queue")) == 1
+        # The junk never stops the queue from draining and collecting.
+        stats = worker_loop(tmp_path / "queue", None, drain=True)
+        assert stats.tasks_done == 2
+        results, failures, _ = queue.collect()
+        spec = registry.get(SCENARIO)
+        assert results == {
+            seed: spec.run(seed, smoke=True) for seed in (1, 2, 3, 4)
+        }
+        assert failures == {}
 
     def test_empty_seed_list_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)

@@ -160,15 +160,12 @@ class TestProcessPool:
 
 
 class TestCostSchedule:
-    """The cost scheduler and autoscaler inherit the bit-identity
-    contract: ``schedule="cost"`` reorders the queue and reshapes the
-    chunks, autoscaling varies the fleet — neither may change a single
-    bit of any result, and a healthy run still steals nothing."""
+    """The cost scheduler inherits the bit-identity contract:
+    ``schedule="cost"`` reorders the queue and reshapes the chunks
+    without changing a single bit of any result, and a healthy run
+    still steals nothing."""
 
-    @pytest.mark.parametrize("autoscale", [False, True])
-    def test_cost_schedule_identical_to_sequential(
-        self, autoscale, tmp_path
-    ):
+    def test_cost_schedule_identical_to_sequential(self, tmp_path):
         from repro.api import ExecutionProfile, SweepSpec
         from repro.simulation.sweep import execute_sweep
 
@@ -178,8 +175,7 @@ class TestCostSchedule:
             workers=2, backend="distributed",
             queue_dir=str(tmp_path / "queue"),
             cache_dir=str(tmp_path / "cache"),
-            schedule="cost", autoscale=autoscale,
-            max_workers=3 if autoscale else None,
+            schedule="cost",
         )
         sweep = execute_sweep(
             SweepSpec("fig7-mutuality", seeds=SEEDS, smoke=True), profile
@@ -189,7 +185,7 @@ class TestCostSchedule:
         assert sweep.requeues == 0
 
     def test_cost_campaign_identical_per_sweep(self, tmp_path):
-        """A mixed-cost campaign under cost scheduling + autoscaling:
+        """A mixed-cost campaign under cost scheduling on a fixed fleet:
         every sweep's mean matches its own sequential oracle."""
         from repro.api import ExecutionProfile, SweepSpec
         from repro.simulation.sweep import execute_campaign
@@ -199,8 +195,7 @@ class TestCostSchedule:
             workers=2, backend="distributed",
             queue_dir=str(tmp_path / "queue"),
             cache_dir=str(tmp_path / "cache"),
-            schedule="cost", autoscale=True,
-            min_workers=1, max_workers=3,
+            schedule="cost",
         )
         results = execute_campaign(
             [SweepSpec(name, seeds=SEEDS, smoke=True) for name in names],

@@ -2,12 +2,16 @@
 
 Covers the sweep-removal race a resident fleet's workers hit on every
 job (a cleanup racing a repair), the wake channel (every coordinator of
-several in-flight jobs is woken, idle workers are rung on enqueue), and
-that a per-call fleet leaves no process, thread or temp dir behind.
+several in-flight jobs is woken, idle workers are rung on enqueue), the
+fixed fleet's upkeep (crashed workers replaced, terminate-then-join
+shutdown), and that a per-call fleet leaves no process, thread or temp
+dir behind.
 """
 
 import multiprocessing
+import os
 import shutil
+import signal
 import tempfile
 import threading
 import time
@@ -15,7 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.simulation import registry
+from repro.simulation import distributed, registry
 from repro.simulation.distributed import (
     LocalFleet,
     QueuedJob,
@@ -88,7 +92,7 @@ class TestSharedFleet:
             )[0]
 
         with LocalFleet(
-            queue_dir, min_workers=2, max_workers=2, poll=poll,
+            queue_dir, workers=2, poll=poll,
         ) as fleet:
             run((1, 2))  # forks the fleet; its workers then go idle
             pids = fleet.pids()
@@ -119,7 +123,7 @@ class TestSharedFleet:
     ):
         spec = registry.get(SCENARIO)
         with LocalFleet(
-            tmp_path / "resident", min_workers=1, max_workers=1,
+            tmp_path / "resident", workers=1,
         ) as fleet:
             [outcome] = execute_queued(
                 [QueuedJob(SCENARIO, _params(), (1, 2))], workers=2,
@@ -132,7 +136,7 @@ class TestSharedFleet:
     def test_a_closed_fleet_aborts_its_waiting_coordinator(self, tmp_path):
         from repro.simulation.distributed import SweepAborted
 
-        fleet = LocalFleet(tmp_path / "queue", min_workers=0, max_workers=0)
+        fleet = LocalFleet(tmp_path / "queue", workers=0)
         fleet.close()
         with pytest.raises(SweepAborted, match="closed"):
             execute_queued(
@@ -140,6 +144,79 @@ class TestSharedFleet:
                 queue_dir=tmp_path / "queue", fleet=fleet,
             )
         assert list((tmp_path / "queue").iterdir()) == []
+
+
+class TestFixedFleet:
+    """The fleet keeps ``workers`` daemons alive: a tick reaps the dead
+    and forks replacements, nothing ever shrinks it, and ``close``
+    terminates every worker before joining any."""
+
+    @staticmethod
+    def _await_alive(fleet, count, deadline=10.0):
+        end = time.monotonic() + deadline
+        while fleet.alive() != count and time.monotonic() < end:
+            time.sleep(0.01)
+        return fleet.alive()
+
+    def test_dead_workers_are_reaped_and_replaced_at_the_next_tick(
+        self, tmp_path
+    ):
+        queue_dir = tmp_path / "queue"
+        with LocalFleet(queue_dir, workers=2) as fleet:
+            assert fleet.alive() == 0  # nothing forks before a tick
+            fleet.tick()
+            first = fleet.pids()
+            assert len(first) == 2
+            os.kill(first[0], signal.SIGKILL)
+            assert self._await_alive(fleet, 1) == 1
+            fleet.tick()
+            second = fleet.pids()
+            assert len(second) == 2
+            assert first[0] not in second and first[1] in second
+            # The queue is empty the whole time: it never shrinks the
+            # fleet, and the fleet writes nothing into the queue dir.
+            for _ in range(3):
+                fleet.tick()
+            time.sleep(fleet.poll * 4)
+            assert fleet.pids() == second
+            assert list(queue_dir.iterdir()) == []
+        assert fleet.alive() == 0
+        assert multiprocessing.active_children() == []
+
+    def test_close_terminates_every_worker_then_joins_them_all(
+        self, tmp_path, monkeypatch
+    ):
+        calls, spawned = [], []
+
+        class FakeProcess:
+            def __init__(self, target, args, daemon):
+                self.dead = False
+
+            def start(self):
+                self.pid = 1000 + len(spawned)
+                spawned.append(self)
+
+            def is_alive(self):
+                return not self.dead
+
+            def terminate(self):
+                calls.append(("terminate", self))
+                self.dead = True
+
+            def join(self, timeout=None):
+                calls.append(("join", self))
+
+        monkeypatch.setattr(distributed._FORK, "Process", FakeProcess)
+        fleet = LocalFleet(tmp_path / "queue", workers=3)
+        fleet.tick()
+        fleet.tick()  # already full: forks nobody
+        assert fleet.pids() == [1000, 1001, 1002]
+        fleet.close()
+        assert [kind for kind, _ in calls] == ["terminate"] * 3 + ["join"] * 3
+        assert [process for _, process in calls] == spawned * 2
+        assert fleet.alive() == 0
+        fleet.tick()  # a closed fleet forks nothing
+        assert len(spawned) == 3
 
 
 class TestPerCallFleet:
