@@ -152,6 +152,25 @@ class TestCampaignCli:
         assert main(["campaign", manifest]) == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field", ["autoscale", "min_workers", "max_workers"],
+    )
+    def test_removed_fleet_sizing_manifest_field_exits_cleanly(
+        self, capsys, tmp_path, field
+    ):
+        # A manifest written for the elastic fleet of older versions.
+        manifest = _write_manifest(tmp_path / "m.json", {
+            "profile": {"workers": 2, "backend": "distributed",
+                        field: 1},
+            "sweeps": [{"scenario": SCENARIO, "seeds": [1],
+                        "smoke": True}],
+        })
+        assert main(["campaign", manifest]) == 2
+        err = capsys.readouterr().err
+        assert "unknown execution profile field" in err
+        assert field in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "m.json"]
+
 
 class TestQueueCli:
     @pytest.mark.parametrize("stale_event_log", [False, True])

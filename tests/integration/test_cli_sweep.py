@@ -75,9 +75,22 @@ class TestSweepCli:
         with pytest.raises(SystemExit):
             main(["sweep", "fig7-mutuality", "--backend", "carrier-pigeon"])
 
-    def test_removed_fleet_sizing_flag_exits_2(self, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep", "fig7-mutuality", "--distributed"],
+         ["campaign", "manifest.json"],
+         ["serve", "127.0.0.1:0"]],
+        ids=["sweep", "campaign", "serve"],
+    )
+    @pytest.mark.parametrize(
+        "flag",
+        [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "4"]],
+        ids=["autoscale", "min-workers", "max-workers"],
+    )
+    def test_removed_fleet_sizing_flag_exits_2(self, capsys, command, flag):
+        # Rejected while parsing: nothing runs, nothing starts serving.
         with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "fig7-mutuality", "--distributed", "--autoscale"])
+            main(command + flag)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

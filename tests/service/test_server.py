@@ -109,6 +109,18 @@ class TestValidation:
         assert status == 400
         assert "workers" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "field", ["autoscale", "min_workers", "max_workers"],
+    )
+    def test_removed_fleet_sizing_field_is_400(self, server, field):
+        status, body = _raw(server, "POST", "/v1/sweeps", {
+            "spec": SPEC.to_payload(),
+            "profile": {"workers": 2, "backend": "distributed", field: 1},
+        })
+        assert status == 400
+        assert "unknown execution profile field" in body["error"]["message"]
+        assert field in body["error"]["message"]
+
     def test_conflicting_profile_is_400(self, server):
         status, body = _raw(server, "POST", "/v1/sweeps", {
             "spec": SPEC.to_payload(),

@@ -183,9 +183,10 @@ class TestFixedFleet:
         assert fleet.alive() == 0
         assert multiprocessing.active_children() == []
 
-    def test_close_terminates_every_worker_then_joins_them_all(
-        self, tmp_path, monkeypatch
-    ):
+    @pytest.fixture
+    def fake_fork(self, monkeypatch):
+        """Replace forked workers with inert fakes; yields the log of
+        ``terminate``/``join`` calls and the list of spawned fakes."""
         calls, spawned = [], []
 
         class FakeProcess:
@@ -207,6 +208,25 @@ class TestFixedFleet:
                 calls.append(("join", self))
 
         monkeypatch.setattr(distributed._FORK, "Process", FakeProcess)
+        return calls, spawned
+
+    def test_first_tick_forks_exactly_workers_whatever_the_backlog(
+        self, tmp_path, fake_fork
+    ):
+        _, spawned = fake_fork
+        queue_dir = tmp_path / "queue"
+        WorkQueue.create(queue_dir, SCENARIO, _params(), range(1, 41), 1)
+        fleet = LocalFleet(queue_dir, workers=2)
+        fleet.tick()
+        fleet.tick()
+        assert fleet.pids() == [1000, 1001]
+        assert len(spawned) == 2
+        fleet.close()
+
+    def test_close_terminates_every_worker_then_joins_them_all(
+        self, tmp_path, fake_fork
+    ):
+        calls, spawned = fake_fork
         fleet = LocalFleet(tmp_path / "queue", workers=3)
         fleet.tick()
         fleet.tick()  # already full: forks nobody
