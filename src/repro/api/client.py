@@ -194,12 +194,14 @@ class CampaignHandle(_Handle):
     """Many sweeps as one unit of work; resolves to a
     :class:`CampaignResult`.
 
-    With a pool profile the specs run back to back (so ``cancel()``
-    skips everything after the sweep in flight); with the distributed
-    backend every sweep is enqueued up front and one worker fleet
-    drains them all concurrently — there ``cancel()`` aborts the
-    coordinator at its next wait and removes every sweep directory the
-    campaign enqueued, leaving the queue dir clean for the next run.
+    With a pool profile the specs run back to back on one process pool
+    that forks once for the whole campaign: ``progress()`` advances one
+    sweep at a time, and ``cancel()`` skips everything after the sweep
+    in flight.  With the distributed backend every sweep is enqueued up
+    front and one worker fleet drains them all concurrently — there
+    ``cancel()`` aborts the coordinator at its next wait and removes
+    every sweep directory the campaign enqueued, leaving the queue dir
+    clean for the next run.
     """
 
     def __init__(
@@ -211,52 +213,36 @@ class CampaignHandle(_Handle):
         self.profile = profile
         self._fleet = fleet
         self._completed = 0
-        self._started = 0
         self._skip_rest = False
         super().__init__(self._run_campaign)
 
     def _run_campaign(self) -> CampaignResult:
         from repro.simulation.distributed import SweepAborted
-        from repro.simulation.sweep import execute_campaign, execute_sweep
+        from repro.simulation.sweep import execute_campaign
 
-        if self.profile.distributed:
-            # One shared queue + fleet.  The coordinator polls ``stop``
-            # between waits; cancel() flips _skip_rest and the abort
-            # path deletes every sweep dir the campaign enqueued.
+        # A pool campaign polls ``stop`` before each sweep; the queue
+        # coordinator polls it between waits and, when it fires,
+        # deletes every sweep dir the campaign enqueued.
+        def stop() -> bool:
             with self._lock:
-                self._started = len(self.specs)
+                return self._skip_rest
 
-            def stop() -> bool:
-                with self._lock:
-                    return self._skip_rest
+        def on_sweep(_result: object) -> None:
+            with self._lock:
+                self._completed += 1
 
-            try:
-                sweeps = execute_campaign(
-                    list(self.specs), self.profile, stop=stop,
-                    fleet=self._fleet(),
-                )
-            except SweepAborted as error:
+        try:
+            sweeps = execute_campaign(
+                list(self.specs), self.profile, stop=stop,
+                fleet=self._fleet() if self.profile.distributed else None,
+                on_sweep=on_sweep,
+            )
+        except SweepAborted as error:
+            if self.profile.distributed:
                 raise CancelledError(
                     f"distributed campaign cancelled: {error}"
                 ) from error
-            with self._lock:
-                self._completed = len(sweeps)
-        else:
-            sweeps = []
-            for spec in self.specs:
-                with self._lock:
-                    if self._skip_rest:
-                        break
-                    self._started += 1
-                sweeps.append(execute_sweep(spec, self.profile))
-                with self._lock:
-                    self._completed = len(sweeps)
-            with self._lock:
-                if self._skip_rest and len(sweeps) < len(self.specs):
-                    raise CancelledError(
-                        f"campaign cancelled after {len(sweeps)} of "
-                        f"{len(self.specs)} sweeps"
-                    )
+            raise CancelledError(str(error)) from error
         return CampaignResult(
             specs=self.specs,
             labels=self.labels,
@@ -272,9 +258,10 @@ class CampaignHandle(_Handle):
             # finish but the campaign never resolves.
             self._skip_rest = True
             return True
-        if self._started >= len(self.specs):
-            # The last sweep is already in flight; it will finish, so
-            # nothing is spared — honest cancel() says no.
+        if self._completed >= len(self.specs) - 1:
+            # Pool sweeps run one at a time, so the last one is already
+            # in flight; it will finish, so nothing is spared — honest
+            # cancel() says no.
             return False
         self._skip_rest = True
         return True

@@ -41,13 +41,27 @@ worker before any task — the hook
 :func:`repro.simulation.sweep.execute_sweep` uses to materialize the
 scenario arena once per process.
 
+Each map starts and stops a pool of its own, unless the runner is held
+open: inside ``with ParallelRunner(...) as runner:`` the process
+backend forks its ``workers`` processes on the first map that needs a
+pool and every later map runs on them, until the block exits and shuts
+them down.  That is how :func:`repro.simulation.sweep.execute_campaign`
+forks a pool campaign's workers once instead of once per sweep: each
+worker imports numpy at most once and keeps every arena it built for
+the later sweeps.  The held pool was started with the initializer of
+the map that opened it; later maps build their arenas on a worker's
+first seed.  A held pool also takes maps that fall to a single chunk,
+so nothing the pool's workers would build lands in the caller and, by
+fork, in every pool started after it.
+
 Worker supervision (process backend): a pool worker dying — OOM-killed,
 segfaulted, SIGKILLed — breaks the whole :class:`ProcessPoolExecutor`
 and poisons every in-flight future with ``BrokenProcessPool``.  The
 runner catches that, rebuilds the pool, and resubmits exactly the
 chunks that never completed, up to ``max_attempts`` rounds per chunk
-(the same budget the distributed queue applies per seed).  A chunk
-still crashing after its budget raises :class:`WorkerCrashError`
+(the same budget the distributed queue applies per seed); a held pool
+that breaks is replaced for the retry round and every later map.  A
+chunk still crashing after its budget raises :class:`WorkerCrashError`
 naming the chunk and its seeds, instead of the opaque
 ``BrokenProcessPool``.  Ordinary exceptions raised *by* a seed are not
 retried here — they propagate raise-fast as before (the distributed
@@ -209,12 +223,16 @@ class ParallelRunner:
         result is bit-identical regardless.
     initializer / initargs:
         Run once per pool worker before its first task (both backends).
-        Under the process backend they must be picklable.
+        Under the process backend they must be picklable.  A held pool
+        keeps the pair it was started with.
     max_attempts:
         Rounds a chunk may be resubmitted after its pool worker *died*
         (``BrokenProcessPool``) before :class:`WorkerCrashError`;
         ``None`` means :data:`DEFAULT_MAX_ATTEMPTS`.  Seed exceptions
         are never retried by the runner — they propagate raise-fast.
+
+    Used as a context manager, the process backend holds one pool for
+    every map inside the ``with`` block (see the module docstring).
     """
 
     workers: Optional[int] = None
@@ -224,6 +242,10 @@ class ParallelRunner:
     initargs: Tuple = ()
     max_attempts: Optional[int] = None
     last_timing: Optional[RunTiming] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _held: bool = field(default=False, init=False, repr=False, compare=False)
+    _executor: Optional[ProcessPoolExecutor] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -242,6 +264,24 @@ class ParallelRunner:
             raise ValueError("max_attempts must be at least 1")
 
     # ------------------------------------------------------------------
+    def __enter__(self) -> "ParallelRunner":
+        self._held = True
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._held = False
+        self._drop_executor()
+
+    def _holds_pool(self) -> bool:
+        """True while a ``with`` block holds this runner's process pool."""
+        return self._held and self.backend == "process" and self.workers > 1
+
+    def _drop_executor(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+    # ------------------------------------------------------------------
     def map_seeds(
         self, run: Callable[[int], T], seeds: Sequence[int]
     ) -> List[T]:
@@ -258,20 +298,20 @@ class ParallelRunner:
             # A single chunk leaves nothing to parallelize; don't pay
             # for a pool that would run it on one worker anyway.
             workers = min(workers, math.ceil(len(seeds) / chunk_size))
-        start = time.perf_counter()
-        if workers <= 1:
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
-            results = [run(seed) for seed in seeds]
-        elif self.backend == "process" and not _is_picklable(run):
+        # A held pool is already paid for, so it takes one-chunk maps
+        # too (see the module docstring).
+        pooled = workers > 1 or self._holds_pool()
+        if pooled and self.backend == "process" and not _is_picklable(run):
             # An unpicklable callable cannot cross a process boundary;
             # degrade to the sequential oracle instead of erroring so
             # ad-hoc closures still work everywhere.
             _warn_unpicklable_once(run)
+            pooled, workers = False, 1
+        start = time.perf_counter()
+        if not pooled:
             if self.initializer is not None:
                 self.initializer(*self.initargs)
             results = [run(seed) for seed in seeds]
-            workers = 1
         elif self.backend == "process":
             chunks = _chunked(seeds, chunk_size)
             results = [
@@ -295,12 +335,31 @@ class ParallelRunner:
             wall_seconds=time.perf_counter() - start,
             seeds=len(seeds),
             workers=workers,
-            backend=self.backend if workers > 1 else "sequential",
+            backend=self.backend if pooled else "sequential",
             chunk_size=chunk_size,
         )
         return results
 
     # ------------------------------------------------------------------
+    def _process_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The held pool (started on first use), or a new one for one
+        round of one map."""
+        if not self._holds_pool():
+            return ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+        if self._executor is None:
+            # Sized for the runner, not this map: later maps may need
+            # every worker.
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=self.initializer,
+                initargs=self.initargs,
+            )
+        return self._executor
+
     def _map_process_chunks(
         self,
         run: Callable[[int], T],
@@ -326,29 +385,39 @@ class ParallelRunner:
         remaining = list(range(len(chunks)))
         while remaining:
             crashed: List[int] = []
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(remaining)),
-                initializer=self.initializer,
-                initargs=self.initargs,
-            ) as pool:
-                futures = [
-                    (index, pool.submit(_run_chunk, run, chunks[index]))
-                    for index in remaining
-                ]
-                for index, future in futures:
+            pool = self._process_pool(min(workers, len(remaining)))
+            futures = []
+            try:
+                for index in remaining:
                     attempts[index] += 1
+                    try:
+                        future = pool.submit(_run_chunk, run, chunks[index])
+                    except BrokenProcessPool:
+                        # A held pool breaks between maps when an idle
+                        # worker dies.
+                        crashed.append(index)
+                    else:
+                        futures.append((index, future))
+                for index, future in futures:
                     try:
                         results[index] = future.result()
                     except BrokenProcessPool:
                         # The pool died under this chunk (or before it
                         # ever started); resubmit it next round.
                         crashed.append(index)
-            for index in crashed:
+            finally:
+                if pool is not self._executor:
+                    pool.shutdown(wait=True)
+            if crashed and pool is self._executor:
+                # A broken held pool is replaced for the retry round
+                # and every later map.
+                self._drop_executor()
+            remaining = sorted(crashed)
+            for index in remaining:
                 if attempts[index] >= budget:
                     raise WorkerCrashError(
                         index, chunks[index], attempts[index],
                     )
-            remaining = crashed
         return [batch for batch in results if batch is not None]
 
     # ------------------------------------------------------------------

@@ -12,14 +12,14 @@ packages the per-seed results, their mean, the per-metric (or
 per-point) variance across seeds, the wall-clock timing, and the cache
 / queue accounting.
 
-:func:`execute_campaign` runs many specs under one profile.  With a
-pool profile the sweeps run back to back; with the distributed backend
-every sweep's missing seeds are enqueued **up front** and one shared
-worker fleet (plus any external ``repro worker`` daemons on the same
-queue dir) drains them all concurrently — the multi-tenant mode the
-queue layout was designed for.  Either way each sweep's results are
-bit-identical to running it alone (the campaign equivalence suite
-asserts ``==``, no tolerance).
+:func:`execute_campaign` runs many specs under one profile.  With a pool
+profile the sweeps run back to back on one process pool that forks once
+per campaign; with the distributed backend every sweep's missing seeds
+are enqueued **up front** and one shared worker fleet (plus any
+external ``repro worker`` daemons on the same queue dir) drains them
+all concurrently — the multi-tenant mode the queue layout was designed
+for.  Either way each sweep's results are bit-identical to running it
+alone (the campaign equivalence suite asserts ``==``, no tolerance).
 
 Throughput levers, all result-neutral (bit-identical per the
 equivalence suite): ``workers``/``backend`` pool fan-out, ``chunk_size``
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -302,25 +303,21 @@ def _guarded_reduced(
 
 
 def _run_pool(
-    plan: _SweepPlan, profile: ExecutionProfile,
+    plan: _SweepPlan, profile: ExecutionProfile, runner: ParallelRunner,
 ) -> Tuple[RunTiming, Dict[int, dict]]:
-    """Compute a plan's missing seeds on an in-process pool.
+    """Compute a plan's missing seeds on the campaign's runner.
 
     Returns the map timing plus the failure records of seeds that
     exhausted their retry budget (always empty under
     ``on_error="raise"``, where the first seed exception propagates
     out of the pool exactly as it always has).
     """
-    runner = ParallelRunner(
-        workers=profile.workers,
-        backend=profile.backend,
-        chunk_size=profile.chunk_size,
-        # Build the scenario's seed-independent arena once per worker,
-        # before its first task.
-        initializer=registry.warm_arena,
-        initargs=(plan.spec.scenario, plan.params),
-        max_attempts=profile.max_attempts,
-    )
+    # Build the scenario's seed-independent arena once per worker,
+    # before its first task.  A pool the campaign already holds keeps
+    # the initializer it started with; this sweep's arena is then built
+    # on a worker's first seed.
+    runner.initializer = registry.warm_arena
+    runner.initargs = (plan.spec.scenario, plan.params)
     collecting = profile.resolved_on_error() == "collect"
     if collecting:
         run = partial(
@@ -469,10 +466,12 @@ def execute_campaign(
     profile: Optional[ExecutionProfile] = None,
     stop=None,
     fleet=None,
+    on_sweep=None,
 ) -> List[SweepResult]:
     """Run many specs under one profile; one result per spec, in order.
 
-    Pool profiles run the sweeps back to back.  The distributed backend
+    Pool profiles run the sweeps back to back on one process pool,
+    forked once for the whole campaign.  The distributed backend
     enqueues every sweep's missing seeds up front and lets one worker
     fleet — ``profile.workers`` local daemons plus any external ``repro
     worker`` daemons on the same ``queue_dir`` — drain all of them
@@ -486,10 +485,15 @@ def execute_campaign(
     poisoned sweep still yields every other sweep); under ``"raise"``
     the first sweep with failures raises :class:`SweepFailureError`.
 
-    ``stop`` (distributed only) is a zero-argument callable polled by
-    the queue coordinator; when it turns true the campaign aborts
-    cooperatively — queue directories cleaned — with
+    ``stop`` is a zero-argument callable polled before each pool sweep
+    starts, and by the queue coordinator between its waits; when it
+    turns true the campaign aborts cooperatively — the sweeps not yet
+    started skipped, queue directories cleaned — with
     :class:`repro.simulation.distributed.SweepAborted`.
+
+    ``on_sweep`` is called with each :class:`SweepResult`, in spec
+    order: as each pool sweep completes, and once the queue has drained
+    for the distributed backend.
 
     ``fleet`` (distributed only) is a
     :class:`~repro.simulation.distributed.LocalFleet` that outlives the
@@ -508,22 +512,58 @@ def execute_campaign(
             )
     specs = [_effective_spec(spec, profile) for spec in specs]
     if not profile.distributed:
-        results = []
-        for spec in specs:
-            plan = _plan(spec, profile)
-            if plan.missing:
-                timing, failures = _run_pool(plan, profile)
-            else:
-                timing, failures = None, {}
-            results.append(_assemble(plan, timing, failures=failures))
+        results = _execute_campaign_pool(specs, profile, stop, on_sweep)
     else:
         results = _execute_campaign_distributed(specs, profile, stop, fleet)
+        if on_sweep is not None:
+            for result in results:
+                on_sweep(result)
     if profile.resolved_on_error() == "raise":
         for result in results:
             if result.failed_seeds:
                 raise SweepFailureError(
                     result.scenario, result.failed_seeds,
                 )
+    return results
+
+
+def _execute_campaign_pool(
+    specs: Sequence[SweepSpec],
+    profile: ExecutionProfile,
+    stop=None,
+    on_sweep=None,
+) -> List[SweepResult]:
+    """The sweeps back to back, every map on one held process pool.
+
+    The pool forks on the first sweep with seeds to compute, so an
+    all-hits replay forks nothing, and it is shut down before this
+    returns or raises.  A lone sweep does not hold it: nothing forks
+    after it, so a one-chunk map may run in the caller as it always has.
+    """
+    runner = ParallelRunner(
+        workers=profile.workers,
+        backend=profile.backend,
+        chunk_size=profile.chunk_size,
+        max_attempts=profile.max_attempts,
+    )
+    results: List[SweepResult] = []
+    with runner if len(specs) > 1 else nullcontext(runner):
+        for spec in specs:
+            if stop is not None and stop():
+                from repro.simulation.distributed import SweepAborted
+
+                raise SweepAborted(
+                    f"campaign cancelled after {len(results)} of "
+                    f"{len(specs)} sweeps"
+                )
+            plan = _plan(spec, profile)
+            if plan.missing:
+                timing, failures = _run_pool(plan, profile, runner)
+            else:
+                timing, failures = None, {}
+            results.append(_assemble(plan, timing, failures=failures))
+            if on_sweep is not None:
+                on_sweep(results[-1])
     return results
 
 

@@ -186,14 +186,15 @@ class TestCampaigns:
         started = threading.Event()
         release = threading.Event()
         executed = []
+        real_run_pool = sweep_module._run_pool
 
-        def slow(spec, profile):
-            executed.append(spec.scenario)
+        def slow(plan, profile, runner):
+            executed.append(plan.spec.scenario)
             started.set()
             release.wait(30)
-            return f"result:{spec.scenario}"
+            return real_run_pool(plan, profile, runner)
 
-        monkeypatch.setattr(sweep_module, "execute_sweep", slow)
+        monkeypatch.setattr(sweep_module, "_run_pool", slow)
         handle = Client(_FAST).submit_campaign([
             SweepSpec("fig15-environment", SEEDS, smoke=True),
             SweepSpec("fig7-mutuality", SEEDS, smoke=True),
@@ -213,13 +214,14 @@ class TestCampaigns:
         honest cancel() says no and the campaign completes."""
         started = threading.Event()
         release = threading.Event()
+        real_run_pool = sweep_module._run_pool
 
-        def slow(spec, profile):
+        def slow(plan, profile, runner):
             started.set()
             release.wait(30)
-            return f"result:{spec.scenario}"
+            return real_run_pool(plan, profile, runner)
 
-        monkeypatch.setattr(sweep_module, "execute_sweep", slow)
+        monkeypatch.setattr(sweep_module, "_run_pool", slow)
         handle = Client(_FAST).submit_campaign([
             SweepSpec("fig15-environment", SEEDS, smoke=True),
         ])
@@ -229,6 +231,37 @@ class TestCampaigns:
         handle.wait(timeout=30)
         assert handle.status() == "done"
         assert len(handle.result().sweeps) == 1
+
+    def test_progress_advances_one_pool_sweep_at_a_time(self, monkeypatch):
+        """The campaign's first sweep counts as done while its second is
+        still computing: progress() reads (1, n) before the result."""
+        expected = [
+            _oracle("fig15-environment").mean, _oracle("fig7-mutuality").mean,
+        ]
+        second = threading.Event()
+        release = threading.Event()
+        real_run_pool = sweep_module._run_pool
+
+        def gated(plan, profile, runner):
+            if plan.spec.scenario == "fig7-mutuality":
+                second.set()
+                release.wait(30)
+            return real_run_pool(plan, profile, runner)
+
+        monkeypatch.setattr(sweep_module, "_run_pool", gated)
+        handle = Client(_FAST).submit_campaign([
+            SweepSpec("fig15-environment", SEEDS, smoke=True),
+            SweepSpec("fig7-mutuality", SEEDS, smoke=True),
+        ])
+        try:
+            assert second.wait(timeout=30)
+            assert handle.progress() == (1, 2)
+            assert not handle.done()
+        finally:
+            release.set()
+        result = handle.result(timeout=60)
+        assert handle.progress() == (2, 2)
+        assert [sweep.mean for sweep in result.sweeps] == expected
 
     def test_cancel_distributed_campaign_leaves_queue_clean(
         self, tmp_path, monkeypatch

@@ -12,13 +12,20 @@ tolerance to hide behind.
 
 import os
 import time
+from functools import partial
+from itertools import combinations
 
 import pytest
 
 from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.parallel import ParallelRunner
-from repro.simulation.runner import average_rates, average_series
+from repro.simulation.runner import (
+    average_rates,
+    average_series,
+    combine_rates,
+    combine_series,
+)
 from repro.simulation.sweep import execute_sweep, seed_range
 
 SEEDS = [11, 12, 13]
@@ -209,32 +216,38 @@ class TestCostSchedule:
             assert result.requeues == 0
 
 
-@pytest.mark.slow
+def _probed(run, seed):
+    """Picklable probe: ``(pid, start, end, result)`` of one seed run."""
+    start = time.time()
+    result = run(seed)
+    return os.getpid(), start, time.time(), result
+
+
 @pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 or bool(os.environ.get("CI")),
-    reason="wall-clock speedup needs >1 CPU and a quiet machine "
-           "(shared CI runners make timing assertions flaky)",
+    (os.cpu_count() or 1) < 2,
+    reason="seeds running side by side needs more than one CPU",
 )
-def test_parallel_measurably_faster_on_multicore():
-    """8 seeds / 4 workers beat the sequential run on real hardware.
+def test_process_pool_runs_seeds_side_by_side():
+    """8 seeds on 4 workers: the mean equals the sequential run's, and
+    the seeds really ran in parallel — in at least two worker processes
+    whose run intervals overlap.
 
-    Per-seed work is padded to ~0.2 s so pool startup cannot dominate;
-    the 1.3x bar is deliberately conservative for a 4-way fan-out.
+    This replaced a 1.3x wall-clock bar that failed on contended hosts;
+    the speed-up itself is measured by perfbench's ``campaign-cold``
+    ``seeds_per_s``.
     """
+    spec = registry.get("fig13-delegation")
     seeds = seed_range(8)
-    overrides = {"iterations": 400, "network": "twitter"}
-
-    start = time.perf_counter()
-    sequential = execute_sweep(
-        SweepSpec("fig13-delegation", seeds, smoke=True, overrides=overrides),
-        ExecutionProfile(workers=1, no_cache=True),
+    runner = ParallelRunner(workers=4, backend="process")
+    probes = runner.map_seeds(partial(_probed, spec.bound(smoke=True)), seeds)
+    combine = combine_rates if spec.kind == "rates" else combine_series
+    assert combine([probe[3] for probe in probes]) == _sequential_average(
+        spec, seeds
     )
-    sequential_wall = time.perf_counter() - start
-
-    parallel = execute_sweep(
-        SweepSpec("fig13-delegation", seeds, smoke=True, overrides=overrides),
-        ExecutionProfile(workers=4, backend="process", no_cache=True),
+    assert runner.last_timing.backend == "process"
+    assert len({pid for pid, _, _, _ in probes}) >= 2
+    assert any(
+        a_pid != b_pid and a_start < b_end and b_start < a_end
+        for (a_pid, a_start, a_end, _), (b_pid, b_start, b_end, _)
+        in combinations(probes, 2)
     )
-
-    assert parallel.mean == sequential.mean
-    assert parallel.timing.wall_seconds < sequential_wall / 1.3
