@@ -43,7 +43,6 @@ Overrides = Tuple[Tuple[str, object], ...]
 
 EXECUTION_BACKENDS = ("process", "thread", "distributed")
 ON_ERROR_MODES = ("raise", "collect")
-SCHEDULE_MODES = ("fifo", "cost")
 
 
 def validate_execution(
@@ -57,7 +56,6 @@ def validate_execution(
     compute: Optional[str] = None,
     max_attempts: Optional[int] = None,
     on_error: Optional[str] = None,
-    schedule: Optional[str] = None,
 ) -> None:
     """Reject contradictory or out-of-range execution options.
 
@@ -77,8 +75,6 @@ def validate_execution(
       — no local daemons are spawned and no external ``repro worker``
       can ever join a private temp dir, so nobody but the coordinator
       could compute anything.
-    * ``schedule`` outside :data:`SCHEDULE_MODES`; ``schedule="cost"``
-      with a non-distributed backend (scheduling orders a work queue).
     """
     if backend not in EXECUTION_BACKENDS:
         raise ValueError(
@@ -146,15 +142,6 @@ def validate_execution(
     if on_error is not None and on_error not in ON_ERROR_MODES:
         raise ValueError(
             f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
-        )
-    if schedule is not None and schedule not in SCHEDULE_MODES:
-        raise ValueError(
-            f"schedule must be one of {SCHEDULE_MODES}, got {schedule!r}"
-        )
-    if backend != "distributed" and schedule == "cost":
-        raise ValueError(
-            "schedule='cost' requires backend='distributed' (the "
-            "scheduler orders a shared work queue)"
         )
 
 
@@ -336,13 +323,6 @@ class ExecutionProfile:
     # per backend; see resolved_on_error().
     max_attempts: Optional[int] = None
     on_error: Optional[str] = None
-    # Campaign scheduling (distributed backend only): "fifo" serves
-    # sweeps in submission order with uniform chunks; "cost" serves
-    # long-pole-first with tail-shrinking chunks, costs estimated from
-    # runtime telemetry or scenario-family priors.  None means "fifo".
-    # Result-neutral like every other field — the equivalence suite
-    # asserts schedule="cost" bit-identical to FIFO.
-    schedule: Optional[str] = None
 
     def __post_init__(self) -> None:
         for name in ("cache_dir", "queue_dir"):
@@ -360,7 +340,6 @@ class ExecutionProfile:
             compute=self.compute,
             max_attempts=self.max_attempts,
             on_error=self.on_error,
-            schedule=self.schedule,
         )
 
     @classmethod
@@ -405,10 +384,6 @@ class ExecutionProfile:
         if self.on_error is not None:
             return self.on_error
         return "collect" if self.distributed else "raise"
-
-    def resolved_schedule(self) -> str:
-        """The queue serving order this profile means."""
-        return self.schedule if self.schedule is not None else "fifo"
 
     # -- serialization (campaign manifests) ----------------------------
     def to_payload(self) -> Dict[str, object]:

@@ -245,7 +245,6 @@ def _profile_from_sweep_args(args: argparse.Namespace):
         compute=args.compute,
         max_attempts=args.max_attempts,
         on_error=args.on_error,
-        schedule=args.schedule,
     )
 
 
@@ -409,7 +408,7 @@ def _campaign_profile_overrides(args: argparse.Namespace, profile):
 
     The manifest describes the campaign's default machinery; the flags
     let one invocation rent a different fleet (more workers, a shared
-    queue dir, cost scheduling) without editing the file.
+    queue dir) without editing the file.
     ``dataclasses.replace`` re-runs the profile's validation, so a
     contradictory combination fails exactly like it would in a
     manifest.
@@ -421,8 +420,6 @@ def _campaign_profile_overrides(args: argparse.Namespace, profile):
         updates["backend"] = "distributed"
     if args.queue_dir is not None:
         updates["queue_dir"] = args.queue_dir
-    if args.schedule is not None:
-        updates["schedule"] = args.schedule
     return dataclasses.replace(profile, **updates) if updates else profile
 
 
@@ -747,17 +744,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
-def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
-    """The campaign-scheduler flag shared by sweep/campaign/serve."""
-    parser.add_argument("--schedule", choices=("fifo", "cost"),
-                        default=None,
-                        help="queue serving order for --distributed: "
-                             "'fifo' runs sweeps in submission order; "
-                             "'cost' serves estimated long poles first "
-                             "with tail-shrinking chunks (results are "
-                             "bit-identical either way)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -856,7 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "finishes the rest and reports it under "
                             "failed_seeds (default: raise for pools, "
                             "collect for --distributed)")
-    _add_scheduling_flags(sweep)
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="also write the sweep export to PATH")
 
@@ -917,7 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="exhausted-seed policy (default: raise for "
                             "pools, collect for --distributed)")
-    _add_scheduling_flags(serve)
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
 
@@ -996,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--queue-dir", metavar="DIR", default=None,
                           help="override the manifest profile's queue "
                                "directory")
-    _add_scheduling_flags(campaign)
     campaign.add_argument("--json", metavar="PATH", default=None,
                           help="also write the combined "
                                "{label: sweep export} object to PATH")

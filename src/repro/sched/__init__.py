@@ -1,25 +1,25 @@
-"""Cost-aware campaign scheduling.
+"""Cost-aware campaign planning for the shared work queue.
 
-The distributed campaign machinery (PR 4/5) enqueues every sweep up
-front with uniform chunking onto a fixed worker fleet.  This package
-adds the two layers that turn that into a scheduler:
+Every queued campaign (a lone sweep is a campaign of one) is laid out
+by the two layers here:
 
 * :mod:`repro.sched.estimator` — per-sweep cost estimates from the
   runtimes the sweep's cached seeds recorded, falling back to
   scenario-family priors when nothing was observed yet.
 * :mod:`repro.sched.planner` — :func:`plan_campaign`, the one layout
-  the coordinator writes to the queue: order a campaign's sweeps
-  (submission order, or long-pole-first) and shard each one into
-  chunks (uniform, or shrinking toward the tail so the last tasks are
-  fine-grained and no worker idles behind one fat chunk).
+  the coordinator writes to the queue: serve the costliest sweeps
+  first and shard each one into chunks that shrink toward its tail,
+  so the last tasks are fine-grained and no worker idles behind one
+  fat chunk.
 
 The fleet itself is a fixed number of local workers
-(:class:`repro.simulation.distributed.LocalFleet`); scheduling only
+(:class:`repro.simulation.distributed.LocalFleet`); planning only
 decides the order and size of the tasks it drains.
 
-Everything here is **result-neutral**: scheduling changes which worker
+Everything here is **result-neutral**: planning changes which worker
 computes which seed when, never what any seed computes — the
-equivalence suite asserts ``schedule="cost"`` bit-identical to FIFO.
+equivalence suite asserts queued campaigns bit-identical to the
+sequential oracle.
 """
 
 from repro.sched.estimator import (

@@ -7,7 +7,7 @@ Two classic makespan levers, both result-neutral:
   drains and then watches one worker grind the long pole alone.  With
   W workers, one sweep of cost C and fillers totalling F, worst-first
   ordering approaches ``F/W + C`` while long-pole-first approaches
-  ``(F + C)/W`` — the gap is the whole point of the scheduler.
+  ``(F + C)/W`` — the gap is why every queue layout is planned by cost.
 * **Shrinking chunks.**  Uniform chunking trades claim overhead
   against tail imbalance at one fixed point.  Shrinking chunks take
   big bites while the queue is deep (cheap claims) and halve the
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro.sched.estimator import CostEstimate
-from repro.simulation.parallel import _chunked, auto_chunk_size
+from repro.simulation.parallel import auto_chunk_size
 
 
 def long_pole_order(costs: Sequence[float]) -> Tuple[int, ...]:
@@ -74,18 +74,16 @@ class PlannedSweep:
     """One sweep's slot in a campaign plan.
 
     ``index`` is the sweep's position in the submitted campaign;
-    ``rank`` is its serving position in the queue (0 = first).  FIFO
-    plans have ``rank == index``; cost plans rank long-pole-first.
-    ``chunk_size`` is the base chunk the layout was cut from: FIFO
-    chunks are all that size but the last, cost chunks start there and
-    shrink toward the tail.
+    ``rank`` is its serving position in the queue (0 = first, the
+    costliest estimate).  ``chunk_size`` is the base chunk the layout
+    was cut from: the chunks start there and shrink toward the tail.
     """
 
     index: int
     rank: int
     chunk_size: int
     chunks: Tuple[Tuple[int, ...], ...]
-    estimate: Optional[CostEstimate] = None
+    estimate: CostEstimate
 
     @property
     def seeds(self) -> Tuple[int, ...]:
@@ -97,7 +95,6 @@ class CampaignPlan:
     """A full campaign plan, sweeps in submission order."""
 
     sweeps: Tuple[PlannedSweep, ...] = field(default_factory=tuple)
-    schedule: str = "fifo"
 
     @property
     def total_seeds(self) -> int:
@@ -105,47 +102,33 @@ class CampaignPlan:
 
     @property
     def estimated_seconds(self) -> float:
-        return sum(
-            sweep.estimate.total_seconds
-            for sweep in self.sweeps if sweep.estimate is not None
-        )
+        return sum(sweep.estimate.total_seconds for sweep in self.sweeps)
 
 
 def plan_campaign(
     seed_lists: Sequence[Sequence[int]],
     workers: int,
-    estimates: Optional[Sequence[Optional[CostEstimate]]] = None,
-    schedule: str = "fifo",
+    estimates: Sequence[CostEstimate],
     chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
     """Plan a campaign's queue layout.
 
-    ``schedule="fifo"`` preserves submission order with uniform
-    chunks — the deterministic baseline.  ``schedule="cost"`` ranks
-    sweeps long-pole-first by ``estimates`` (required) and shards each
-    into shrinking chunks.  ``chunk_size`` is the base chunk of every
+    Sweeps are ranked long-pole-first by ``estimates`` (one per sweep;
+    equal estimates keep submission order) and each is sharded into
+    shrinking chunks.  ``chunk_size`` is the base chunk of every
     sweep; ``None`` sizes each sweep with
     :func:`~repro.simulation.parallel.auto_chunk_size` for ``workers``.
-    Either way the plan covers exactly the submitted seeds: scheduling
-    moves work, never changes it.
+    The plan covers exactly the submitted seeds: planning moves work,
+    never changes it.
     """
-    if schedule not in ("fifo", "cost"):
-        raise ValueError(f"unknown schedule {schedule!r}")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if estimates is None:
-        estimates = [None] * len(seed_lists)
     if len(estimates) != len(seed_lists):
         raise ValueError(
             f"{len(seed_lists)} sweeps but {len(estimates)} estimates"
         )
-    if schedule == "cost":
-        if any(est is None for est in estimates):
-            raise ValueError('schedule="cost" needs an estimate per sweep')
-        order = long_pole_order([est.total_seconds for est in estimates])
-        ranks = {sweep_index: rank for rank, sweep_index in enumerate(order)}
-    else:
-        ranks = {index: index for index in range(len(seed_lists))}
+    order = long_pole_order([est.total_seconds for est in estimates])
+    ranks = {sweep_index: rank for rank, sweep_index in enumerate(order)}
 
     planned = []
     for index, seeds in enumerate(seed_lists):
@@ -153,15 +136,11 @@ def plan_campaign(
             chunk_size if chunk_size is not None
             else auto_chunk_size(len(seeds), workers)
         )
-        if schedule == "cost":
-            chunks = shrinking_chunks(seeds, base)
-        else:
-            chunks = tuple(_chunked(seeds, base))
         planned.append(PlannedSweep(
             index=index,
             rank=ranks[index],
             chunk_size=base,
-            chunks=chunks,
+            chunks=shrinking_chunks(seeds, base),
             estimate=estimates[index],
         ))
-    return CampaignPlan(sweeps=tuple(planned), schedule=schedule)
+    return CampaignPlan(sweeps=tuple(planned))

@@ -38,6 +38,7 @@ whatever a crash leaves behind.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
@@ -141,10 +142,17 @@ class JobRecord:
             SweepSpec.from_payload(entry) for entry in payload["specs"]
         ]
         profile_payload = payload.get("profile")
-        profile = (
-            ExecutionProfile.from_payload(profile_payload)
-            if profile_payload is not None else None
-        )
+        profile = None
+        if profile_payload is not None:
+            # A journal outlives the release that wrote it: the keys of
+            # profile fields removed since (set or null) are dropped so
+            # the job keeps its state and result.  Manifests and HTTP
+            # profiles stay strict.
+            declared = {f.name for f in dataclasses.fields(ExecutionProfile)}
+            profile = ExecutionProfile.from_payload({
+                key: value for key, value in profile_payload.items()
+                if key in declared
+            })
         record = cls(
             str(payload["id"]), str(payload["kind"]), specs, profile,
             name=str(payload.get("name") or ""),

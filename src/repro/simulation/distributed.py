@@ -277,17 +277,19 @@ class WorkQueue:
         so every worker serving the sweep applies the same budget, no
         matter how its own daemon was configured.
 
-        The scheduler's levers: ``chunks`` replaces the default uniform
+        The planner's levers: ``chunks`` replaces the default uniform
         ``chunk_size`` sharding with an explicit layout (it must
         concatenate back to ``seeds``; the coordinator passes
-        :func:`repro.sched.plan_campaign`'s chunks, so ``chunk_size``
-        then only records the plan's base chunk); ``rank``
-        prefixes the sweep directory name so workers — which scan in
-        sorted order — serve rank 0 first (the queue's serving order,
-        submission order for FIFO, long-pole-first for cost plans);
-        ``est_seconds_per_seed`` records the planner's cost estimate
-        in the manifest for ``repro queue status`` ETAs.  All three
-        move work around without changing what any seed computes.
+        :func:`repro.sched.plan_campaign`'s shrinking chunks, so
+        ``chunk_size`` then only records the plan's base chunk);
+        ``rank`` prefixes the sweep directory name so workers — which
+        scan in sorted order — serve rank 0 first (the plan ranks the
+        costliest sweep 0); ``est_seconds_per_seed`` records the
+        planner's cost estimate in the manifest for ``repro queue
+        status`` ETAs.  All three move work around without changing
+        what any seed computes.  Without them (external callers,
+        tests) a sweep is cut into uniform ``chunk_size`` chunks and
+        carries no rank or estimate.
         """
         seeds = [int(seed) for seed in seeds]
         if not seeds:
@@ -975,7 +977,7 @@ def _process_task(
         "cache_errors": errors,
         "results": results,
         # Per-seed compute wall times (seconds) observed by this worker
-        # (or replayed from cache metadata) — the scheduler's telemetry.
+        # (or replayed from cache metadata) — the planner's telemetry.
         "runtimes": runtimes,
     }
     if failed:
@@ -1339,8 +1341,8 @@ class QueuedJob:
     the job came through the job API) rides into the sweep manifest so
     ``repro queue status`` can name what is queued.  ``runtimes`` maps
     seeds of the same sweep that already ran (its cache hits) to their
-    measured wall times — what ``schedule="cost"`` prices the queued
-    seeds from.
+    measured wall times — what the planner prices the queued seeds
+    from.
     """
 
     scenario: str
@@ -1384,7 +1386,6 @@ def execute_queued(
     timeout: float = 600.0,
     max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
-    schedule: str = "fifo",
     fleet: Optional[LocalFleet] = None,
 ) -> List[DistributedOutcome]:
     """Run one or more sweeps through the shared-directory queue.
@@ -1442,15 +1443,14 @@ def execute_queued(
     first.  A shared fleet closed under a running call aborts it the
     same way.
 
-    Scheduling (:mod:`repro.sched`): the queue layout is
-    :func:`repro.sched.plan_campaign`'s.  ``schedule="fifo"`` enqueues
-    the jobs in submission order with uniform chunks;
-    ``schedule="cost"`` estimates each sweep's cost from its jobs'
-    ``runtimes`` (else the family priors), serves the long poles first
-    and shrinks chunk sizes toward each sweep's tail.  Either way chunks
-    are sized for a fleet of ``max(workers, 1)``.  Fleet size and
-    schedule are both result-neutral — every mode's results are
-    bit-identical to the sequential oracle's.
+    Planning (:mod:`repro.sched`): the queue layout is
+    :func:`repro.sched.plan_campaign`'s.  Each sweep's cost is
+    estimated from its job's ``runtimes`` (else the family priors);
+    the long poles are served first and chunk sizes shrink toward each
+    sweep's tail, from a base sized for a fleet of ``max(workers, 1)``
+    (or ``chunk_size``).  Layout and fleet size are both
+    result-neutral — the results are bit-identical to the sequential
+    oracle's.
     """
     if not jobs:
         raise ValueError("need at least one queued job")
@@ -1463,17 +1463,15 @@ def execute_queued(
     from repro.sched.estimator import estimate_sweep_cost
     from repro.sched.planner import plan_campaign
 
-    estimates = None
-    if schedule == "cost":
-        estimates = [
-            estimate_sweep_cost(
-                job.scenario, job.params, job.seeds, runtimes=job.runtimes,
-            )
-            for job in jobs
-        ]
+    estimates = [
+        estimate_sweep_cost(
+            job.scenario, job.params, job.seeds, runtimes=job.runtimes,
+        )
+        for job in jobs
+    ]
     plan = plan_campaign(
-        [job.seeds for job in jobs], max(workers, 1),
-        estimates=estimates, schedule=schedule, chunk_size=chunk_size,
+        [job.seeds for job in jobs], max(workers, 1), estimates,
+        chunk_size=chunk_size,
     )
     own = fleet is None or fleet.key != LocalFleet.key_for(
         queue_dir, cache_root, workers, lease_ttl,
@@ -1524,10 +1522,7 @@ def _run_queued(
             max_attempts=max_attempts,
             chunks=planned.chunks,
             rank=planned.rank,
-            est_seconds_per_seed=(
-                planned.estimate.seconds_per_seed
-                if planned.estimate is not None else None
-            ),
+            est_seconds_per_seed=planned.estimate.seconds_per_seed,
         )
         for job, planned in zip(jobs, plan.sweeps)
     ]
@@ -1717,7 +1712,7 @@ class SweepStatus:
     different code version (workers skip such sweeps loudly).
     ``quarantined`` lists every poisoned seed with its exception
     summary — the work `repro queue requeue` would release.
-    ``est_seconds_per_seed`` is the scheduler's cost estimate recorded
+    ``est_seconds_per_seed`` is the planner's cost estimate recorded
     in the manifest (``None`` for sweeps enqueued without one) and
     ``est_remaining_seconds`` prices the still-pending seeds with it —
     advisory ETAs, not promises.

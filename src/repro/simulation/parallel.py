@@ -58,14 +58,15 @@ Worker supervision (process backend): a pool worker dying — OOM-killed,
 segfaulted, SIGKILLed — breaks the whole :class:`ProcessPoolExecutor`
 and poisons every in-flight future with ``BrokenProcessPool``.  The
 runner catches that, rebuilds the pool, and resubmits exactly the
-chunks that never completed, up to ``max_attempts`` rounds per chunk
-(the same budget the distributed queue applies per seed); a held pool
-that breaks is replaced for the retry round and every later map.  A
-chunk still crashing after its budget raises :class:`WorkerCrashError`
-naming the chunk and its seeds, instead of the opaque
-``BrokenProcessPool``.  Ordinary exceptions raised *by* a seed are not
-retried here — they propagate raise-fast as before (the distributed
-backend and ``on_error="collect"`` own seed-level error handling).
+chunks that never completed, one chunk per round, so each later crash
+is the fault of the one chunk that ran; a held pool that breaks is
+replaced for the retry rounds and every later map.  A chunk that
+crashes alone ``max_attempts`` times (the same budget the distributed
+queue applies per seed) raises :class:`WorkerCrashError` naming the
+chunk and its seeds, instead of the opaque ``BrokenProcessPool``.
+Ordinary exceptions raised *by* a seed are not retried here — they
+propagate raise-fast as before (the distributed backend and
+``on_error="collect"`` own seed-level error handling).
 """
 
 from __future__ import annotations
@@ -154,10 +155,11 @@ def auto_chunk_size(seeds: int, workers: int) -> int:
 def _chunked(seeds: Sequence[int], chunk_size: int) -> List[Tuple[int, ...]]:
     """Contiguous seed batches, preserving order.
 
-    The one uniform chunker: pool tasks here, FIFO queue layouts in
-    :func:`repro.sched.plan_campaign` and the default sharding of
-    :meth:`repro.simulation.distributed.WorkQueue.create` all cut seeds
-    with it, so every backend batches identically.
+    The one uniform chunker: pool tasks here and the default sharding
+    of :meth:`repro.simulation.distributed.WorkQueue.create` both cut
+    seeds with it.  (Queued campaigns use
+    :func:`repro.sched.shrinking_chunks` instead; chunking never
+    changes a result.)
     """
     return [
         tuple(seeds[start:start + chunk_size])
@@ -226,7 +228,7 @@ class ParallelRunner:
         Under the process backend they must be picklable.  A held pool
         keeps the pair it was started with.
     max_attempts:
-        Rounds a chunk may be resubmitted after its pool worker *died*
+        Times a chunk running alone may kill its pool worker
         (``BrokenProcessPool``) before :class:`WorkerCrashError`;
         ``None`` means :data:`DEFAULT_MAX_ATTEMPTS`.  Seed exceptions
         are never retried by the runner — they propagate raise-fast.
@@ -368,13 +370,16 @@ class ParallelRunner:
     ) -> List[List[T]]:
         """Chunk results in order, surviving pool-worker deaths.
 
-        Each round submits every not-yet-completed chunk to a (fresh)
-        pool.  A dead worker breaks the pool and poisons all in-flight
-        futures with ``BrokenProcessPool``; those chunks — completed
-        work is never re-run — go into the next round, each charged one
-        attempt.  A chunk that crashed in ``max_attempts`` straight
-        rounds is presumed poison and raises :class:`WorkerCrashError`
-        naming it.  Ordinary seed exceptions propagate immediately.
+        The first round submits every chunk.  A dead worker breaks the
+        pool and poisons all in-flight futures with
+        ``BrokenProcessPool``; completed work is never re-run, and the
+        chunks that did not complete are resubmitted to a fresh pool
+        one per round from then on.  Only a chunk that broke the pool
+        while it ran alone is charged an attempt, so an innocent chunk
+        in flight beside a poison one is never blamed for its crash.
+        A chunk that crashed alone ``max_attempts`` times is presumed
+        poison and raises :class:`WorkerCrashError` naming it.
+        Ordinary seed exceptions propagate immediately.
         """
         budget = (
             self.max_attempts if self.max_attempts is not None
@@ -383,18 +388,21 @@ class ParallelRunner:
         results: List[Optional[List[T]]] = [None] * len(chunks)
         attempts = [0] * len(chunks)
         remaining = list(range(len(chunks)))
-        while remaining:
-            crashed: List[int] = []
-            pool = self._process_pool(min(workers, len(remaining)))
-            futures = []
-            try:
-                for index in remaining:
-                    attempts[index] += 1
+        solo = False
+        pool = None
+        try:
+            while remaining:
+                batch = remaining[:1] if solo else remaining
+                if pool is None:
+                    pool = self._process_pool(min(workers, len(batch)))
+                crashed: List[int] = []
+                futures = []
+                for index in batch:
                     try:
                         future = pool.submit(_run_chunk, run, chunks[index])
                     except BrokenProcessPool:
                         # A held pool breaks between maps when an idle
-                        # worker dies.
+                        # worker dies; this chunk never ran.
                         crashed.append(index)
                     else:
                         futures.append((index, future))
@@ -403,21 +411,29 @@ class ParallelRunner:
                         results[index] = future.result()
                     except BrokenProcessPool:
                         # The pool died under this chunk (or before it
-                        # ever started); resubmit it next round.
+                        # ever started); resubmit it.
                         crashed.append(index)
-            finally:
-                if pool is not self._executor:
+                remaining = sorted(crashed) + remaining[len(batch):]
+                if not crashed:
+                    continue
+                # A broken pool is replaced for the retry rounds (a held
+                # one for every later map too).
+                if pool is self._executor:
+                    self._drop_executor()
+                else:
                     pool.shutdown(wait=True)
-            if crashed and pool is self._executor:
-                # A broken held pool is replaced for the retry round
-                # and every later map.
-                self._drop_executor()
-            remaining = sorted(crashed)
-            for index in remaining:
-                if attempts[index] >= budget:
-                    raise WorkerCrashError(
-                        index, chunks[index], attempts[index],
-                    )
+                pool = None
+                solo = True
+                if len(futures) == 1 and futures[0][0] in crashed:
+                    index = futures[0][0]
+                    attempts[index] += 1
+                    if attempts[index] >= budget:
+                        raise WorkerCrashError(
+                            index, chunks[index], attempts[index],
+                        )
+        finally:
+            if pool is not None and pool is not self._executor:
+                pool.shutdown(wait=True)
         return [batch for batch in results if batch is not None]
 
     # ------------------------------------------------------------------

@@ -265,13 +265,14 @@ def _seed_fig16(arena, params: Mapping[str, object], seed: int):
     from repro.iotnet.sensors import LightEnvironment, LightPhase
 
     phases = params.get("phases")
-    schedule = None
+    light = None
     if phases is not None:
-        schedule = LightEnvironment([
+        light = LightEnvironment([
             LightPhase(experiments=count, lux=lux, label=label)
             for count, lux, label in phases
         ])
-    return LightingExperiment(schedule=schedule, seed=seed).run()
+    # (network, light schedule): the default network for this seed.
+    return LightingExperiment(None, light, seed=seed).run()
 
 
 def _reduce_fig16(result) -> SeriesResult:

@@ -614,7 +614,6 @@ def _execute_campaign_distributed(
             lease_ttl=profile.lease_ttl,
             max_attempts=profile.resolved_max_attempts(),
             stop=stop,
-            schedule=profile.resolved_schedule(),
             fleet=fleet,
         )
     results: Dict[int, SweepResult] = {}

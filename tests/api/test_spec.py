@@ -198,11 +198,12 @@ class TestExecutionProfileCache:
             ExecutionProfile.from_payload({"workerz": 2})
 
     @pytest.mark.parametrize(
-        "field", ["autoscale", "min_workers", "max_workers"],
+        "field", ["autoscale", "min_workers", "max_workers", "schedule"],
     )
     def test_removed_fleet_sizing_fields_rejected(self, field):
-        # Older manifests may still ask for an elastic fleet; the one
-        # fleet is fixed at `workers`, so the keys are simply unknown.
+        # Older manifests may still ask for an elastic fleet or a queue
+        # serving order; the one fleet is fixed at `workers` and the
+        # one layout is the cost plan, so the keys are simply unknown.
         payload = {"workers": 2, "backend": "distributed", field: 1}
         with pytest.raises(ValueError, match="unknown execution profile"):
             ExecutionProfile.from_payload(payload)

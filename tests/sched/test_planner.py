@@ -1,6 +1,6 @@
 """Planner invariants, unit and property-based.
 
-The scheduler's contract is that it moves work without changing it:
+The planner's contract is that it moves work without changing it:
 every plan covers every submitted seed exactly once, in an order that
 concatenates back to the submission; long-pole ordering is a stable
 descending sort; chunk sizes never grow toward the tail.  Hypothesis
@@ -121,24 +121,19 @@ class TestPlanCampaign:
     @given(
         seed_lists=st.lists(_SEEDS, min_size=1, max_size=6),
         workers=st.integers(min_value=1, max_value=8),
-        schedule=st.sampled_from(["fifo", "cost"]),
         data=st.data(),
     )
     @settings(max_examples=100)
     def test_plan_preserves_the_work_exactly(
-        self, seed_lists, workers, schedule, data
+        self, seed_lists, workers, data
     ):
-        """For either schedule: per-sweep seeds survive chunking
-        verbatim, and the ranks are a permutation of the sweeps."""
-        estimates = None
-        if schedule == "cost":
-            costs = data.draw(st.lists(
-                st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-                min_size=len(seed_lists), max_size=len(seed_lists),
-            ))
-            estimates = _estimates(costs)
-        plan = plan_campaign(seed_lists, workers, estimates=estimates,
-                             schedule=schedule)
+        """Per-sweep seeds survive chunking verbatim, and the ranks are
+        a permutation of the sweeps."""
+        costs = data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+            min_size=len(seed_lists), max_size=len(seed_lists),
+        ))
+        plan = plan_campaign(seed_lists, workers, _estimates(costs))
         assert [list(sweep.seeds) for sweep in plan.sweeps] == [
             list(seeds) for seeds in seed_lists
         ]
@@ -152,62 +147,61 @@ class TestPlanCampaign:
         chunk_size=st.one_of(st.none(), st.integers(1, 8)),
     )
     @settings(max_examples=100)
-    def test_fifo_chunks_are_uniform_at_the_base(
+    def test_chunks_shrink_from_the_base(
         self, seed_lists, workers, chunk_size
     ):
-        plan = plan_campaign(seed_lists, workers, chunk_size=chunk_size)
+        plan = plan_campaign(seed_lists, workers,
+                             _estimates([1.0] * len(seed_lists)),
+                             chunk_size=chunk_size)
         for sweep, seeds in zip(plan.sweeps, seed_lists):
             base = (chunk_size if chunk_size is not None
                     else auto_chunk_size(len(seeds), workers))
             assert sweep.chunk_size == base
-            sizes = [len(chunk) for chunk in sweep.chunks]
-            assert all(size == base for size in sizes[:-1])
-            assert 1 <= sizes[-1] <= base
+            assert sweep.chunks == shrinking_chunks(seeds, base)
 
     def test_explicit_chunk_size_is_the_reported_base(self):
-        # Three seeds at chunk size 5 form one FIFO chunk of 3 (or
-        # three shrunken cost chunks), but the plan (and so the sweep's
-        # RunTiming) still reports 5.
-        for schedule, estimates, chunks in (
-            ("fifo", None, ((1, 2, 3),)),
-            ("cost", _estimates([1.0]), ((1,), (2,), (3,))),
-        ):
-            plan = plan_campaign([[1, 2, 3]], workers=4, chunk_size=5,
-                                 estimates=estimates, schedule=schedule)
-            [sweep] = plan.sweeps
-            assert sweep.chunk_size == 5
-            assert sweep.chunks == chunks
+        # Three seeds at chunk size 5 shrink to three single-seed
+        # chunks, but the plan (and so the sweep's RunTiming) still
+        # reports 5.
+        plan = plan_campaign([[1, 2, 3]], workers=4, chunk_size=5,
+                             estimates=_estimates([1.0]))
+        [sweep] = plan.sweeps
+        assert sweep.chunk_size == 5
+        assert sweep.chunks == ((1,), (2,), (3,))
 
     def test_rejects_non_positive_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
-            plan_campaign([[1]], workers=1, chunk_size=0)
+            plan_campaign([[1]], workers=1, estimates=_estimates([1.0]),
+                          chunk_size=0)
 
-    def test_fifo_rank_is_submission_order(self):
-        plan = plan_campaign([[1], [2], [3]], workers=2)
+    def test_equal_estimates_rank_in_submission_order(self):
+        plan = plan_campaign([[1], [2], [3]], workers=2,
+                             estimates=_estimates([1.0, 1.0, 1.0]))
         assert [sweep.rank for sweep in plan.sweeps] == [0, 1, 2]
-        assert plan.schedule == "fifo"
 
     def test_cost_ranks_long_pole_first(self):
         # Submitted cheap, expensive, middling: the expensive sweep is
         # served first, the cheap one last.
         plan = plan_campaign(
             [[1, 2], [3, 4], [5, 6]], workers=2,
-            estimates=_estimates([0.1, 10.0, 1.0]), schedule="cost",
+            estimates=_estimates([0.1, 10.0, 1.0]),
         )
         assert [sweep.rank for sweep in plan.sweeps] == [2, 0, 1]
 
-    def test_cost_requires_estimates(self):
-        with pytest.raises(ValueError, match="estimate"):
-            plan_campaign([[1]], workers=1, schedule="cost")
+    def test_eight_seeds_on_two_workers_are_eight_single_seed_tasks(self):
+        """An 8-seed job on a 2-worker fleet (``serve-small-jobs``) is
+        cut into eight single-seed chunks and served at rank 0 — the
+        layout submission order with uniform chunks wrote for it too."""
+        seeds = list(range(101, 109))
+        [sweep] = plan_campaign([seeds], 2, _estimates([1.0])).sweeps
+        assert sweep.rank == 0
+        assert sweep.chunk_size == 1
+        assert sweep.chunks == tuple((seed,) for seed in seeds)
 
     def test_estimate_count_must_match(self):
         with pytest.raises(ValueError, match="estimates"):
             plan_campaign([[1], [2]], workers=1,
-                          estimates=_estimates([1.0]), schedule="cost")
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule"):
-            plan_campaign([[1]], workers=1, schedule="greedy")
+                          estimates=_estimates([1.0]))
 
     def test_estimated_seconds_sums_totals(self):
         plan = plan_campaign(
@@ -216,7 +210,6 @@ class TestPlanCampaign:
                 CostEstimate("a", 2, 3.0, "prior"),
                 CostEstimate("b", 1, 5.0, "prior"),
             ],
-            schedule="cost",
         )
         assert plan.estimated_seconds == pytest.approx(11.0)
         assert CampaignPlan().estimated_seconds == 0.0

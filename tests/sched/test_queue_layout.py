@@ -8,7 +8,7 @@ independently from the same jobs.  A ``stop`` that is already true
 aborts each run before any seed computes, so the whole grid costs
 milliseconds per case.
 
-The cost path is also driven end to end from the result cache: a
+The planner is also driven end to end from the result cache: a
 partially cached sweep must be priced from its cached seeds' recorded
 runtimes, not from the family prior.
 """
@@ -29,22 +29,23 @@ from repro.simulation.distributed import (
 )
 from repro.simulation.sweep import execute_campaign
 
-# Three sweeps whose FIFO order, cost order and auto chunk sizes all
-# differ: table1 is the long pole by prior, fig15 carries telemetry.
+# Three sweeps whose submission order, cost order and auto chunk
+# sizes all differ.  By prior alone table1 is the long pole and fig15
+# the cheapest; fig15's telemetry (0.3 s/seed) makes it the long pole.
 _JOBS = (
-    ("fig15-environment", tuple(range(1, 8)), {90: 0.004, 91: 0.002}),
+    ("fig15-environment", tuple(range(1, 8)), {90: 0.4, 91: 0.2}),
     ("table1-connectivity", (4, 5, 6), {}),
     ("fig7-mutuality", tuple(range(10, 22)), {}),
 )
 
 
-def _jobs(count):
+def _jobs(count, telemetry=True):
     return [
         QueuedJob(
             scenario=scenario,
             params=registry.get(scenario).params_key(smoke=True),
             seeds=seeds,
-            runtimes=runtimes,
+            runtimes=runtimes if telemetry else {},
         )
         for scenario, seeds, runtimes in _JOBS[:count]
     ]
@@ -84,23 +85,21 @@ def _enqueue_only(jobs, tmp_path, **kwargs):
 
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
 @pytest.mark.parametrize("chunk_size", [None, 1, 2, 3, 4, 5])
-@pytest.mark.parametrize("schedule", ["fifo", "cost"])
+@pytest.mark.parametrize("telemetry", [True, False],
+                         ids=["telemetry", "priors"])
 def test_task_files_are_the_plan(
-    written, tmp_path, schedule, chunk_size, sweeps
+    written, tmp_path, telemetry, chunk_size, sweeps
 ):
-    jobs = _jobs(sweeps)
-    _enqueue_only(jobs, tmp_path, chunk_size=chunk_size, schedule=schedule)
+    jobs = _jobs(sweeps, telemetry)
+    _enqueue_only(jobs, tmp_path, chunk_size=chunk_size)
 
-    estimates = None
-    if schedule == "cost":
-        estimates = [
-            estimate_sweep_cost(job.scenario, job.params, job.seeds,
-                                runtimes=job.runtimes)
-            for job in jobs
-        ]
+    estimates = [
+        estimate_sweep_cost(job.scenario, job.params, job.seeds,
+                            runtimes=job.runtimes)
+        for job in jobs
+    ]
     # workers=0: the coordinator drains inline, a fleet of one.
-    plan = plan_campaign([job.seeds for job in jobs], 1,
-                         estimates=estimates, schedule=schedule,
+    plan = plan_campaign([job.seeds for job in jobs], 1, estimates,
                          chunk_size=chunk_size)
     assert len(written) == len(plan.sweeps)
     for layout, planned in zip(written, plan.sweeps):
@@ -109,20 +108,20 @@ def test_task_files_are_the_plan(
         assert manifest["rank"] == planned.rank
         assert manifest["sweep"].startswith(f"sweep-r{planned.rank:04d}-")
         assert manifest["chunk_size"] == planned.chunk_size
-        if planned.estimate is None:
-            assert "est_seconds_per_seed" not in manifest
-        else:
-            assert manifest["est_seconds_per_seed"] == pytest.approx(
-                planned.estimate.seconds_per_seed
-            )
+        assert manifest["est_seconds_per_seed"] == pytest.approx(
+            planned.estimate.seconds_per_seed
+        )
+    if sweeps == 3:
+        # fig15 is the long pole by telemetry, the cheapest by prior.
+        assert plan.sweeps[0].rank == (0 if telemetry else 2)
     # Nothing left behind by the aborted run.
     assert list((tmp_path / "queue").iterdir()) == []
 
 
-def test_unknown_schedule_is_rejected_before_anything_is_written(tmp_path):
-    with pytest.raises(ValueError, match="schedule"):
+def test_bad_chunk_size_is_rejected_before_anything_is_written(tmp_path):
+    with pytest.raises(ValueError, match="chunk_size"):
         execute_queued(_jobs(1), workers=0, queue_dir=tmp_path / "queue",
-                       schedule="greedy")
+                       chunk_size=0)
     assert not (tmp_path / "queue").exists()
 
 
@@ -143,7 +142,7 @@ def test_cached_runtimes_price_a_partially_cached_sweep(written, tmp_path):
 
     profile = ExecutionProfile(
         workers=0, backend="distributed", queue_dir=tmp_path / "queue",
-        cache_dir=cache_dir, schedule="cost",
+        cache_dir=cache_dir,
     )
     results = execute_campaign([fig15, fig7], profile)
 
@@ -154,7 +153,7 @@ def test_cached_runtimes_price_a_partially_cached_sweep(written, tmp_path):
     )
     assert fig15_layout["manifest"]["rank"] == 0
     assert fig7_layout["manifest"]["rank"] == 1
-    # Scheduling moved the work, never changed it.
+    # Planning moved the work, never changed it.
     oracle = execute_campaign(
         [fig15, fig7], ExecutionProfile(workers=1, no_cache=True),
     )

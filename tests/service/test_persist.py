@@ -468,6 +468,59 @@ class TestRestartRecovery:
         finally:
             table.close(wait=True, timeout=5.0)
 
+    @pytest.mark.parametrize(
+        "removed",
+        [{"schedule": None},
+         {"autoscale": False, "min_workers": None, "max_workers": None}],
+        ids=["schedule", "fleet-sizing"],
+    )
+    def test_journal_with_removed_profile_fields_recovers(
+        self, tmp_path, one_seed_sweep, removed
+    ):
+        """Journal entries written by older releases, by hand: their
+        profiles carry fields the profile no longer declares.  Every
+        job still recovers with its state, result and profile."""
+        state = tmp_path / "state"
+        store = JobStateStore(state)
+        profile = {
+            "workers": 2, "backend": "distributed", "chunk_size": None,
+            "cache_dir": None, "no_cache": True, "queue_dir": None,
+            "lease_ttl": None, "compute": None, "max_attempts": None,
+            "on_error": None, **removed,
+        }
+        for job_id, job_state in (("job-000001", "done"),
+                                  ("job-000002", "failed"),
+                                  ("job-000003", "queued")):
+            store.save_job({
+                "id": job_id, "kind": "sweep", "name": "", "state": job_state,
+                "specs": [SPEC.to_payload()], "profile": profile,
+                "error": (
+                    {"error_type": "ValueError", "message": "boom"}
+                    if job_state == "failed" else None
+                ),
+                "created": 1.0, "updated": 2.0,
+            })
+        store.save_result("job-000001", {"scenario": SPEC.scenario})
+        client = _GateClient(one_seed_sweep)
+        client.gate.set()
+        table = JobTable(client, store=JobStateStore(state))
+        try:
+            done, failed, queued = (
+                table.get(f"job-00000{n}") for n in (1, 2, 3)
+            )
+            assert done.state() == "done"
+            assert done.result_payload() == {"scenario": SPEC.scenario}
+            assert failed.state() == "failed"
+            assert failed.status_payload()["error"]["message"] == "boom"
+            assert queued.wait(30.0) is True
+            assert queued.state() == "done"
+            assert client.started == [SPEC]
+            assert queued.profile == ExecutionProfile(
+                workers=2, backend="distributed", no_cache=True,
+            )
+        finally:
+            table.close(wait=True, timeout=5.0)
+
 
 class TestMultiServer:
     def test_two_tables_dispatch_each_job_exactly_once(

@@ -239,20 +239,21 @@ class TestCrashAndErrorSemantics:
         assert NAMES[2] in fresh.scenarios
         assert not any(_alive(pid) for pid in _worker_pids(spy))
 
+    @pytest.mark.parametrize("poison", [0, 1], ids=["first", "second"])
     def test_chunk_that_always_kills_its_worker_is_named(
-        self, spy, monkeypatch,
+        self, spy, monkeypatch, poison,
     ):
-        # Chunks in flight when the pool breaks are charged an attempt
-        # too, so an innocent chunk can run out of budget in the same
-        # round; the poison seed goes first so its chunk is named.
-        _patch_run_reduced(monkeypatch, SEEDS[0])
+        # Only a chunk that crashes while running alone is charged, so
+        # the chunk in flight beside the poison one is never named,
+        # whichever of the two comes first.
+        _patch_run_reduced(monkeypatch, SEEDS[poison])
         profile = ExecutionProfile(
             workers=2, max_attempts=2, chunk_size=1, no_cache=True,
         )
         with pytest.raises(WorkerCrashError) as info:
             execute_campaign(_specs(), profile)
-        assert info.value.seeds == (SEEDS[0],)
-        assert info.value.chunk_index == 0
+        assert info.value.seeds == (SEEDS[poison],)
+        assert info.value.chunk_index == poison
         assert info.value.attempts == 2
         assert not any(_alive(pid) for pid in _worker_pids(spy))
 

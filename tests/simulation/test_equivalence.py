@@ -146,7 +146,7 @@ class TestProcessPool:
         parallel = _parallel_average(spec, SEEDS, workers=3, backend="process")
         assert sequential == parallel
 
-    @pytest.mark.parametrize("chunk_size", [2, 3])
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
     def test_chunked_process_pool_identical(self, chunk_size):
         seeds = seed_range(8)
         sequential = execute_sweep(
@@ -166,11 +166,33 @@ class TestProcessPool:
         assert chunked.timing.backend == "process"
 
 
+    @pytest.mark.parametrize("name", ["fig15-environment", "fig7-mutuality"])
+    def test_pool_cold_then_warm_cache_identical(self, name, tmp_path):
+        """A pooled sweep that fills a fresh cache, then the same sweep
+        replayed from it: both equal the uncached sequential run."""
+        seeds = seed_range(8)
+        spec = SweepSpec(name, seeds, smoke=True)
+        sequential = execute_sweep(
+            spec, ExecutionProfile(workers=1, no_cache=True),
+        )
+        pooled = ExecutionProfile(
+            workers=4, backend="process", cache_dir=tmp_path,
+        )
+        cold = execute_sweep(spec, pooled)
+        warm = execute_sweep(spec, pooled)
+        assert cold.timing.backend == "process"
+        assert cold.cache_misses == len(seeds)
+        assert warm.cache_hits == len(seeds)
+        for sweep in (cold, warm):
+            assert sweep.per_seed == sequential.per_seed
+            assert sweep.mean == sequential.mean
+
+
 class TestCostSchedule:
-    """The cost scheduler inherits the bit-identity contract:
-    ``schedule="cost"`` reorders the queue and reshapes the chunks
-    without changing a single bit of any result, and a healthy run
-    still steals nothing."""
+    """The queue's cost plan inherits the bit-identity contract: it
+    reorders the queue and reshapes the chunks without changing a
+    single bit of any result, and a healthy run still steals
+    nothing."""
 
     def test_cost_schedule_identical_to_sequential(self, tmp_path):
         from repro.api import ExecutionProfile, SweepSpec
@@ -182,7 +204,6 @@ class TestCostSchedule:
             workers=2, backend="distributed",
             queue_dir=str(tmp_path / "queue"),
             cache_dir=str(tmp_path / "cache"),
-            schedule="cost",
         )
         sweep = execute_sweep(
             SweepSpec("fig7-mutuality", seeds=SEEDS, smoke=True), profile
@@ -192,8 +213,8 @@ class TestCostSchedule:
         assert sweep.requeues == 0
 
     def test_cost_campaign_identical_per_sweep(self, tmp_path):
-        """A mixed-cost campaign under cost scheduling on a fixed fleet:
-        every sweep's mean matches its own sequential oracle."""
+        """A mixed-cost campaign on a fixed fleet: every sweep's mean
+        matches its own sequential oracle."""
         from repro.api import ExecutionProfile, SweepSpec
         from repro.simulation.sweep import execute_campaign
 
@@ -202,7 +223,6 @@ class TestCostSchedule:
             workers=2, backend="distributed",
             queue_dir=str(tmp_path / "queue"),
             cache_dir=str(tmp_path / "cache"),
-            schedule="cost",
         )
         results = execute_campaign(
             [SweepSpec(name, seeds=SEEDS, smoke=True) for name in names],
