@@ -53,7 +53,6 @@ def validate_execution(
     no_cache: bool = False,
     queue_dir: Optional[Union[str, Path]] = None,
     lease_ttl: Optional[float] = None,
-    compute: Optional[str] = None,
     max_attempts: Optional[int] = None,
     on_error: Optional[str] = None,
 ) -> None:
@@ -125,10 +124,6 @@ def validate_execution(
         raise ValueError(
             "no_cache conflicts with an explicit cache_dir: drop one "
             "(no_cache disables all cache reads and writes)"
-        )
-    if compute is not None and compute not in ("python", "vectorized"):
-        raise ValueError(
-            f"compute must be 'python' or 'vectorized', got {compute!r}"
         )
     if max_attempts is not None:
         if not isinstance(max_attempts, int) or isinstance(
@@ -309,11 +304,6 @@ class ExecutionProfile:
     no_cache: bool = False
     queue_dir: Optional[str] = None
     lease_ttl: Optional[float] = None
-    # Kernel backend override for scenarios that support one
-    # ("python" | "vectorized"); None leaves each scenario's own
-    # default in place.  Result-neutral like every other field — the
-    # vectorized kernels are bit-identical by contract.
-    compute: Optional[str] = None
     # Fault tolerance: the per-seed retry budget before a raising seed
     # is quarantined (None = DEFAULT_MAX_ATTEMPTS), and what a finished
     # sweep does about quarantined seeds — "raise" (SweepFailureError,
@@ -337,7 +327,6 @@ class ExecutionProfile:
             no_cache=self.no_cache,
             queue_dir=self.queue_dir,
             lease_ttl=self.lease_ttl,
-            compute=self.compute,
             max_attempts=self.max_attempts,
             on_error=self.on_error,
         )

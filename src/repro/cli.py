@@ -242,7 +242,6 @@ def _profile_from_sweep_args(args: argparse.Namespace):
         no_cache=args.no_cache,
         queue_dir=args.queue_dir,
         lease_ttl=args.lease_ttl,
-        compute=args.compute,
         max_attempts=args.max_attempts,
         on_error=args.on_error,
     )
@@ -744,6 +743,57 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
+def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
+    """The execution flags ``sweep`` and ``serve`` share; they feed
+    :func:`_profile_from_sweep_args`."""
+    parser.add_argument("--workers", type=int, default=1,
+                        help="pool size, or with --distributed the local "
+                             "worker daemons (0 = rely on external "
+                             "`repro worker` daemons); 1 = sequential "
+                             "(default)")
+    parser.add_argument("--backend", choices=("process", "thread"),
+                        default="process",
+                        help="pool backend when workers > 1")
+    parser.add_argument("--chunk-size", type=int, default=None,
+                        metavar="N",
+                        help="seeds per pool task; default auto-sizes to "
+                             "four task waves per worker (results are "
+                             "identical for any value)")
+    parser.add_argument("--cache-dir", metavar="DIR", default=None,
+                        help="persistent result cache location (default: "
+                             "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); "
+                             "cached seeds are replayed, only missing "
+                             "seeds are computed")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the result cache entirely (no reads, "
+                             "no writes)")
+    parser.add_argument("--distributed", action="store_true",
+                        help="run over the shared-directory work queue "
+                             "instead of an in-process pool")
+    parser.add_argument("--queue-dir", metavar="DIR", default=None,
+                        help="shared work-queue directory for "
+                             "--distributed (default: a private temp "
+                             "dir); point `repro worker` daemons at the "
+                             "same path to join")
+    parser.add_argument("--lease-ttl", type=float, default=None,
+                        metavar="SECONDS",
+                        help="heartbeat age after which a worker's task "
+                             "lease may be stolen (default 30; must "
+                             "exceed the slowest single-seed runtime)")
+    parser.add_argument("--max-attempts", type=int, default=None,
+                        metavar="N",
+                        help="times a failing seed is retried (with "
+                             "exponential backoff) before it is "
+                             "quarantined (default 3)")
+    parser.add_argument("--on-error", choices=("raise", "collect"),
+                        default=None,
+                        help="'raise' fails the sweep on the first "
+                             "exhausted seed; 'collect' quarantines it, "
+                             "finishes the rest and reports it under "
+                             "failed_seeds (default: raise for pools, "
+                             "collect for --distributed)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -788,60 +838,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeds to run (default 8)")
     sweep.add_argument("--first-seed", type=int, default=1,
                        help="first seed of the range (default 1)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="pool size; 1 = sequential (default)")
-    sweep.add_argument("--backend", choices=("process", "thread"),
-                       default="process",
-                       help="pool backend when workers > 1")
-    sweep.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N",
-                       help="seeds per pool task; default auto-sizes to "
-                            "four task waves per worker (results are "
-                            "identical for any value)")
-    sweep.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent result cache location (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); "
-                            "cached seeds are replayed, only missing "
-                            "seeds are computed")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache entirely (no reads, "
-                            "no writes)")
+    _add_profile_flags(sweep)
     sweep.add_argument("--smoke", action="store_true",
                        help="use the scenario's scaled-down smoke "
                             "parameters (CI-sized)")
-    sweep.add_argument("--distributed", action="store_true",
-                       help="run over the shared-directory work queue "
-                            "instead of an in-process pool; --workers "
-                            "local daemons are spawned (0 = rely on "
-                            "external `repro worker` daemons)")
-    sweep.add_argument("--queue-dir", metavar="DIR", default=None,
-                       help="shared work-queue directory for "
-                            "--distributed (default: a private temp "
-                            "dir); point external workers at the same "
-                            "path to join the sweep")
-    sweep.add_argument("--lease-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="heartbeat age after which a worker's task "
-                            "lease may be stolen (default 30; must "
-                            "exceed the slowest single-seed runtime)")
-    sweep.add_argument("--compute", choices=("python", "vectorized"),
-                       default=None,
-                       help="kernel backend for scenarios that support "
-                            "one (bit-identical results; 'vectorized' "
-                            "uses the numpy kernels and falls back to "
-                            "python where numpy is missing)")
-    sweep.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
-                       help="times a failing seed is retried (with "
-                            "exponential backoff) before it is given up "
-                            "on (default 3)")
-    sweep.add_argument("--on-error", choices=("raise", "collect"),
-                       default=None,
-                       help="'raise' fails the sweep on the first "
-                            "exhausted seed; 'collect' quarantines it, "
-                            "finishes the rest and reports it under "
-                            "failed_seeds (default: raise for pools, "
-                            "collect for --distributed)")
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="also write the sweep export to PATH")
 
@@ -867,41 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "fleet size max(workers, 1) with "
                             "--distributed, whose jobs share the "
                             "resident fleet; 1 for pools)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="pool size per job, or with --distributed "
-                            "the resident worker fleet every job "
-                            "shares; 1 = sequential (default)")
-    serve.add_argument("--backend", choices=("process", "thread"),
-                       default="process",
-                       help="pool backend when workers > 1")
-    serve.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N", help="seeds per pool task")
-    serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent result cache location (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache entirely")
-    serve.add_argument("--distributed", action="store_true",
-                       help="execute jobs over the shared-directory "
-                            "work queue instead of an in-process pool")
-    serve.add_argument("--queue-dir", metavar="DIR", default=None,
-                       help="shared work-queue directory for "
-                            "--distributed; point `repro worker` "
-                            "daemons at the same path")
-    serve.add_argument("--lease-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="stale-lease steal threshold (default 30)")
-    serve.add_argument("--compute", choices=("python", "vectorized"),
-                       default=None,
-                       help="kernel backend override (bit-identical "
-                            "results)")
-    serve.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
-                       help="per-seed retry budget before quarantine")
-    serve.add_argument("--on-error", choices=("raise", "collect"),
-                       default=None,
-                       help="exhausted-seed policy (default: raise for "
-                            "pools, collect for --distributed)")
+    _add_profile_flags(serve)
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
 

@@ -7,7 +7,7 @@ scoring over candidate columns, the Eq. 5 / Eq. 7 chain combiners, and
 block generation of the exact random streams the sequential code draws —
 behind the ``compute="python" | "vectorized"`` switch threaded through
 :class:`~repro.core.engine.DelegationEngine`, the simulation classes and
-``repro sweep --compute``.
+the ``*-vectorized`` registry scenarios.
 
 The contract is **bit-identity**, not approximation: a vectorized run
 must return results ``==``-equal to the sequential oracle.  Three facts

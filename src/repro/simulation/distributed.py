@@ -160,7 +160,7 @@ def params_signature(params) -> Params:
     """
     pairs = params.items() if hasattr(params, "items") else params
     return tuple(sorted(
-        (str(name), registry._hashable(value)) for name, value in pairs
+        (str(name), registry.hashable_value(value)) for name, value in pairs
     ))
 
 

@@ -19,9 +19,11 @@ equivalence suite all run exactly the same code:
 * ``spec.bound()`` — a :func:`functools.partial` of a module-level
   function, safe to ship to a :class:`ProcessPoolExecutor` worker.
 
-Arenas live in a **per-process store** keyed by ``(scenario, params)``:
-the first seed a worker executes builds the arena, every later seed in
-that worker reuses it, and :func:`warm_arena` is the pool initializer
+Arenas live in a **per-process store** keyed by the build function and
+its params without ``compute`` (so a ``-vectorized`` twin shares its
+base scenario's arena): the first seed a worker executes builds the
+arena, every later seed in that worker reuses it, and
+:func:`warm_arena` is the pool initializer
 :func:`repro.simulation.sweep.execute_sweep` installs so the build
 happens before the first task rather than inside it.  A scenario whose run
 mutates the shared state it was built from sets ``reusable=False`` and
@@ -658,24 +660,24 @@ def hashable_value(value: object) -> object:
     return value
 
 
-# Original (private) name; existing callers keep working.
-_hashable = hashable_value
-
-
-_ARENAS: Dict[Tuple[str, Params], object] = {}
+# ``compute`` is a per-seed-run kernel choice: it never keys an arena
+# and never reaches a build.
+_ARENAS: Dict[Tuple[Callable, Params], object] = {}
 
 
 def _arena(name: str, params: Params):
     """The (possibly cached) arena for one ``(scenario, params)`` pair.
 
     Reusable scenarios build once per process and share across every
-    seed that process executes; non-reusable ones get a fresh arena per
-    call.
+    seed that process executes — and with every scenario whose
+    ``_build`` and non-``compute`` params are the same; non-reusable
+    ones get a fresh arena per call.
     """
     spec = get(name)
+    params = tuple(pair for pair in params if pair[0] != "compute")
     if not spec.reusable:
         return spec._build(dict(params))
-    key = (name, params)
+    key = (spec._build, params)
     try:
         return _ARENAS[key]
     except KeyError:
@@ -728,16 +730,6 @@ class ScenarioSpec:
     _seed_run: Callable = None
     _reduce: Callable = None
     reusable: bool = True
-
-    @property
-    def supports_compute(self) -> bool:
-        """Whether this experiment has a vectorized kernel backend.
-
-        True exactly when ``"compute"`` is a recognized parameter; sweep
-        profiles use this to decide where a ``--compute`` override may
-        be injected.
-        """
-        return "compute" in self.defaults
 
     def params(self, smoke: bool = False, **overrides: object) -> Dict[str, object]:
         """Effective parameters: defaults, then smoke, then overrides.

@@ -208,28 +208,6 @@ class _SweepPlan:
     start: float = field(default_factory=time.perf_counter)
 
 
-def _effective_spec(spec: SweepSpec, profile: ExecutionProfile) -> SweepSpec:
-    """Apply the profile's compute-backend override to one sweep spec.
-
-    The override only lands where it can mean something: the scenario
-    must support a compute backend, and an explicit ``compute`` override
-    already pinned on the spec wins over the profile-wide setting.
-    Scenarios without kernel backends run untouched, so one profile can
-    drive a mixed campaign.
-    """
-    if profile.compute is None:
-        return spec
-    overrides = dict(spec.overrides)
-    if "compute" in overrides:
-        return spec
-    if not spec.registry_spec().supports_compute:
-        return spec
-    overrides["compute"] = profile.compute
-    return SweepSpec(
-        spec.scenario, spec.seeds, smoke=spec.smoke, overrides=overrides,
-    )
-
-
 def _plan(spec: SweepSpec, profile: ExecutionProfile) -> _SweepPlan:
     """Replay every cached seed; list what still needs computing."""
     params = spec.params_key()
@@ -510,7 +488,6 @@ def execute_campaign(
             raise TypeError(
                 f"expected a SweepSpec, got {type(spec).__name__}"
             )
-    specs = [_effective_spec(spec, profile) for spec in specs]
     if not profile.distributed:
         results = _execute_campaign_pool(specs, profile, stop, on_sweep)
     else:

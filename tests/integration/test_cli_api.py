@@ -153,13 +153,14 @@ class TestCampaignCli:
         assert "workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field", ["autoscale", "min_workers", "max_workers", "schedule"],
+        "field",
+        ["autoscale", "min_workers", "max_workers", "schedule", "compute"],
     )
     def test_removed_fleet_sizing_manifest_field_exits_cleanly(
         self, capsys, tmp_path, field
     ):
-        # A manifest written for the elastic fleet or the queue serving
-        # order of older versions.
+        # A manifest written for the elastic fleet, the queue serving
+        # order or the profile-wide kernel switch of older versions.
         manifest = _write_manifest(tmp_path / "m.json", {
             "profile": {"workers": 2, "backend": "distributed",
                         field: 1},

@@ -85,8 +85,9 @@ class TestSweepCli:
     @pytest.mark.parametrize(
         "flag",
         [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "4"],
-         ["--schedule", "cost"]],
-        ids=["autoscale", "min-workers", "max-workers", "schedule"],
+         ["--schedule", "cost"], ["--compute", "vectorized"]],
+        ids=["autoscale", "min-workers", "max-workers", "schedule",
+             "compute"],
     )
     def test_removed_fleet_sizing_flag_exits_2(self, capsys, command, flag):
         # Rejected while parsing: nothing runs, nothing starts serving.

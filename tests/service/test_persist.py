@@ -471,8 +471,9 @@ class TestRestartRecovery:
     @pytest.mark.parametrize(
         "removed",
         [{"schedule": None},
-         {"autoscale": False, "min_workers": None, "max_workers": None}],
-        ids=["schedule", "fleet-sizing"],
+         {"autoscale": False, "min_workers": None, "max_workers": None},
+         {"compute": "vectorized"}],
+        ids=["schedule", "fleet-sizing", "compute"],
     )
     def test_journal_with_removed_profile_fields_recovers(
         self, tmp_path, one_seed_sweep, removed
@@ -485,8 +486,8 @@ class TestRestartRecovery:
         profile = {
             "workers": 2, "backend": "distributed", "chunk_size": None,
             "cache_dir": None, "no_cache": True, "queue_dir": None,
-            "lease_ttl": None, "compute": None, "max_attempts": None,
-            "on_error": None, **removed,
+            "lease_ttl": None, "max_attempts": None, "on_error": None,
+            **removed,
         }
         for job_id, job_state in (("job-000001", "done"),
                                   ("job-000002", "failed"),

@@ -110,7 +110,8 @@ class TestValidation:
         assert "workers" in body["error"]["message"]
 
     @pytest.mark.parametrize(
-        "field", ["autoscale", "min_workers", "max_workers", "schedule"],
+        "field",
+        ["autoscale", "min_workers", "max_workers", "schedule", "compute"],
     )
     def test_removed_fleet_sizing_field_is_400(self, server, field):
         status, body = _raw(server, "POST", "/v1/sweeps", {

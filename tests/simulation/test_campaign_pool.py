@@ -12,6 +12,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,34 @@ class TestOnePoolPerCampaign:
         assert len(spy.created) == 1
         assert [r.timing.workers for r in results] == [1, 1]
         _assert_oracle(results, NAMES[:2])
+
+    def test_twin_campaign_builds_the_fig7_arena_once_per_worker(
+        self, spy, monkeypatch, tmp_path
+    ):
+        """A ``-vectorized`` twin shares its base scenario's arena, so
+        a worker that ran the base never builds it again."""
+        names = ["fig7-mutuality", "fig7-mutuality-vectorized"]
+        _oracle(names)  # builds in this process: before the spy
+        build = registry.get(names[0])._build
+        builds = tmp_path / "builds.log"
+
+        def spy_build(params):
+            with open(builds, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return build(params)
+
+        for name in names:
+            monkeypatch.setitem(registry._REGISTRY, name, replace(
+                registry.get(name), _build=spy_build,
+            ))
+        monkeypatch.setattr(registry, "_ARENAS", {})
+        profile = ExecutionProfile(workers=2, chunk_size=1, no_cache=True)
+        results = execute_campaign(_specs(names), profile)
+        pids = builds.read_text().split()
+        assert str(os.getpid()) not in pids
+        assert len(pids) == len(set(pids))
+        assert len(spy.created) == 1
+        _assert_oracle(results, names)
 
     def test_lone_sweep_keeps_its_one_chunk_in_the_caller(self, spy):
         result = execute_campaign([SweepSpec(NAMES[0], [1], smoke=True)],

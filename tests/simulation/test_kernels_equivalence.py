@@ -4,8 +4,8 @@ The ``*-vectorized`` registry variants already ride the generic
 sequential-vs-parallel equivalence suite (every execution mode must
 reproduce their sequential bits); this suite closes the remaining gap by
 comparing the vectorized scenarios *against their python-backend base
-scenario* — the cross-backend direction no generic harness covers — and
-by pinning the profile/CLI plumbing that routes ``--compute`` overrides.
+scenario* — the cross-backend direction no generic harness covers —
+through the registry and through ``execute_sweep``.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from repro.api import ExecutionProfile, SweepSpec
 from repro.core.kernels import HAVE_NUMPY
 from repro.simulation import registry
-from repro.simulation.sweep import _effective_spec, execute_sweep
+from repro.simulation.sweep import execute_sweep
 
 SEEDS = [11, 12, 13]
 VECTORIZED = [
@@ -35,7 +35,6 @@ class TestRegistryVariants:
     def test_variant_mirrors_base(self, name):
         base = registry.get(name[: -len("-vectorized")])
         variant = registry.get(name)
-        assert variant.supports_compute
         assert variant.kind == base.kind
         assert dict(variant.defaults) == {
             **dict(base.defaults), "compute": "vectorized",
@@ -71,48 +70,14 @@ class TestRegistryVariants:
             seed, smoke=True, compute="vectorized"
         ) == spec.run(seed, smoke=True)
 
-
-class TestProfileRouting:
-    def test_profile_injects_compute_override(self):
-        spec = SweepSpec("fig15-environment", [1, 2], smoke=True)
-        profile = ExecutionProfile(compute="vectorized")
-        effective = _effective_spec(spec, profile)
-        assert dict(effective.overrides)["compute"] == "vectorized"
-
-    def test_explicit_spec_override_wins(self):
-        spec = SweepSpec(
-            "fig15-environment", [1], smoke=True,
-            overrides={"compute": "python"},
-        )
-        profile = ExecutionProfile(compute="vectorized")
-        assert _effective_spec(spec, profile) is spec
-
-    def test_unsupported_scenario_left_untouched(self):
-        spec = SweepSpec("fig9-transitivity", [1], smoke=True)
-        profile = ExecutionProfile(compute="vectorized")
-        assert _effective_spec(spec, profile) is spec
-
-    def test_none_compute_is_identity(self):
-        spec = SweepSpec("fig15-environment", [1], smoke=True)
-        assert _effective_spec(spec, ExecutionProfile()) is spec
-
-    def test_profile_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="compute"):
-            ExecutionProfile(compute="cuda")
-
-    def test_profile_payload_round_trip(self):
-        profile = ExecutionProfile(compute="vectorized")
-        assert ExecutionProfile.from_payload(
-            profile.to_payload()
-        ) == profile
-
     def test_sweep_results_identical_across_compute_profiles(self):
-        spec = SweepSpec("fig15-environment", SEEDS, smoke=True)
+        profile = ExecutionProfile(no_cache=True)
         python_result = execute_sweep(
-            spec, ExecutionProfile(no_cache=True, compute="python")
+            SweepSpec("fig15-environment", SEEDS, smoke=True), profile
         )
         vector_result = execute_sweep(
-            spec, ExecutionProfile(no_cache=True, compute="vectorized")
+            SweepSpec("fig15-environment-vectorized", SEEDS, smoke=True),
+            profile,
         )
         assert vector_result.per_seed == python_result.per_seed
         assert vector_result.mean == python_result.mean

@@ -1,6 +1,7 @@
 """Tests for the named scenario registry."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -175,6 +176,35 @@ class TestArenas:
         registry.clear_arenas()
         spec.build_once()
         assert len(_BUILD_CALLS) == 2
+
+    def test_vectorized_twin_shares_the_base_arena(self, monkeypatch):
+        names = ("fig7-mutuality", "fig7-mutuality-vectorized")
+        fresh = {}
+        for name in names:
+            registry.clear_arenas()
+            fresh[name] = registry.get(name).run(seed=1, smoke=True)
+        builds = []
+
+        def spy_build(params):
+            builds.append(dict(params))
+            return registry._build_fig7(params)
+
+        for name in names:
+            monkeypatch.setitem(registry._REGISTRY, name, replace(
+                registry.get(name), _build=spy_build,
+            ))
+        registry.clear_arenas()
+        try:
+            shared = {
+                name: registry.get(name).run(seed=1, smoke=True)
+                for name in names
+            }
+            assert registry.arena_store_size() == 1
+        finally:
+            registry.clear_arenas()
+        assert len(builds) == 1
+        assert "compute" not in builds[0]
+        assert shared == fresh
 
     def test_run_with_seed_uses_the_given_arena(self, synthetic_spec):
         spec = synthetic_spec("synthetic-explicit", reusable=True)
