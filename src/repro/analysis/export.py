@@ -156,7 +156,7 @@ def sweep_to_payload(sweep) -> Dict[str, object]:
             "misses": sweep.cache_misses,
             "errors": sweep.cache_errors,
         },
-        # Work-queue accounting; all zero for the pool backends.
+        # Work-queue accounting; all zero for the process pool.
         "distributed": {
             "tasks": sweep.tasks_total,
             "steals": sweep.steals,

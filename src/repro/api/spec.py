@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -41,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Overrides = Tuple[Tuple[str, object], ...]
 
-EXECUTION_BACKENDS = ("process", "thread", "distributed")
+EXECUTION_BACKENDS = ("process", "distributed")
 ON_ERROR_MODES = ("raise", "collect")
 
 
@@ -63,9 +64,11 @@ def validate_execution(
     the same messages:
 
     * a backend outside :data:`EXECUTION_BACKENDS`;
-    * ``workers < 1`` for a pool backend, ``workers < 0`` for the
-      distributed one;
-    * ``chunk_size < 1`` or ``lease_ttl <= 0`` or ``max_attempts < 1``;
+    * ``workers < 1`` for the process pool, ``workers < 0`` for the
+      distributed backend;
+    * ``chunk_size < 1``, ``max_attempts < 1``, or a ``lease_ttl`` that
+      is not finite and positive (``json.loads`` reads a ``NaN``
+      literal, and a NaN TTL would never let a dead lease be stolen);
     * an ``on_error`` outside :data:`ON_ERROR_MODES`;
     * ``queue_dir``/``lease_ttl`` with a non-distributed backend;
     * ``no_cache`` together with an explicit ``cache_dir`` (the old
@@ -118,8 +121,12 @@ def validate_execution(
             )
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if lease_ttl is not None and lease_ttl <= 0:
-        raise ValueError("lease_ttl must be positive")
+    if lease_ttl is not None and not (
+        math.isfinite(lease_ttl) and lease_ttl > 0
+    ):
+        raise ValueError(
+            f"lease_ttl must be finite and positive, got {lease_ttl!r}"
+        )
     if no_cache and cache_dir is not None:
         raise ValueError(
             "no_cache conflicts with an explicit cache_dir: drop one "
@@ -307,7 +314,7 @@ class ExecutionProfile:
     # Fault tolerance: the per-seed retry budget before a raising seed
     # is quarantined (None = DEFAULT_MAX_ATTEMPTS), and what a finished
     # sweep does about quarantined seeds — "raise" (SweepFailureError,
-    # the pool backends' historical raise-fast behavior) or "collect"
+    # the process pool's historical raise-fast behavior) or "collect"
     # (report them in SweepResult.failed_seeds, the distributed
     # default: one poison seed must not wedge a fleet).  None resolves
     # per backend; see resolved_on_error().
@@ -367,7 +374,7 @@ class ExecutionProfile:
         An explicit ``on_error`` wins.  Otherwise the backend decides:
         the distributed backend collects (a poison seed is quarantined
         and reported in ``failed_seeds`` — it must never wedge a
-        fleet), while the pool backends keep their historical
+        fleet), while the process pool keeps its historical
         raise-fast behavior (the first seed exception propagates).
         """
         if self.on_error is not None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -236,7 +237,7 @@ def _profile_from_sweep_args(args: argparse.Namespace):
 
     return ExecutionProfile(
         workers=args.workers,
-        backend="distributed" if args.distributed else args.backend,
+        backend="distributed" if args.distributed else "process",
         chunk_size=args.chunk_size,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -563,6 +564,16 @@ def cmd_worker(args: argparse.Namespace) -> int:
     from repro.simulation.cache import default_cache_dir
     from repro.simulation.distributed import queue_path_error, worker_loop
 
+    for flag, value in (("--lease-ttl", args.lease_ttl),
+                        ("--poll", args.poll)):
+        if not (math.isfinite(value) and value > 0):
+            print(f"error: {flag} must be finite and positive, got {value}",
+                  file=sys.stderr)
+            return 2
+    if args.max_tasks is not None and args.max_tasks < 1:
+        print(f"error: --max-tasks must be at least 1, got {args.max_tasks}",
+              file=sys.stderr)
+        return 2
     error = queue_path_error(args.queue_dir)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
@@ -589,7 +600,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             drain=args.drain,
             max_tasks=args.max_tasks,
-            max_attempts=args.max_attempts,
             stop=stop,
             _daemon=True,
         )
@@ -751,9 +761,6 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
                              "worker daemons (0 = rely on external "
                              "`repro worker` daemons); 1 = sequential "
                              "(default)")
-    parser.add_argument("--backend", choices=("process", "thread"),
-                        default="process",
-                        help="pool backend when workers > 1")
     parser.add_argument("--chunk-size", type=int, default=None,
                         metavar="N",
                         help="seeds per pool task; default auto-sizes to "
@@ -897,11 +904,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"{DEFAULT_LEASE_TTL:g})")
     worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
                         help="exit after completing N tasks")
-    worker.add_argument("--max-attempts", type=int, default=None,
-                        metavar="N",
-                        help="per-seed attempt budget before quarantine "
-                             "(default 3; a budget pinned in the sweep "
-                             "manifest wins)")
     worker.add_argument("--worker-id", default=None, metavar="ID",
                         help="lease owner id (default: host:pid:token)")
     worker.add_argument("--stop-file", metavar="PATH", default=None,

@@ -53,6 +53,7 @@ from repro.api import (
     campaign_labels,
 )
 from repro.api.client import CANCELLED, DONE, FAILED, QUEUED, RUNNING
+from repro.api.spec import EXECUTION_BACKENDS
 from repro.service.persist import JobStateStore
 
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED)
@@ -145,14 +146,19 @@ class JobRecord:
         profile = None
         if profile_payload is not None:
             # A journal outlives the release that wrote it: the keys of
-            # profile fields removed since (set or null) are dropped so
-            # the job keeps its state and result.  Manifests and HTTP
+            # profile fields removed since (set or null) are dropped, and
+            # a removed pool backend (the thread pool) reads as the
+            # process pool, so the job keeps its state and result
+            # (profiles never change results).  Manifests and HTTP
             # profiles stay strict.
             declared = {f.name for f in dataclasses.fields(ExecutionProfile)}
-            profile = ExecutionProfile.from_payload({
+            profile_payload = {
                 key: value for key, value in profile_payload.items()
                 if key in declared
-            })
+            }
+            if profile_payload.get("backend") not in EXECUTION_BACKENDS:
+                profile_payload["backend"] = "process"
+            profile = ExecutionProfile.from_payload(profile_payload)
         record = cls(
             str(payload["id"]), str(payload["kind"]), specs, profile,
             name=str(payload.get("name") or ""),

@@ -15,7 +15,7 @@ The multi-seed runtime lives next to them:
 
 * :mod:`repro.simulation.runner` — sequential repeat-and-average (the
   oracle),
-* :mod:`repro.simulation.parallel` — the same API over a process/thread
+* :mod:`repro.simulation.parallel` — the same API over a process
   pool, bit-identical to the oracle by construction,
 * :mod:`repro.simulation.registry` — every experiment as a named,
   picklable :class:`ScenarioSpec`,

@@ -258,7 +258,7 @@ class WorkQueue:
         seeds: Sequence[int],
         chunk_size: int,
         spec_payload: Optional[dict] = None,
-        max_attempts: Optional[int] = None,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         chunks: Optional[Sequence[Sequence[int]]] = None,
         rank: Optional[int] = None,
         est_seconds_per_seed: Optional[float] = None,
@@ -274,8 +274,7 @@ class WorkQueue:
         through the job API) is embedded in the manifest purely for
         observability — ``repro queue status`` names what is queued.
         ``max_attempts`` pins the per-seed retry budget in the manifest
-        so every worker serving the sweep applies the same budget, no
-        matter how its own daemon was configured.
+        so every worker serving the sweep applies the same budget.
 
         The planner's levers: ``chunks`` replaces the default uniform
         ``chunk_size`` sharding with an explicit layout (it must
@@ -296,7 +295,7 @@ class WorkQueue:
             raise ValueError("need at least one seed")
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if max_attempts is not None and max_attempts < 1:
+        if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         params = params_signature(params)
         digest = sha256(
@@ -338,13 +337,12 @@ class WorkQueue:
             "chunks": dict(zip(task_ids, chunk_lists)),
             "chunk_size": chunk_size,
             "code_version": code_version(),
+            "max_attempts": int(max_attempts),
         }
         if rank is not None:
             manifest["rank"] = int(rank)
         if est_seconds_per_seed is not None:
             manifest["est_seconds_per_seed"] = float(est_seconds_per_seed)
-        if max_attempts is not None:
-            manifest["max_attempts"] = int(max_attempts)
         if spec_payload is not None:
             manifest["spec"] = spec_payload
         fsproto.publish_json(sweep_dir / "manifest.json", manifest)
@@ -461,18 +459,12 @@ class WorkQueue:
         )
 
     # -- retry budget and quarantine -----------------------------------
-    def max_attempts(self, default: Optional[int] = None) -> int:
-        """The sweep's per-seed retry budget.
-
-        The manifest's value (pinned at :meth:`create`) wins so every
-        worker applies the same budget; a worker-level ``default``
-        covers sweeps written before budgets existed.
-        """
+    def max_attempts(self) -> int:
+        """The sweep's per-seed retry budget, pinned in the manifest at
+        :meth:`create` so every worker applies the same one."""
         value = self.manifest.get("max_attempts")
         if isinstance(value, int) and value >= 1:
             return value
-        if default is not None and default >= 1:
-            return int(default)
         return DEFAULT_MAX_ATTEMPTS
 
     def _attempt_path(self, task_id: str, seed: int, attempt: int) -> Path:
@@ -868,7 +860,6 @@ def _process_task(
     stats: WorkerStats,
     daemon: bool,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    max_attempts: Optional[int] = None,
 ) -> None:
     """Execute one claimed chunk: cache-or-compute each seed, publish.
 
@@ -889,7 +880,7 @@ def _process_task(
     task_id = task["task"]
     scenario = task["scenario"]
     params = rehydrate_params(task["params"])
-    budget = queue.max_attempts(default=max_attempts)
+    budget = queue.max_attempts()
     results: Dict[str, dict] = {}
     failed: Dict[str, dict] = {}
     runtimes: Dict[str, float] = {}
@@ -1001,7 +992,6 @@ def worker_loop(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     drain: bool = False,
     max_tasks: Optional[int] = None,
-    max_attempts: Optional[int] = None,
     stop: Optional[Callable[[], bool]] = None,
     only_sweeps: Optional[Sequence[str]] = None,
     on_task_done: Optional[Callable[[], None]] = None,
@@ -1021,9 +1011,8 @@ def worker_loop(
     skipped loudly, never executed — mixing code versions would break
     the bit-identity contract.
 
-    ``max_attempts`` is this worker's *default* per-seed retry budget;
-    a sweep manifest that pins its own budget always wins, so a fleet
-    of differently-configured daemons still quarantines consistently.
+    Each sweep's per-seed retry budget is the one pinned in its
+    manifest, so every worker of a fleet quarantines alike.
     ``only_sweeps`` restricts the worker to those sweep ids (the
     coordinator's inline drain); ``None`` or empty serves every sweep.
     ``on_task_done`` runs after each processed task, and ``idle(poll)``
@@ -1066,7 +1055,7 @@ def worker_loop(
                         continue
                     _process_task(
                         queue, task, claim, cache, stats, _daemon,
-                        lease_ttl=lease_ttl, max_attempts=max_attempts,
+                        lease_ttl=lease_ttl,
                     )
                 except FileNotFoundError:
                     if queue.sweep_dir.exists():
@@ -1384,7 +1373,7 @@ def execute_queued(
     lease_ttl: Optional[float] = None,
     poll: float = DEFAULT_POLL,
     timeout: float = 600.0,
-    max_attempts: Optional[int] = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     stop: Optional[Callable[[], bool]] = None,
     fleet: Optional[LocalFleet] = None,
 ) -> List[DistributedOutcome]:
@@ -1426,8 +1415,7 @@ def execute_queued(
     collection.
 
     Failure tolerance: a seed that keeps raising is quarantined after
-    ``max_attempts`` tries (pinned in each sweep's manifest; defaults
-    to :data:`repro.simulation.faults.DEFAULT_MAX_ATTEMPTS`) and comes
+    ``max_attempts`` tries (pinned in each sweep's manifest) and comes
     back in ``DistributedOutcome.failed_seeds`` instead of wedging the
     fleet.  A sweep that quarantined seeds keeps its directory under an
     explicit ``queue_dir`` — the diagnostics stay inspectable via
@@ -1505,7 +1493,7 @@ def _run_queued(
     own: bool,
     poll: float,
     timeout: float,
-    max_attempts: Optional[int],
+    max_attempts: int,
     stop: Optional[Callable[[], bool]],
 ) -> List[DistributedOutcome]:
     """The enqueue / wait / collect body of ``execute_queued``.

@@ -1,6 +1,6 @@
 """Fault injection and structured failure records for the runtime.
 
-Two concerns live here, shared by the pool backends
+Two concerns live here, shared by the process pool
 (:mod:`repro.simulation.parallel`), the work queue
 (:mod:`repro.simulation.distributed`) and the sweep engine
 (:mod:`repro.simulation.sweep`):

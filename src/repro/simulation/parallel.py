@@ -1,10 +1,11 @@
-"""Parallel multi-seed runtime: fan seeds out over a worker pool.
+"""Parallel multi-seed runtime: fan seeds out over a process pool.
 
 :class:`ParallelRunner` exposes the same ``average_rates`` /
 ``average_series`` API as :mod:`repro.simulation.runner` but distributes
-the per-seed runs over a :mod:`concurrent.futures` pool.  Results are
-collected back **in seed order** and reduced with the exact helpers the
-sequential path uses (:func:`~repro.simulation.runner.combine_rates` /
+the per-seed runs over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+Results are collected back **in seed order** and reduced with the exact
+helpers the sequential path uses
+(:func:`~repro.simulation.runner.combine_rates` /
 :func:`~repro.simulation.runner.combine_series`), so for a deterministic
 ``run`` callable the output is bit-identical to the sequential oracle —
 the property the equivalence suite in ``tests/simulation`` asserts for
@@ -19,67 +20,57 @@ amortizes that overhead while a worker's per-process scenario arena
 batches.  ``chunk_size=None`` (the default) picks
 ``ceil(len(seeds) / (workers * 4))`` — four waves of tasks per worker,
 enough slack for dynamic load balancing without per-seed dispatch.
-Chunking never changes results: chunks are contiguous, ``pool.map``
-returns them in submission order, and the flattened list is exactly the
+Chunking never changes results: chunks are contiguous, they are
+collected in submission order, and the flattened list is exactly the
 seed-ordered list the sequential oracle produces.
 
-Backends:
+The ``run`` callable crosses a process boundary, so it must be
+picklable: module-level functions and :func:`functools.partial` of them
+qualify — every spec produced by :mod:`repro.simulation.registry` is.
+An unpicklable one fails the map with the pickler's own error.
 
-* ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor`; the
-  ``run`` callable must be picklable (module-level functions and
-  :func:`functools.partial` of them qualify — every spec produced by
-  :mod:`repro.simulation.registry` is).  Unpicklable callables degrade
-  to the sequential fallback with a one-time :class:`RuntimeWarning`
-  naming the callable, so a pool-bound-looking sweep is diagnosable.
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; no
-  pickling constraint, useful under the GIL only for I/O-bound runs but
-  invaluable for cheap equivalence testing.
-
-``workers <= 1`` always runs sequentially in-process (the fallback and
-the oracle).  An ``initializer`` (with ``initargs``) runs once per pool
-worker before any task — the hook
-:func:`repro.simulation.sweep.execute_sweep` uses to materialize the
-scenario arena once per process.
+``workers <= 1`` always runs sequentially in-process (the oracle), and
+so does a map that falls to a single chunk outside a held pool.  An
+``initializer`` (with ``initargs``) runs once per pool worker before
+any task — the hook :func:`repro.simulation.sweep.execute_sweep` uses
+to materialize the scenario arena once per process.
 
 Each map starts and stops a pool of its own, unless the runner is held
-open: inside ``with ParallelRunner(...) as runner:`` the process
-backend forks its ``workers`` processes on the first map that needs a
-pool and every later map runs on them, until the block exits and shuts
-them down.  That is how :func:`repro.simulation.sweep.execute_campaign`
-forks a pool campaign's workers once instead of once per sweep: each
-worker imports numpy at most once and keeps every arena it built for
-the later sweeps.  The held pool was started with the initializer of
-the map that opened it; later maps build their arenas on a worker's
-first seed.  A held pool also takes maps that fall to a single chunk,
-so nothing the pool's workers would build lands in the caller and, by
-fork, in every pool started after it.
+open: inside ``with ParallelRunner(...) as runner:`` the runner forks
+its ``workers`` processes on the first map that needs a pool and every
+later map runs on them, until the block exits and shuts them down.
+That is how :func:`repro.simulation.sweep.execute_campaign` forks a
+pool campaign's workers once instead of once per sweep: each worker
+imports numpy at most once and keeps every arena it built for the later
+sweeps.  The held pool was started with the initializer of the map that
+opened it; later maps build their arenas on a worker's first seed.  A
+held pool also takes maps that fall to a single chunk, so nothing the
+pool's workers would build lands in the caller and, by fork, in every
+pool started after it.
 
-Worker supervision (process backend): a pool worker dying — OOM-killed,
-segfaulted, SIGKILLed — breaks the whole :class:`ProcessPoolExecutor`
-and poisons every in-flight future with ``BrokenProcessPool``.  The
-runner catches that, rebuilds the pool, and resubmits exactly the
-chunks that never completed, one chunk per round, so each later crash
-is the fault of the one chunk that ran; a held pool that breaks is
-replaced for the retry rounds and every later map.  A chunk that
-crashes alone ``max_attempts`` times (the same budget the distributed
-queue applies per seed) raises :class:`WorkerCrashError` naming the
-chunk and its seeds, instead of the opaque ``BrokenProcessPool``.
-Ordinary exceptions raised *by* a seed are not retried here — they
-propagate raise-fast as before (the distributed backend and
-``on_error="collect"`` own seed-level error handling).
+Worker supervision: a pool worker dying — OOM-killed, segfaulted,
+SIGKILLed — breaks the whole :class:`ProcessPoolExecutor` and poisons
+every in-flight future with ``BrokenProcessPool``.  The runner catches
+that, rebuilds the pool, and resubmits exactly the chunks that never
+completed, one chunk per round, so each later crash is the fault of the
+one chunk that ran; a held pool that breaks is replaced for the retry
+rounds and every later map.  A chunk that crashes alone
+``max_attempts`` times (the same budget the distributed queue applies
+per seed) raises :class:`WorkerCrashError` naming the chunk and its
+seeds, instead of the opaque ``BrokenProcessPool``.  Ordinary
+exceptions raised *by* a seed are not retried here — they propagate
+raise-fast as before (the distributed backend and ``on_error="collect"``
+own seed-level error handling).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import pickle
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
@@ -87,12 +78,6 @@ from repro.simulation.results import RateSummary, SeriesResult
 from repro.simulation.runner import combine_rates, combine_series
 
 T = TypeVar("T")
-
-_BACKENDS = ("process", "thread")
-
-# Callables already warned about (by description) when they forced the
-# sequential fallback; one warning per callable, not one per sweep.
-_WARNED_UNPICKLABLE: set = set()
 
 
 class WorkerCrashError(RuntimeError):
@@ -172,73 +157,34 @@ def _run_chunk(run: Callable[[int], T], seeds: Sequence[int]) -> List[T]:
     return [run(seed) for seed in seeds]
 
 
-def _is_picklable(obj: object) -> bool:
-    try:
-        pickle.dumps(obj)
-    except Exception:
-        return False
-    return True
-
-
-def _describe_callable(run: Callable) -> str:
-    """A stable human-readable name for warning messages."""
-    if isinstance(run, partial):
-        return f"functools.partial({_describe_callable(run.func)})"
-    for attr in ("__qualname__", "__name__"):
-        name = getattr(run, attr, None)
-        if name:
-            module = getattr(run, "__module__", None)
-            return f"{module}.{name}" if module else name
-    return repr(run)
-
-
-def _warn_unpicklable_once(run: Callable) -> None:
-    description = _describe_callable(run)
-    if description in _WARNED_UNPICKLABLE:
-        return
-    _WARNED_UNPICKLABLE.add(description)
-    warnings.warn(
-        f"run callable {description} is not picklable; the process pool "
-        f"cannot execute it, so the sweep degrades to sequential "
-        f"in-process execution. Use a module-level function (or a "
-        f"functools.partial of one, e.g. ScenarioSpec.bound()) to keep "
-        f"the pool, or backend='thread' if pickling is impossible.",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class ParallelRunner:
-    """Multi-seed runner over a process or thread pool.
+    """Multi-seed runner over a process pool.
 
     Parameters
     ----------
     workers:
         Pool size; ``None`` means one per CPU.  ``workers <= 1`` runs
         sequentially (the oracle path).
-    backend:
-        ``"process"`` (default) or ``"thread"``.
     chunk_size:
         Seeds per pool task.  ``None`` (default) picks
         :func:`auto_chunk_size`; any positive value is honoured and the
         result is bit-identical regardless.
     initializer / initargs:
-        Run once per pool worker before its first task (both backends).
-        Under the process backend they must be picklable.  A held pool
-        keeps the pair it was started with.
+        Run once per pool worker before its first task, or once in the
+        caller on the sequential path; they must be picklable.  A held
+        pool keeps the pair it was started with.
     max_attempts:
         Times a chunk running alone may kill its pool worker
         (``BrokenProcessPool``) before :class:`WorkerCrashError`;
         ``None`` means :data:`DEFAULT_MAX_ATTEMPTS`.  Seed exceptions
         are never retried by the runner — they propagate raise-fast.
 
-    Used as a context manager, the process backend holds one pool for
-    every map inside the ``with`` block (see the module docstring).
+    Used as a context manager, the runner holds one pool for every map
+    inside the ``with`` block (see the module docstring).
     """
 
     workers: Optional[int] = None
-    backend: str = "process"
     chunk_size: Optional[int] = None
     initializer: Optional[Callable[..., None]] = None
     initargs: Tuple = ()
@@ -252,10 +198,6 @@ class ParallelRunner:
     )
 
     def __post_init__(self) -> None:
-        if self.backend not in _BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
         if self.workers is None:
             self.workers = default_workers()
         if self.workers < 1:
@@ -276,7 +218,7 @@ class ParallelRunner:
 
     def _holds_pool(self) -> bool:
         """True while a ``with`` block holds this runner's process pool."""
-        return self._held and self.backend == "process" and self.workers > 1
+        return self._held and self.workers > 1
 
     def _drop_executor(self) -> None:
         executor, self._executor = self._executor, None
@@ -303,18 +245,8 @@ class ParallelRunner:
         # A held pool is already paid for, so it takes one-chunk maps
         # too (see the module docstring).
         pooled = workers > 1 or self._holds_pool()
-        if pooled and self.backend == "process" and not _is_picklable(run):
-            # An unpicklable callable cannot cross a process boundary;
-            # degrade to the sequential oracle instead of erroring so
-            # ad-hoc closures still work everywhere.
-            _warn_unpicklable_once(run)
-            pooled, workers = False, 1
         start = time.perf_counter()
-        if not pooled:
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
-            results = [run(seed) for seed in seeds]
-        elif self.backend == "process":
+        if pooled:
             chunks = _chunked(seeds, chunk_size)
             results = [
                 result
@@ -322,22 +254,14 @@ class ParallelRunner:
                 for result in batch
             ]
         else:
-            chunks = _chunked(seeds, chunk_size)
-            with ThreadPoolExecutor(
-                max_workers=workers,
-                initializer=self.initializer,
-                initargs=self.initargs,
-            ) as pool:
-                results = [
-                    result
-                    for batch in pool.map(partial(_run_chunk, run), chunks)
-                    for result in batch
-                ]
+            if self.initializer is not None:
+                self.initializer(*self.initargs)
+            results = [run(seed) for seed in seeds]
         self.last_timing = RunTiming(
             wall_seconds=time.perf_counter() - start,
             seeds=len(seeds),
             workers=workers,
-            backend=self.backend if pooled else "sequential",
+            backend="process" if pooled else "sequential",
             chunk_size=chunk_size,
         )
         return results

@@ -22,7 +22,7 @@ for.  Either way each sweep's results are bit-identical to running it
 alone (the campaign equivalence suite asserts ``==``, no tolerance).
 
 Throughput levers, all result-neutral (bit-identical per the
-equivalence suite): ``workers``/``backend`` pool fan-out, ``chunk_size``
+equivalence suite): ``workers`` process-pool fan-out, ``chunk_size``
 seed batching, per-worker scenario arenas, the persistent result cache,
 and ``backend="distributed"`` work-queue execution with stale-lease
 stealing.  See :class:`~repro.api.spec.ExecutionProfile` for the knob
@@ -243,7 +243,7 @@ def _pool_reduced(
     ``(result, runtime_seconds)`` — the wall time is the scheduler's
     cost telemetry.  The only extra over ``registry.run_reduced`` is
     the ``raise:<seed>`` chaos hook, so fault-injection tests cover the
-    pool backends too.
+    process pool too.
     """
     start = time.perf_counter()
     faults.maybe_raise(seed)
@@ -519,7 +519,6 @@ def _execute_campaign_pool(
     """
     runner = ParallelRunner(
         workers=profile.workers,
-        backend=profile.backend,
         chunk_size=profile.chunk_size,
         max_attempts=profile.max_attempts,
     )

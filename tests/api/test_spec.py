@@ -152,17 +152,26 @@ class TestExecutionProfileValidation:
         with pytest.raises(ValueError, match="workers"):
             ExecutionProfile(workers=-1, backend="distributed")
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExecutionProfile(backend="carrier-pigeon")
+    @pytest.mark.parametrize("backend", ["carrier-pigeon", "thread"])
+    def test_bad_backend_rejected(self, backend):
+        # "thread" named a thread pool that no longer exists.
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ExecutionProfile(backend=backend)
 
     def test_bad_chunk_size_and_lease_ttl_rejected(self):
         with pytest.raises(ValueError, match="chunk_size"):
             ExecutionProfile(chunk_size=0)
+        for lease_ttl in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lease_ttl"):
+                ExecutionProfile(
+                    backend="distributed", queue_dir="/q",
+                    lease_ttl=lease_ttl,
+                )
+        # json.loads reads a NaN literal, so a manifest can carry one.
         with pytest.raises(ValueError, match="lease_ttl"):
-            ExecutionProfile(
-                backend="distributed", queue_dir="/q", lease_ttl=0.0
-            )
+            ExecutionProfile.from_payload(json.loads(
+                '{"backend": "distributed", "lease_ttl": NaN}'
+            ))
 
     def test_path_values_normalize_to_strings(self):
         profile = ExecutionProfile(cache_dir=Path("/tmp/c"))
@@ -311,12 +320,12 @@ class TestCampaignManifest:
 
     def test_profile_block_parsed(self):
         manifest = load_campaign_manifest(json.dumps({
-            "profile": {"workers": 4, "backend": "thread"},
+            "profile": {"workers": 4, "backend": "process"},
             "sweeps": [{"scenario": "fig7-mutuality", "seeds": [1]}],
             "name": "nightly",
         }))
         assert manifest.profile == ExecutionProfile(
-            workers=4, backend="thread"
+            workers=4, backend="process"
         )
         assert manifest.name == "nightly"
 

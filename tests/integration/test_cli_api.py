@@ -141,16 +141,24 @@ class TestCampaignCli:
         assert main(["campaign", manifest]) == 2
         assert "no_cache" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [({"workers": "4"}, "workers"),
+         ({"workers": 2, "backend": "thread"}, "backend must be one of"),
+         ({"workers": 1, "backend": "distributed",
+           "lease_ttl": float("nan")}, "lease_ttl")],
+        ids=["mistyped-workers", "removed-thread-backend", "nan-lease-ttl"],
+    )
     def test_mistyped_manifest_profile_exits_cleanly(
-        self, capsys, tmp_path
+        self, capsys, tmp_path, profile, message
     ):
         manifest = _write_manifest(tmp_path / "m.json", {
-            "profile": {"workers": "4"},
+            "profile": profile,
             "sweeps": [{"scenario": SCENARIO, "seeds": [1],
                         "smoke": True}],
         })
         assert main(["campaign", manifest]) == 2
-        assert "workers" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field",

@@ -43,14 +43,14 @@ class TestSweepCli:
         assert "seeds/s" in out
         assert "sequential" in out
 
-    def test_series_sweep_parallel_thread(self, capsys):
+    def test_series_sweep_process_pool(self, capsys):
         assert main([
             "sweep", "fig15-environment", "--seeds", "4",
-            "--workers", "2", "--backend", "thread", "--smoke",
+            "--workers", "2", "--smoke",
         ]) == 0
         out = capsys.readouterr().out
         assert "series" in out
-        assert "2 workers (thread, chunks of" in out
+        assert "2 workers (process, chunks of" in out
 
     def test_json_export_is_loadable_and_matches_library(
         self, capsys, tmp_path
@@ -71,10 +71,6 @@ class TestSweepCli:
         assert payload["mean"]["values"] == library.mean.values
         assert payload["timing"]["wall_seconds"] > 0.0
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "fig7-mutuality", "--backend", "carrier-pigeon"])
-
     @pytest.mark.parametrize(
         "command",
         [["sweep", "fig7-mutuality", "--distributed"],
@@ -85,9 +81,10 @@ class TestSweepCli:
     @pytest.mark.parametrize(
         "flag",
         [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "4"],
-         ["--schedule", "cost"], ["--compute", "vectorized"]],
+         ["--schedule", "cost"], ["--compute", "vectorized"],
+         ["--backend", "process"], ["--backend", "thread"]],
         ids=["autoscale", "min-workers", "max-workers", "schedule",
-             "compute"],
+             "compute", "backend-process", "backend-thread"],
     )
     def test_removed_fleet_sizing_flag_exits_2(self, capsys, command, flag):
         # Rejected while parsing: nothing runs, nothing starts serving.
@@ -106,7 +103,7 @@ class TestSweepCli:
     def test_explicit_chunk_size_reported(self, capsys):
         assert main([
             "sweep", "fig15-environment", "--seeds", "4", "--workers", "2",
-            "--backend", "thread", "--chunk-size", "2", "--smoke",
+            "--chunk-size", "2", "--smoke",
         ]) == 0
         assert "chunks of 2" in capsys.readouterr().out
 

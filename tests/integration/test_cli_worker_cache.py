@@ -17,11 +17,11 @@ from repro.simulation.sweep import execute_sweep, seed_range
 SCENARIO = "fig15-environment"
 
 
-def _stage_queue(queue_dir, seeds=(1, 2, 3), chunk_size=1):
+def _stage_queue(queue_dir, seeds=(1, 2, 3), chunk_size=1, **kwargs):
     spec = registry.get(SCENARIO)
     return WorkQueue.create(
         queue_dir, SCENARIO, spec.params_key(smoke=True),
-        list(seeds), chunk_size,
+        list(seeds), chunk_size, **kwargs,
     )
 
 
@@ -54,6 +54,26 @@ class TestWorkerCli:
         assert "worker bounded" in out
         assert "2 task(s)" in out
         assert len(queue.pending()) == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--lease-ttl", "-1"], ["--lease-ttl", "nan"],
+         ["--lease-ttl", "inf"], ["--poll", "-1"], ["--max-tasks", "0"],
+         ["--max-attempts", "2"]],
+        ids=["negative-lease-ttl", "nan-lease-ttl", "inf-lease-ttl",
+             "negative-poll", "zero-max-tasks", "removed-max-attempts"],
+    )
+    def test_bad_worker_flags_exit_2(self, tmp_path, capsys, flag):
+        # Rejected before the worker serves anything.  The retry budget
+        # is pinned in each sweep's manifest, so a worker takes none.
+        queue = _stage_queue(tmp_path / "q")
+        try:
+            code = main(["worker", str(tmp_path / "q"), "--drain"] + flag)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert len(queue.pending()) == 3
 
     def test_worker_results_replay_into_a_sweep(self, tmp_path):
         """Seeds computed by a CLI worker are cache hits for the next
@@ -130,11 +150,10 @@ class TestFaultToleranceCli:
     def test_worker_max_attempts_quarantines_and_reports(
         self, tmp_path, capsys, monkeypatch
     ):
-        queue = _stage_queue(tmp_path / "q", seeds=(1, 2))
+        queue = _stage_queue(tmp_path / "q", seeds=(1, 2), max_attempts=2)
         monkeypatch.setenv("REPRO_WORKER_FAULT", "raise:2")
         assert main([
             "worker", str(tmp_path / "q"), "--drain", "--no-cache",
-            "--max-attempts", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert "1 seed failure(s), 1 quarantined" in out
@@ -144,11 +163,10 @@ class TestFaultToleranceCli:
     def test_queue_status_then_requeue_releases_the_seed(
         self, tmp_path, capsys, monkeypatch
     ):
-        queue = _stage_queue(tmp_path / "q", seeds=(1, 2))
+        queue = _stage_queue(tmp_path / "q", seeds=(1, 2), max_attempts=1)
         monkeypatch.setenv("REPRO_WORKER_FAULT", "raise:2")
         assert main([
             "worker", str(tmp_path / "q"), "--drain", "--no-cache",
-            "--max-attempts", "1",
         ]) == 0
         capsys.readouterr()
         assert main(["queue", "status", str(tmp_path / "q")]) == 0

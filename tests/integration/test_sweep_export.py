@@ -25,7 +25,7 @@ def rates_sweep():
 def series_sweep():
     return execute_sweep(
         SweepSpec("fig15-environment", seed_range(3), smoke=True),
-        ExecutionProfile(workers=2, backend="thread", no_cache=True),
+        ExecutionProfile(workers=2, no_cache=True),
     )
 
 
@@ -44,7 +44,7 @@ class TestRoundTrip:
         assert timing["wall_seconds"] > 0.0
         assert timing["seeds"] == 3
         assert timing["workers"] == 2
-        assert timing["backend"] == "thread"
+        assert timing["backend"] == "process"
         assert timing["chunk_size"] >= 1
 
     def test_cache_fields_survive(self, rates_sweep, series_sweep):

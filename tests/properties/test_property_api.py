@@ -75,7 +75,7 @@ class TestSpecRoundTrip:
 @st.composite
 def execution_profiles(draw):
     """Any profile the strict validator accepts."""
-    backend = draw(st.sampled_from(("process", "thread", "distributed")))
+    backend = draw(st.sampled_from(("process", "distributed")))
     if backend == "distributed":
         queue_dir = draw(st.one_of(
             st.none(), st.just("/tmp/hypothesis-queue"),

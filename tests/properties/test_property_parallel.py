@@ -1,7 +1,7 @@
 """Property-based equivalence of the parallel and sequential runners.
 
-Thread-backed pools keep each hypothesis example cheap; the process
-backend is covered deterministically in ``tests/simulation``.
+Every example with more than one worker and chunk runs on a real
+process pool; the per-seed callables are module-level, so they pickle.
 """
 
 import math
@@ -52,9 +52,7 @@ class TestRunnerEquivalence:
     def test_rates_one_worker_vs_sequential_vs_n_workers(self, seeds, workers):
         oracle = average_rates(synthetic_rates, seeds)
         one = ParallelRunner(workers=1).average_rates(synthetic_rates, seeds)
-        many = ParallelRunner(
-            workers=workers, backend="thread"
-        ).average_rates(synthetic_rates, seeds)
+        many = ParallelRunner(workers=workers).average_rates(synthetic_rates, seeds)
         assert oracle == one == many
 
     @settings(max_examples=40, deadline=None)
@@ -62,18 +60,14 @@ class TestRunnerEquivalence:
     def test_series_one_worker_vs_sequential_vs_n_workers(self, seeds, workers):
         oracle = average_series(synthetic_series, seeds)
         one = ParallelRunner(workers=1).average_series(synthetic_series, seeds)
-        many = ParallelRunner(
-            workers=workers, backend="thread"
-        ).average_series(synthetic_series, seeds)
+        many = ParallelRunner(workers=workers).average_series(synthetic_series, seeds)
         assert oracle == one == many
 
     @settings(max_examples=25, deadline=None)
     @given(seeds=seed_lists, workers=worker_counts)
     def test_per_seed_results_identical_and_ordered(self, seeds, workers):
         sequential = [synthetic_series(seed) for seed in seeds]
-        parallel = ParallelRunner(
-            workers=workers, backend="thread"
-        ).map_seeds(synthetic_series, seeds)
+        parallel = ParallelRunner(workers=workers).map_seeds(synthetic_series, seeds)
         assert parallel == sequential
 
 
@@ -82,7 +76,7 @@ class TestRaggedRejection:
     @given(seeds=seed_lists, workers=worker_counts)
     def test_both_paths_agree_on_ragged_series(self, seeds, workers):
         lengths = {len(ragged_series(seed).values) for seed in seeds}
-        runner = ParallelRunner(workers=workers, backend="thread")
+        runner = ParallelRunner(workers=workers)
         if len(lengths) == 1:
             assert runner.average_series(
                 ragged_series, seeds

@@ -469,17 +469,20 @@ class TestRestartRecovery:
             table.close(wait=True, timeout=5.0)
 
     @pytest.mark.parametrize(
-        "removed",
-        [{"schedule": None},
-         {"autoscale": False, "min_workers": None, "max_workers": None},
-         {"compute": "vectorized"}],
-        ids=["schedule", "fleet-sizing", "compute"],
+        "removed, backend",
+        [({"schedule": None}, "distributed"),
+         ({"autoscale": False, "min_workers": None, "max_workers": None},
+          "distributed"),
+         ({"compute": "vectorized"}, "distributed"),
+         ({"backend": "thread"}, "process")],
+        ids=["schedule", "fleet-sizing", "compute", "thread-backend"],
     )
     def test_journal_with_removed_profile_fields_recovers(
-        self, tmp_path, one_seed_sweep, removed
+        self, tmp_path, one_seed_sweep, removed, backend
     ):
         """Journal entries written by older releases, by hand: their
-        profiles carry fields the profile no longer declares.  Every
+        profiles carry fields the profile no longer declares, or the
+        removed thread pool, which recovers on the process pool.  Every
         job still recovers with its state, result and profile."""
         state = tmp_path / "state"
         store = JobStateStore(state)
@@ -517,7 +520,7 @@ class TestRestartRecovery:
             assert queued.state() == "done"
             assert client.started == [SPEC]
             assert queued.profile == ExecutionProfile(
-                workers=2, backend="distributed", no_cache=True,
+                workers=2, backend=backend, no_cache=True,
             )
         finally:
             table.close(wait=True, timeout=5.0)

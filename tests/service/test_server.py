@@ -102,12 +102,22 @@ class TestValidation:
         assert status == 400
         assert "bogus" in body["error"]["message"]
 
-    def test_bad_profile_is_400(self, server):
+    @pytest.mark.parametrize(
+        "profile, message",
+        [({"workers": 0}, "workers"),
+         ({"workers": 2, "backend": "thread"}, "backend must be one of"),
+         ({"workers": 1, "backend": "distributed",
+           "lease_ttl": float("nan")}, "lease_ttl")],
+        ids=["zero-workers", "removed-thread-backend", "nan-lease-ttl"],
+    )
+    def test_bad_profile_is_400(self, server, profile, message):
+        # json.dumps writes NaN as a bare literal, which json.loads
+        # reads back: the server must still reject it.
         status, body = _raw(server, "POST", "/v1/sweeps", {
-            "spec": SPEC.to_payload(), "profile": {"workers": 0},
+            "spec": SPEC.to_payload(), "profile": profile,
         })
         assert status == 400
-        assert "workers" in body["error"]["message"]
+        assert message in body["error"]["message"]
 
     @pytest.mark.parametrize(
         "field",

@@ -231,7 +231,7 @@ class TestRunSweepWithCache:
         )
         parallel = execute_sweep(
             SweepSpec(self.SCENARIO, seed_range(4), smoke=True),
-            ExecutionProfile(workers=2, backend="thread", cache_dir=tmp_path),
+            ExecutionProfile(workers=2, cache_dir=tmp_path),
         )
         assert parallel.cache_hits == 4
         assert parallel.per_seed == sequential.per_seed

@@ -172,7 +172,7 @@ class TestHeldRunner:
     def test_pool_broken_between_maps_is_replaced(self, spy):
         """An idle worker's death breaks the held pool before the next
         map submits; that map runs on a fresh pool."""
-        with parallel.ParallelRunner(workers=2, backend="process") as runner:
+        with parallel.ParallelRunner(workers=2) as runner:
             assert runner.map_seeds(_square, SEEDS) == [1, 4, 9, 16]
             broken = spy.created[0]
             os.kill(next(iter(broken.pids)), signal.SIGKILL)

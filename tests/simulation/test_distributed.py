@@ -600,7 +600,7 @@ class TestRunSweepDistributed:
             execute_sweep(
                 SweepSpec(SCENARIO, [1], smoke=True),
                 ExecutionProfile(
-                    workers=1, backend="thread", no_cache=True, lease_ttl=5.0,
+                    workers=1, backend="process", no_cache=True, lease_ttl=5.0,
                 ),
             )
 

@@ -394,19 +394,23 @@ class TestPoisonSeedQuarantine:
         assert queue.quarantined()[2]["task"] == "task-0001"
         assert queue.counters().quarantined == 1
 
-    def test_manifest_pinned_budget_beats_worker_default(
+    def test_unpinned_create_pins_the_default_budget(
         self, tmp_path, monkeypatch
     ):
+        # Every manifest carries its budget, so every worker applies
+        # the same one; a worker has no budget of its own.
         spec = registry.get(SCENARIO)
         queue = WorkQueue.create(
             tmp_path / "queue", SCENARIO, spec.params_key(smoke=True),
-            [1, 2], 1, max_attempts=1,
+            [1, 2], 1,
         )
+        manifest = json.loads((queue.sweep_dir / "manifest.json").read_text())
+        assert manifest["max_attempts"] == DEFAULT_MAX_ATTEMPTS
         monkeypatch.setenv("REPRO_WORKER_FAULT", "raise:1")
-        worker_loop(tmp_path / "queue", None, drain=True, max_attempts=5)
-        assert queue.attempt_count("task-0000", 1) == 1
+        worker_loop(tmp_path / "queue", None, drain=True)
+        assert queue.attempt_count("task-0000", 1) == DEFAULT_MAX_ATTEMPTS
         _, failures, _ = queue.collect()
-        assert failures[1]["attempts"] == 1
+        assert failures[1]["attempts"] == DEFAULT_MAX_ATTEMPTS
 
     def test_end_to_end_poison_seed_acceptance(self, tmp_path,
                                                monkeypatch):

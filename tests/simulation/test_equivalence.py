@@ -2,7 +2,8 @@
 
 For **every registered scenario**, the sweep runtime must return
 *bit-identical* results to the sequential oracle — same per-seed values,
-same mean — for any worker count, any backend, any ``chunk_size``, and
+same mean — for any worker count, on the process pool or the work
+queue, for any ``chunk_size``, and
 whether the seeds were computed cold or replayed from the persistent
 result cache.  Equality is asserted with ``==`` on the result
 dataclasses, i.e. exact float comparison: every path shares the
@@ -46,10 +47,9 @@ def _sequential_average(spec, seeds):
     return _ORACLE_MEMO[key]
 
 
-def _parallel_average(spec, seeds, workers, backend, chunk_size=None):
+def _parallel_average(spec, seeds, workers, chunk_size=None):
     run = spec.bound(smoke=True)
-    runner = ParallelRunner(workers=workers, backend=backend,
-                            chunk_size=chunk_size)
+    runner = ParallelRunner(workers=workers, chunk_size=chunk_size)
     if spec.kind == "rates":
         return runner.average_rates(run, seeds)
     return runner.average_series(run, seeds)
@@ -57,16 +57,16 @@ def _parallel_average(spec, seeds, workers, backend, chunk_size=None):
 
 @pytest.mark.parametrize("name", registry.names())
 class TestEveryScenario:
-    def test_thread_pool_identical_to_sequential(self, name):
+    def test_process_pool_identical_to_sequential(self, name):
         spec = registry.get(name)
         sequential = _sequential_average(spec, SEEDS)
-        parallel = _parallel_average(spec, SEEDS, workers=3, backend="thread")
+        parallel = _parallel_average(spec, SEEDS, workers=3)
         assert sequential == parallel
 
     def test_one_worker_identical_to_sequential(self, name):
         spec = registry.get(name)
         sequential = _sequential_average(spec, SEEDS)
-        one_worker = _parallel_average(spec, SEEDS, workers=1, backend="process")
+        one_worker = _parallel_average(spec, SEEDS, workers=1)
         assert sequential == one_worker
 
     @pytest.mark.parametrize("chunk_size", [1, 2, len(SEEDS) + 1])
@@ -74,7 +74,7 @@ class TestEveryScenario:
         spec = registry.get(name)
         sequential = _sequential_average(spec, SEEDS)
         chunked = _parallel_average(
-            spec, SEEDS, workers=3, backend="thread", chunk_size=chunk_size
+            spec, SEEDS, workers=3, chunk_size=chunk_size
         )
         assert sequential == chunked
 
@@ -143,7 +143,7 @@ class TestProcessPool:
     def test_process_pool_identical_on_a_graph_scenario(self):
         spec = registry.get("fig7-mutuality")
         sequential = _sequential_average(spec, SEEDS)
-        parallel = _parallel_average(spec, SEEDS, workers=3, backend="process")
+        parallel = _parallel_average(spec, SEEDS, workers=3)
         assert sequential == parallel
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3])
@@ -258,7 +258,7 @@ def test_process_pool_runs_seeds_side_by_side():
     """
     spec = registry.get("fig13-delegation")
     seeds = seed_range(8)
-    runner = ParallelRunner(workers=4, backend="process")
+    runner = ParallelRunner(workers=4)
     probes = runner.map_seeds(partial(_probed, spec.bound(smoke=True)), seeds)
     combine = combine_rates if spec.kind == "rates" else combine_series
     assert combine([probe[3] for probe in probes]) == _sequential_average(

@@ -18,10 +18,6 @@ from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
 from repro.simulation.parallel import ParallelRunner, WorkerCrashError
 
 
-def _square(seed):
-    return seed * seed
-
-
 def _die(seed):
     """Every attempt at any seed kills its pool worker outright."""
     os.kill(os.getpid(), signal.SIGKILL)
@@ -48,14 +44,12 @@ def _raise_on_three(seed):
 
 class TestWorkerCrashSupervision:
     def test_poison_chunk_raises_worker_crash_error(self):
-        runner = ParallelRunner(workers=2, backend="process",
-                                chunk_size=2, max_attempts=2)
+        runner = ParallelRunner(workers=2, chunk_size=2, max_attempts=2)
         with pytest.raises(WorkerCrashError, match="presumed poison"):
             runner.map_seeds(_die, [1, 2, 3, 4])
 
     def test_error_names_the_chunk_and_budget(self):
-        runner = ParallelRunner(workers=1, backend="process",
-                                chunk_size=2, max_attempts=1)
+        runner = ParallelRunner(workers=1, chunk_size=2, max_attempts=1)
         # workers=1 would run sequentially; force the pool path by
         # giving it two chunks.
         runner.workers = 2
@@ -72,15 +66,13 @@ class TestWorkerCrashSupervision:
         on a fresh pool and the final results are complete, in seed
         order, with no error surfaced."""
         run = partial(_die_once_on_three, str(tmp_path))
-        runner = ParallelRunner(workers=2, backend="process",
-                                chunk_size=1)
+        runner = ParallelRunner(workers=2, chunk_size=1)
         seeds = [1, 2, 3, 4, 5]
         assert runner.map_seeds(run, seeds) == [s * s for s in seeds]
         assert (tmp_path / "crashed-once").exists()
 
     def test_default_budget_is_shared_with_the_queue(self):
-        runner = ParallelRunner(workers=2, backend="process",
-                                chunk_size=2, max_attempts=None)
+        runner = ParallelRunner(workers=2, chunk_size=2, max_attempts=None)
         with pytest.raises(WorkerCrashError) as info:
             runner.map_seeds(_die, [1, 2, 3, 4])
         assert info.value.attempts == DEFAULT_MAX_ATTEMPTS
@@ -88,16 +80,10 @@ class TestWorkerCrashSupervision:
     def test_seed_exceptions_still_propagate_raise_fast(self):
         """Ordinary exceptions are not worker deaths: no retry, no
         WorkerCrashError wrapper — the original error surfaces."""
-        runner = ParallelRunner(workers=2, backend="process",
-                                chunk_size=1)
+        runner = ParallelRunner(workers=2, chunk_size=1)
         with pytest.raises(ValueError, match="seed 3 is unwell"):
             runner.map_seeds(_raise_on_three, [1, 2, 3, 4])
 
     def test_bad_max_attempts_rejected(self):
         with pytest.raises(ValueError, match="max_attempts"):
             ParallelRunner(max_attempts=0)
-
-    def test_thread_backend_unaffected(self):
-        runner = ParallelRunner(workers=2, backend="thread",
-                                chunk_size=1, max_attempts=2)
-        assert runner.map_seeds(_square, [1, 2, 3]) == [1, 4, 9]

@@ -1,20 +1,9 @@
 """Unit tests for the parallel multi-seed runtime."""
 
 import pickle
-import warnings
-from contextlib import contextmanager
 
 import pytest
 
-
-@contextmanager
-def warnings_none():
-    """Fail the block if any warning is emitted inside it."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
-from repro.simulation import parallel
 from repro.simulation.parallel import (
     ParallelRunner,
     auto_chunk_size,
@@ -47,9 +36,10 @@ class TestConstruction:
         assert default_workers() >= 1
         assert ParallelRunner().workers >= 1
 
-    def test_bad_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelRunner(backend="greenlet")
+    def test_backend_is_not_a_parameter(self):
+        # The process pool is the only executor; there is none to pick.
+        with pytest.raises(TypeError, match="backend"):
+            ParallelRunner(backend="process")
 
     def test_bad_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
@@ -75,28 +65,27 @@ class TestChunking:
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
     def test_any_chunk_size_preserves_seed_order(self, chunk_size):
-        runner = ParallelRunner(workers=3, backend="thread",
-                                chunk_size=chunk_size)
+        runner = ParallelRunner(workers=3, chunk_size=chunk_size)
         seeds = [9, 1, 5, 2, 8, 3, 6]
         results = runner.map_seeds(series_run, seeds)
         assert results == [series_run(seed) for seed in seeds]
 
     def test_chunk_size_recorded_in_timing(self):
-        runner = ParallelRunner(workers=2, backend="thread", chunk_size=2)
+        runner = ParallelRunner(workers=2, chunk_size=2)
         runner.map_seeds(rates_run, [1, 2, 3, 4])
         assert runner.last_timing.chunk_size == 2
-        assert runner.last_timing.backend == "thread"
+        assert runner.last_timing.backend == "process"
 
     def test_single_chunk_skips_the_pool(self):
         # One chunk leaves nothing to parallelize, so no pool is paid for.
-        runner = ParallelRunner(workers=4, backend="process", chunk_size=10)
+        runner = ParallelRunner(workers=4, chunk_size=10)
         results = runner.map_seeds(rates_run, [1, 2, 3])
         assert results == [rates_run(seed) for seed in [1, 2, 3]]
         assert runner.last_timing.backend == "sequential"
         assert runner.last_timing.workers == 1
 
     def test_workers_capped_by_chunk_count(self):
-        runner = ParallelRunner(workers=4, backend="thread", chunk_size=3)
+        runner = ParallelRunner(workers=4, chunk_size=3)
         runner.map_seeds(rates_run, [1, 2, 3, 4, 5, 6])
         assert runner.last_timing.workers == 2  # only two chunks exist
 
@@ -105,16 +94,24 @@ def _record_initialized():
     _INITIALIZED.append(True)
 
 
+def _initialized_count(seed: int) -> int:
+    """What the initializer left in the process that ran ``seed``."""
+    return len(_INITIALIZED)
+
+
 _INITIALIZED = []
 
 
 class TestInitializer:
-    def test_initializer_runs_in_thread_pool(self):
+    def test_initializer_runs_in_process_pool(self):
+        # Each pool worker runs the initializer once before its first
+        # seed; the caller's copy of the list is never touched.
         _INITIALIZED.clear()
-        runner = ParallelRunner(workers=2, backend="thread",
+        runner = ParallelRunner(workers=2, chunk_size=1,
                                 initializer=_record_initialized)
-        runner.map_seeds(rates_run, [1, 2, 3, 4])
-        assert len(_INITIALIZED) >= 1
+        assert runner.map_seeds(_initialized_count, [1, 2, 3, 4]) == [1] * 4
+        assert runner.last_timing.backend == "process"
+        assert _INITIALIZED == []
 
     def test_initializer_runs_on_sequential_path(self):
         _INITIALIZED.clear()
@@ -129,7 +126,7 @@ class TestMapSeeds:
             ParallelRunner(workers=1).map_seeds(rates_run, [])
 
     def test_results_in_seed_order(self):
-        runner = ParallelRunner(workers=3, backend="thread")
+        runner = ParallelRunner(workers=3)
         seeds = [9, 1, 5, 2]
         results = runner.map_seeds(series_run, seeds)
         assert results == [series_run(seed) for seed in seeds]
@@ -145,66 +142,61 @@ class TestMapSeeds:
         assert timing.seeds_per_second() > 0.0
 
     def test_parallel_timing_recorded(self):
-        runner = ParallelRunner(workers=2, backend="thread")
+        runner = ParallelRunner(workers=2)
         runner.map_seeds(rates_run, [1, 2, 3])
         assert runner.last_timing.workers == 2
-        assert runner.last_timing.backend == "thread"
+        assert runner.last_timing.backend == "process"
 
     def test_workers_capped_by_seed_count(self):
-        runner = ParallelRunner(workers=8, backend="thread")
+        runner = ParallelRunner(workers=8)
         runner.map_seeds(rates_run, [4, 5])
         assert runner.last_timing.workers == 2
 
-    def test_unpicklable_run_falls_back_sequentially_with_warning(self):
+    def test_unpicklable_run_fails_on_the_pool_only(self):
         offset = 0.25
         closure = lambda seed: RateSummary(  # noqa: E731 - deliberately unpicklable
             success_rate=offset, unavailable_rate=0.0, abuse_rate=0.0
         )
-        with pytest.raises(Exception):
-            pickle.dumps(closure)
-        parallel._WARNED_UNPICKLABLE.clear()
-        runner = ParallelRunner(workers=4, backend="process")
-        with pytest.warns(RuntimeWarning, match="not picklable") as caught:
-            results = runner.map_seeds(closure, [1, 2])
-        # The callable is named, so the degradation is diagnosable.
-        assert "<lambda>" in str(caught[0].message)
+        # The pool surfaces the pickler's own error: PicklingError, or
+        # AttributeError for a local object before Python 3.14.
+        unpicklable = (pickle.PicklingError, AttributeError)
+        with ParallelRunner(workers=2) as runner:
+            with pytest.raises(unpicklable, match="pickle"):
+                runner.map_seeds(closure, [1, 2])
+            # The held pool is not broken by it.
+            assert runner.map_seeds(rates_run, [3, 4]) == [
+                rates_run(3), rates_run(4),
+            ]
+            assert runner.last_timing.backend == "process"
+        # The sequential oracle never pickles.
+        results = ParallelRunner(workers=1).map_seeds(closure, [1, 2])
         assert [r.success_rate for r in results] == [0.25, 0.25]
-        assert runner.last_timing.backend == "sequential"
-
-    def test_unpicklable_warning_fires_once_per_callable(self):
-        closure = lambda seed: rates_run(seed)  # noqa: E731
-        parallel._WARNED_UNPICKLABLE.clear()
-        runner = ParallelRunner(workers=2, backend="process")
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            runner.map_seeds(closure, [1, 2])
-        with warnings_none():
-            runner.map_seeds(closure, [3, 4])
 
 
 class TestAveragingAPI:
-    def test_average_rates_matches_oracle_thread(self):
+    def test_average_rates_matches_oracle_with_repeated_seed(self):
         seeds = [3, 1, 4, 1, 5]
-        runner = ParallelRunner(workers=3, backend="thread")
+        runner = ParallelRunner(workers=3)
         assert runner.average_rates(rates_run, seeds) == average_rates(
             rates_run, seeds
         )
 
     def test_average_rates_matches_oracle_process(self):
         seeds = [2, 7, 1, 8]
-        runner = ParallelRunner(workers=2, backend="process")
+        runner = ParallelRunner(workers=2)
         assert runner.average_rates(rates_run, seeds) == average_rates(
             rates_run, seeds
         )
 
     def test_average_series_matches_oracle(self):
         seeds = [6, 2, 8]
-        runner = ParallelRunner(workers=3, backend="thread")
+        runner = ParallelRunner(workers=3)
         assert runner.average_series(series_run, seeds) == average_series(
             series_run, seeds
         )
 
     def test_ragged_series_rejected_in_parallel_path(self):
-        runner = ParallelRunner(workers=2, backend="thread")
+        runner = ParallelRunner(workers=2)
         with pytest.raises(ValueError, match="lengths"):
             runner.average_series(ragged_run, [1, 2])
 
