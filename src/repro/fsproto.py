@@ -95,8 +95,10 @@ def publish_json(path: Path, payload: object) -> None:
     """
     fd, temp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
+        # One json.dumps call runs the C encoder over the whole payload;
+        # json.dump would stream the same bytes through Python chunks.
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
         os.replace(temp, path)
     except BaseException:
         try:

@@ -17,10 +17,12 @@ directory without coordination.
 
 Correctness properties:
 
-* **Bit-identical replay.**  Floats round-trip through JSON losslessly
-  (``repr``-based serialization), so a warm-cache rerun reproduces the
-  cold run's reduced results exactly — the equivalence suite asserts
-  ``==`` on the dataclasses, with no tolerance.
+* **Bit-identical replay.**  A series is stored as its packed
+  little-endian float64 bytes (base64 in the JSON entry) and a rate
+  summary as JSON floats (``repr``-based, also lossless), so a
+  warm-cache rerun reproduces the cold run's reduced results exactly —
+  the equivalence suite asserts ``==`` on the dataclasses, with no
+  tolerance.
 * **Code-version invalidation.**  The key includes
   :func:`code_version`, a hash over every ``.py`` source file of the
   :mod:`repro` package: any code change produces fresh keys, so a stale
@@ -35,9 +37,11 @@ Correctness properties:
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,9 +152,11 @@ class SweepCache:
             for seed in seeds
         }
 
-    def _path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small for big sweeps.
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # Two-level fan-out keeps directories small for big sweeps.  A
+        # plain string: a warm replay builds one path per seed, and the
+        # pathlib joins cost more than the read.
+        return f"{self.root}/{key[:2]}/{key}.json"
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[Reduced]:
@@ -169,9 +175,9 @@ class SweepCache:
         telemetry for the cost estimator; only the result participates
         in the bit-identity contract.
         """
-        path = self._path(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(self._path(key), "rb") as handle:
+                payload = json.loads(handle.read())
             result = reduced_from_payload(payload["result"])
         except FileNotFoundError:
             self.stats.misses += 1
@@ -199,7 +205,7 @@ class SweepCache:
         it rides along as entry metadata so the campaign scheduler can
         estimate sweep costs from what this machine actually measured.
         """
-        path = self._path(key)
+        path = Path(self._path(key))
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "result": reduced_to_payload(result),
@@ -219,31 +225,52 @@ class SweepCache:
 # reduced-result (de)serialization
 # ---------------------------------------------------------------------------
 
-# The cache's payloads are the dataclasses' own ``to_payload`` dicts
-# (shared with the sweep JSON export) plus a ``kind`` tag so replay can
-# dispatch without guessing.
-_KINDS = {"rates": RateSummary, "series": SeriesResult}
-
-
 def reduced_to_payload(result: Reduced) -> dict:
     """The cache's result serialization.
+
+    A rate summary's payload is its own ``to_payload`` dict (shared with
+    the sweep JSON export).  A series stores its values as packed
+    little-endian float64, base64-encoded, so a replay decodes them in C
+    instead of parsing one ``repr`` float at a time.  Both carry a
+    ``kind`` tag so replay can dispatch without guessing.
 
     The distributed work queue inlines the same payloads into its done
     markers, so a sweep collected from done files is byte-identical to
     one replayed from the cache.
     """
-    for kind, cls in _KINDS.items():
-        if isinstance(result, cls):
-            return {"kind": kind, **result.to_payload()}
+    if isinstance(result, SeriesResult):
+        values = result.values
+        packed = struct.pack(f"<{len(values)}d", *values)
+        return {
+            "kind": "series",
+            "label": result.label,
+            "f64": base64.b64encode(packed).decode("ascii"),
+        }
+    if isinstance(result, RateSummary):
+        return {"kind": "rates", **result.to_payload()}
     raise TypeError(f"cannot cache result of type {type(result).__name__}")
 
 
 def reduced_from_payload(payload: dict) -> Reduced:
-    """Inverse of :func:`reduced_to_payload`."""
+    """Inverse of :func:`reduced_to_payload`.
+
+    A malformed payload raises ``KeyError``, ``ValueError`` or
+    ``TypeError`` — never ``struct.error`` — so callers can treat every
+    corruption alike.
+    """
     kind = payload["kind"]
-    if kind not in _KINDS:
-        raise ValueError(f"unknown cached result kind: {kind!r}")
-    return _KINDS[kind].from_payload(payload)
+    if kind == "series":
+        label = str(payload["label"])
+        packed = base64.b64decode(payload["f64"], validate=True)
+        if len(packed) % 8:
+            raise ValueError(
+                f"packed series of {len(packed)} bytes is not float64s"
+            )
+        values = list(struct.unpack(f"<{len(packed) // 8}d", packed))
+        return SeriesResult(label=label, values=values)
+    if kind == "rates":
+        return RateSummary.from_payload(payload)
+    raise ValueError(f"unknown cached result kind: {kind!r}")
 
 
 # ---------------------------------------------------------------------------

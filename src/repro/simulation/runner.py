@@ -36,12 +36,13 @@ def combine_series(results: Sequence[SeriesResult]) -> SeriesResult:
     if not results:
         raise ValueError("need at least one result")
     lengths = {len(r.values) for r in results}
+    # Checked before the transpose: zip() would truncate silently.
     if len(lengths) != 1:
         raise ValueError(f"series lengths differ across seeds: {lengths}")
-    length = lengths.pop()
+    count = len(results)
     averaged = [
-        sum(r.values[i] for r in results) / len(results)
-        for i in range(length)
+        sum(column) / count
+        for column in zip(*(r.values for r in results))
     ]
     return SeriesResult(label=results[0].label, values=averaged)
 

@@ -78,7 +78,7 @@ def _variance(values: Sequence[float]) -> float:
     """Population variance across seeds (0.0 for a single seed)."""
     count = len(values)
     mean = sum(values) / count
-    return sum((value - mean) ** 2 for value in values) / count
+    return sum([(value - mean) ** 2 for value in values]) / count
 
 
 @dataclass(frozen=True)
@@ -391,10 +391,12 @@ def _assemble(
             "abuse_rate": _variance([r.abuse_rate for r in per_seed]),
         }
     else:
+        # combine_series rejects ragged seeds, so the transpose below
+        # cannot truncate.
         mean = combine_series(per_seed)
         variance = [
-            _variance([series.values[i] for series in per_seed])
-            for i in range(len(mean.values))
+            _variance(column)
+            for column in zip(*(series.values for series in per_seed))
         ]
 
     cache = plan.cache

@@ -1,6 +1,9 @@
 """Tests for the persistent cross-process sweep result cache."""
 
+import base64
 import json
+import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,96 @@ class TestRoundTrip:
         (path,) = _cache_files(tmp_path)
         path.write_text(json.dumps({"result": {"kind": "histogram"}}))
         assert cache.get("0" * 64) is None
+
+
+# Doubles whose bits a lossy encoding would change: signed zero, the
+# infinities, NaN, the smallest subnormal, the largest normal and a sum
+# whose repr needs all 17 digits.
+SPECIAL_DOUBLES = [
+    -0.0, math.inf, -math.inf, math.nan, 5e-324,
+    1.7976931348623157e308, 0.1 + 0.2,
+]
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _packed(values):
+    return base64.b64encode(_bits(values)).decode("ascii")
+
+
+# Each corrupts a stored series one way: not base64, a byte count that
+# is no whole number of float64s, no label.
+CORRUPT_SERIES = {
+    "bad-base64": {"kind": "series", "label": "s", "f64": "not base64!"},
+    "partial-double": {
+        "kind": "series", "label": "s",
+        "f64": base64.b64encode(b"\x00" * 12).decode("ascii"),
+    },
+    "no-label": {"kind": "series", "f64": _packed([1.0])},
+}
+
+
+class TestPackedSeries:
+    @pytest.mark.parametrize("values", [SPECIAL_DOUBLES, []],
+                             ids=["special-doubles", "empty"])
+    def test_series_round_trip_keeps_every_bit(self, tmp_path, values):
+        cache = SweepCache(tmp_path)
+        cache.put("1" * 64, SeriesResult("curve", values), runtime=0.5)
+        replayed, runtime = cache.get_entry("1" * 64)
+        assert replayed.label == "curve"
+        assert _bits(replayed.values) == _bits(values)
+        assert runtime == 0.5
+
+    def test_entry_stores_packed_float64_and_rates_as_json(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        cache.put("2" * 64, SeriesResult("curve", [0.1 + 0.2, -0.0]))
+        cache.put("3" * 64, RateSummary(0.5, 0.25, 0.125, total_requests=7))
+        series, rates = (
+            json.loads(path.read_text())["result"]
+            for path in _cache_files(tmp_path)
+        )
+        assert series == {
+            "kind": "series", "label": "curve",
+            "f64": _packed([0.1 + 0.2, -0.0]),
+        }
+        assert rates == {
+            "kind": "rates", **RateSummary(
+                0.5, 0.25, 0.125, total_requests=7
+            ).to_payload(),
+        }
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT_SERIES))
+    def test_corrupt_packed_series_is_a_miss(self, tmp_path, corrupt):
+        cache = SweepCache(tmp_path)
+        cache.put("4" * 64, SeriesResult("s", [1.0]))
+        (path,) = _cache_files(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["result"] = CORRUPT_SERIES[corrupt]
+        path.write_text(json.dumps(payload))
+        assert cache.get_entry("4" * 64) is None
+        assert cache.stats == CacheStats(hits=0, misses=1)
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT_SERIES))
+    def test_corrupt_packed_series_recomputes_and_overwrites(
+        self, tmp_path, corrupt
+    ):
+        spec = SweepSpec("fig15-environment", seed_range(3), smoke=True)
+        clean = execute_sweep(spec, ExecutionProfile(cache_dir=tmp_path))
+        victim = _cache_files(tmp_path)[1]
+        payload = json.loads(victim.read_text())
+        payload["result"] = CORRUPT_SERIES[corrupt]
+        victim.write_text(json.dumps(payload))
+        recovered = execute_sweep(spec, ExecutionProfile(cache_dir=tmp_path))
+        assert (recovered.cache_hits, recovered.cache_misses) == (2, 1)
+        assert recovered.per_seed == clean.per_seed
+        assert recovered.mean == clean.mean
+        assert recovered.variance == clean.variance
+        # The recompute overwrote the corrupt entry with a valid one.
+        assert "f64" in json.loads(victim.read_text())["result"]
+        third = execute_sweep(spec, ExecutionProfile(cache_dir=tmp_path))
+        assert third.cache_hits == 3
 
 
 class TestDefaultDir:

@@ -6,10 +6,13 @@ the file level; the fault-injection suite and the equivalence suite
 cover the end-to-end crash and bit-identity contracts.
 """
 
+import base64
 import json
+import math
 import os
 import shutil
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -20,6 +23,7 @@ import pytest
 from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
+from repro.simulation.results import SeriesResult
 from repro.fsproto import owner_id
 from repro.simulation.distributed import (
     QueuedJob,
@@ -505,6 +509,64 @@ class TestExecuteQueued:
                 [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1,))],
                 workers=0, queue_dir=tmp_path, lease_ttl=0.0,
             )
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestPackedDoneMarkers:
+    """Done markers inline the cache's packed float64 series payloads."""
+
+    SPECIAL = [
+        -0.0, math.inf, -math.inf, math.nan, 5e-324,
+        1.7976931348623157e308, 0.1 + 0.2,
+    ]
+
+    def test_special_doubles_survive_the_done_marker(
+        self, tmp_path, monkeypatch
+    ):
+        series = {1: SeriesResult("edge", self.SPECIAL),
+                  2: SeriesResult("edge", [])}
+        monkeypatch.setattr(
+            registry, "run_reduced",
+            lambda scenario, params, seed: series[seed],
+        )
+        spec = registry.get(SCENARIO)
+        [outcome] = execute_queued(
+            [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1, 2))],
+            workers=0, chunk_size=2, queue_dir=tmp_path / "q",
+            cache_root=tmp_path / "c",
+        )
+        for seed, expected in series.items():
+            collected = outcome.results[seed]
+            assert collected.label == "edge"
+            assert _bits(collected.values) == _bits(expected.values)
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param({"label": "s", "f64": "not base64!"}, id="bad-base64"),
+        pytest.param(
+            {"label": "s", "f64": base64.b64encode(b"\0" * 12).decode()},
+            id="partial-double",
+        ),
+        pytest.param(
+            {"f64": base64.b64encode(_bits([1.0])).decode()},
+            id="no-label",
+        ),
+    ])
+    def test_corrupt_packed_series_fails_the_collect(
+        self, tmp_path, corrupt
+    ):
+        queue = _make_queue(tmp_path, seeds=(1, 2), chunk_size=2)
+        worker_loop(tmp_path / "queue", None, drain=True)
+        done = queue.sweep_dir / "done" / "task-0000.json"
+        marker = json.loads(done.read_text())
+        marker["results"]["2"] = {"kind": "series", **corrupt}
+        done.write_text(json.dumps(marker))
+        with pytest.raises(
+            RuntimeError, match="lacks a valid result for seed 2",
+        ):
+            queue.collect()
 
 
 class TestRunSweepDistributed:

@@ -2,6 +2,8 @@
 the lease steal every shared directory in the repo is built on."""
 
 import ast
+import io
+import json
 import os
 import socket
 import threading
@@ -158,6 +160,51 @@ class TestPublish:
             reader.join()
         assert torn == []
         assert fsproto.read_json(target)["n"] == 199
+
+    @pytest.mark.parametrize("writer", [
+        "cache-series-entry", "cache-rates-entry", "done-marker",
+        "journal-record",
+    ])
+    def test_bytes_match_the_streaming_encoder(self, tmp_path, writer):
+        # publish_json encodes in one json.dumps call; the files must be
+        # byte for byte what json.dump(payload, handle) would write.
+        from repro.api import SweepSpec
+        from repro.service import JobStateStore
+        from repro.service.jobs import JobRecord
+        from repro.simulation import registry
+        from repro.simulation.cache import SweepCache
+        from repro.simulation.distributed import WorkQueue, worker_loop
+        from repro.simulation.results import RateSummary, SeriesResult
+
+        root = tmp_path
+        if writer == "cache-series-entry":
+            values = [(k * 0.37) % 1.0 - 0.5 for k in range(300)]
+            SweepCache(tmp_path).put(
+                "a" * 64, SeriesResult("curve", values), scenario="s",
+                seed=3, runtime=0.25,
+            )
+        elif writer == "cache-rates-entry":
+            SweepCache(tmp_path).put(
+                "b" * 64, RateSummary(0.1 + 0.2, 1 / 3, 0.0, 9), seed=1,
+            )
+        elif writer == "done-marker":
+            name = "fig15-environment"
+            params = registry.get(name).params_key(smoke=True)
+            queue = WorkQueue.create(tmp_path, name, params, [1, 2], 2)
+            worker_loop(tmp_path, None, drain=True)
+            root = queue.sweep_dir / "done"
+        else:
+            spec = SweepSpec("fig7-mutuality", seeds=[1, 2], smoke=True)
+            JobStateStore(tmp_path).save_job(
+                JobRecord("job-000001", "sweep", [spec], None)
+                .to_persist_payload()
+            )
+            root = tmp_path / "jobs"
+        (path,) = root.rglob("*.json")
+        written = path.read_bytes()
+        streamed = io.StringIO()
+        json.dump(json.loads(written), streamed)
+        assert written == streamed.getvalue().encode()
 
     def test_never_creates_the_parent(self, tmp_path):
         with pytest.raises(FileNotFoundError):
