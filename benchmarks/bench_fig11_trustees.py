@@ -5,17 +5,23 @@ from repro.analysis.ascii_chart import ascii_chart
 from repro.analysis.report import ComparisonReport
 from repro.analysis.series import LabelledSeries
 from repro.core.transitivity import TransitivityMode
-from repro.simulation.transitivity import sweep_characteristics
-from repro.socialnet.datasets import NETWORK_PROFILES, load_network
+from repro.simulation.registry import get
+from repro.socialnet.datasets import NETWORK_PROFILES
 
+SPEC = get("fig12-overhead")
 COUNTS = (4, 5, 6, 7)
 
 
 def _compute():
+    # All three methods run on one simulation per (network, K).
     return {
-        name: sweep_characteristics(
-            load_network(name, seed=0), counts=COUNTS, seed=1
-        )
+        name: [
+            result
+            for k in COUNTS
+            for result in SPEC.run_full(
+                seed=1, network=name, num_characteristics=k
+            ).values()
+        ]
         for name in NETWORK_PROFILES
     }
 

@@ -6,23 +6,17 @@ from repro.analysis.ascii_chart import ascii_chart
 from repro.analysis.report import ComparisonReport
 from repro.analysis.series import LabelledSeries
 from repro.simulation.config import EnvironmentConfig
-from repro.simulation.environment import EnvironmentSimulation
 from repro.simulation.registry import get
+
+SPEC = get("fig15-environment")
 
 
 def _compute():
-    # The tracker curves come from the shared scenario spec; the local
-    # simulation object supplies tracking_errors / config access, and the
-    # spec call takes its parameters from it so the two cannot drift.
-    simulation = EnvironmentSimulation(EnvironmentConfig(runs=100), seed=1)
-    result = get("fig15-environment").run_full(
-        seed=simulation.seed, runs=simulation.config.runs
-    )
-    return simulation, result
+    return SPEC.run_full(seed=1, runs=100)
 
 
 def test_fig15_environment_tracking(once):
-    simulation, result = once(_compute)
+    result = once(_compute)
 
     print()
     print(ascii_chart(
@@ -33,8 +27,8 @@ def test_fig15_environment_tracking(once):
         title="Fig. 15 — expected success rate over 300 iterations",
     ))
 
-    errors = simulation.tracking_errors(result)
-    actual = simulation.config.actual_success_rate
+    actual = EnvironmentConfig().actual_success_rate
+    errors = result.tracking_errors(actual)
 
     def window_mean(series, lo, hi):
         values = series.values[lo:hi]

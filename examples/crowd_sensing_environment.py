@@ -30,7 +30,7 @@ def tracking_curves() -> None:
         width=64, height=12,
         title="expected success rate; environment 1.0 -> 0.4 -> 0.7",
     ))
-    errors = simulation.tracking_errors(result)
+    errors = result.tracking_errors(simulation.config.actual_success_rate)
     print(f"mean absolute tracking error: proposed "
           f"{errors['proposed']:.3f} vs traditional "
           f"{errors['traditional']:.3f}\n")

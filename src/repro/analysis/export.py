@@ -140,7 +140,7 @@ def sweep_to_payload(sweep) -> Dict[str, object]:
         "scenario": sweep.scenario,
         # The job description (scenario/seeds/smoke/overrides); None on
         # results rebuilt from pre-spec artifacts.
-        "spec": getattr(sweep, "spec", None),
+        "spec": sweep.spec,
         "kind": sweep.kind,
         "seeds": list(sweep.seeds),
         "timing": {
@@ -165,15 +165,13 @@ def sweep_to_payload(sweep) -> Dict[str, object]:
         # Structured failure records of seeds that exhausted their
         # retry budget (empty on healthy sweeps); the seeds/per_seed
         # arrays cover only the seeds that succeeded.
-        "failed_seeds": list(getattr(sweep, "failed_seeds", []) or []),
+        "failed_seeds": list(sweep.failed_seeds),
         # Per-seed compute wall times (seconds; telemetry for the cost
         # estimator) — a possibly-partial map, absent entirely in
         # pre-telemetry artifacts.
         "seed_runtimes": {
             str(seed): runtime
-            for seed, runtime in sorted(
-                (getattr(sweep, "seed_runtimes", {}) or {}).items()
-            )
+            for seed, runtime in sorted(sweep.seed_runtimes.items())
         },
         "mean": sweep.mean.to_payload(),
         "per_seed": [r.to_payload() for r in sweep.per_seed],

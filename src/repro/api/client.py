@@ -352,14 +352,12 @@ class Client:
             raise TypeError(
                 f"expected a SweepSpec, got {type(spec).__name__}"
             )
-        from repro.simulation.sweep import execute_campaign, execute_sweep
+        from repro.simulation.sweep import execute_campaign
 
         effective = self._effective(profile)
 
         def work():
             fleet = self._shared_fleet() if effective.distributed else None
-            if fleet is None:
-                return execute_sweep(spec, effective)
             return execute_campaign([spec], effective, fleet=fleet)[0]
 
         return SweepHandle(spec, effective, work)

@@ -18,21 +18,24 @@ Usage::
     python -m repro sweep --list
     python -m repro list
 
-Each artifact subcommand runs the corresponding experiment, prints the
-table or ASCII chart, and optionally writes a machine-readable JSON
-export.  ``sweep`` runs any registered scenario once per seed — fanned
-out in seed batches over a worker pool when ``--workers`` exceeds one,
-replaying seeds already present in the persistent result cache,
-bit-identical to a cold sequential run either way — and reports the
-seed-averaged result, the across-seed variance, the wall-clock timing
-and the cache hit/miss counts.  ``sweep --all-scenarios`` and
-``campaign`` run many sweeps as one campaign through the job API
-(:mod:`repro.api`), ``queue status`` reports a work queue's
-pending/leased/done state, lease ages, steal history and quarantined
-seeds, and ``queue requeue`` releases quarantined seeds for another
-round of attempts.  ``serve`` exposes the whole job API over HTTP
-(:mod:`repro.service`): POST a spec or manifest, poll the job id,
-fetch the export — same engine, same bit-identical results.
+Each artifact subcommand runs its experiment through the scenario
+registry (:mod:`repro.simulation.registry`), the same specs and native
+results the benches assert on, prints the table or ASCII chart, and
+optionally writes a machine-readable JSON export; ``--seed`` seeds both
+the generated network and the simulation.  ``sweep`` runs any
+registered scenario once per seed — fanned out in seed batches over a
+worker pool when ``--workers`` exceeds one, replaying seeds already
+present in the persistent result cache, bit-identical to a cold
+sequential run either way — and reports the seed-averaged result, the
+across-seed variance, the wall-clock timing and the cache hit/miss
+counts.  ``sweep --all-scenarios`` and ``campaign`` run many sweeps as
+one campaign through the job API (:mod:`repro.api`), ``queue status``
+reports a work queue's pending/leased/done state, lease ages, steal
+history and quarantined seeds, and ``queue requeue`` releases
+quarantined seeds for another round of attempts.  ``serve`` exposes
+the whole job API over HTTP (:mod:`repro.service`): POST a spec or
+manifest, poll the job id, fetch the export — same engine, same
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -49,29 +52,31 @@ from repro.analysis.export import rows_to_json, series_to_json
 from repro.analysis.series import LabelledSeries
 from repro.analysis.tables import render_table
 from repro.core.transitivity import TransitivityMode
-from repro.simulation.config import (
-    DelegationConfig,
-    EnvironmentConfig,
-    TransitivityConfig,
-)
-from repro.simulation.delegation import DelegationSimulation
 from repro.simulation.distributed import DEFAULT_LEASE_TTL
-from repro.simulation.environment import EnvironmentSimulation
-from repro.simulation.mutuality import sweep_thresholds
-from repro.simulation.transitivity import (
-    TransitivitySimulation,
-    sweep_characteristics,
-)
-from repro.socialnet.datasets import NETWORK_PROFILES, load_network
-from repro.socialnet.metrics import connectivity_report
+from repro.socialnet.datasets import NETWORK_PROFILES
 
 _NETWORKS = tuple(NETWORK_PROFILES)
+# The Fig. 7 reverse-evaluation thresholds and the Figs. 9-11
+# characteristic counts K, one registry run per value.
+_THRESHOLDS = (0.0, 0.3, 0.6)
+_CHARACTERISTIC_COUNTS = (4, 5, 6, 7)
 
 
 def _networks_for(args: argparse.Namespace) -> List[str]:
     if args.network == "all":
         return list(_NETWORKS)
     return [args.network]
+
+
+def _run_network(args: argparse.Namespace, scenario: str, network: str,
+                 **overrides: object):
+    """The native result of one registry run on ``network``; ``--seed``
+    seeds both the generated network and the simulation."""
+    from repro.simulation import registry
+
+    return registry.get(scenario).run_full(
+        args.seed, network=network, graph_seed=args.seed, **overrides
+    )
 
 
 def _emit(args: argparse.Namespace, text: str, payload: str) -> None:
@@ -83,8 +88,12 @@ def _emit(args: argparse.Namespace, text: str, payload: str) -> None:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from repro.simulation import registry
+
+    # Table 1 has no simulation: the seed drives the network generator.
+    spec = registry.get("table1-connectivity")
     rows = [
-        connectivity_report(load_network(name, seed=args.seed)).as_row()
+        spec.run_full(args.seed, network=name).as_row()
         for name in _networks_for(args)
     ]
     _emit(args, render_table(rows, title="Table 1"), rows_to_json(rows))
@@ -94,9 +103,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_fig7(args: argparse.Namespace) -> int:
     rows = []
     for name in _networks_for(args):
-        for result in sweep_thresholds(
-            load_network(name, seed=args.seed), seed=args.seed
-        ):
+        for theta in _THRESHOLDS:
+            result = _run_network(args, "fig7-mutuality", name,
+                                  threshold=theta)
             rows.append({
                 "network": name,
                 "theta": result.threshold,
@@ -109,10 +118,11 @@ def cmd_fig7(args: argparse.Namespace) -> int:
 def cmd_fig9(args: argparse.Namespace) -> int:
     rows = []
     for name in _networks_for(args):
-        for result in sweep_characteristics(
-            load_network(name, seed=args.seed), seed=args.seed
-        ):
-            rows.append(result.as_row())
+        for count in _CHARACTERISTIC_COUNTS:
+            # All three methods on one simulation per (network, K).
+            results = _run_network(args, "fig12-overhead", name,
+                                   num_characteristics=count)
+            rows.extend(result.as_row() for result in results.values())
     _emit(
         args,
         render_table(rows, title="Figs. 9-11 transitivity sweep"),
@@ -122,17 +132,12 @@ def cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    rows = []
-    for name in _networks_for(args):
-        simulation = TransitivitySimulation(
-            load_network(name, seed=args.seed),
-            TransitivityConfig(),
-            seed=args.seed,
-            property_based_tasks=True,
-        )
-        for mode in TransitivityMode:
-            result = simulation.run(mode)
-            rows.append(result.as_row())
+    rows = [
+        _run_network(args, "table2-properties", name,
+                     mode=mode.value).as_row()
+        for name in _networks_for(args)
+        for mode in TransitivityMode
+    ]
     _emit(args, render_table(rows, title="Table 2"), rows_to_json(rows))
     return 0
 
@@ -140,12 +145,11 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_fig13(args: argparse.Namespace) -> int:
     curves = []
     for name in _networks_for(args):
-        simulation = DelegationSimulation(
-            load_network(name, seed=args.seed),
-            DelegationConfig(iterations=args.iterations),
-            seed=args.seed,
+        first, second = (
+            _run_network(args, "fig13-delegation", name,
+                         iterations=args.iterations, strategy=strategy)
+            for strategy in ("first", "second")
         )
-        first, second = simulation.run_both_strategies()
         curves.append(LabelledSeries(
             f"{name} (second strategy)", second.series.smoothed(50)
         ))
@@ -161,15 +165,17 @@ def cmd_fig13(args: argparse.Namespace) -> int:
 
 
 def cmd_fig15(args: argparse.Namespace) -> int:
-    simulation = EnvironmentSimulation(
-        EnvironmentConfig(runs=args.runs), seed=args.seed
+    from repro.simulation import registry
+    from repro.simulation.config import EnvironmentConfig
+
+    result = registry.get("fig15-environment").run_full(
+        args.seed, runs=args.runs
     )
-    result = simulation.run()
     curves = [
         LabelledSeries(series.label, series.values)
         for series in result.curves().values()
     ]
-    errors = simulation.tracking_errors(result)
+    errors = result.tracking_errors(EnvironmentConfig().actual_success_rate)
     text = ascii_chart(curves, title="Fig. 15 tracking") + (
         f"\nMAE: proposed {errors['proposed']:.3f}, "
         f"traditional {errors['traditional']:.3f}"
@@ -179,9 +185,9 @@ def cmd_fig15(args: argparse.Namespace) -> int:
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
-    from repro.iotnet.experiments import InferenceExperiment
+    from repro.simulation import registry
 
-    result = InferenceExperiment(runs=50, seed=args.seed).run()
+    result = registry.get("fig8-inference").run_full(args.seed)
     curves = [
         LabelledSeries("With Proposed Model", result.with_model),
         LabelledSeries("Without Proposed Model", result.without_model),
@@ -195,9 +201,9 @@ def cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def cmd_fig14(args: argparse.Namespace) -> int:
-    from repro.iotnet.experiments import ActiveTimeExperiment
+    from repro.simulation import registry
 
-    result = ActiveTimeExperiment(seed=args.seed).run()
+    result = registry.get("fig14-activetime").run_full(args.seed)
     curves = [
         LabelledSeries("Without Proposed Model", result.without_model),
         LabelledSeries("With Proposed Model", result.with_model),
@@ -211,9 +217,9 @@ def cmd_fig14(args: argparse.Namespace) -> int:
 
 
 def cmd_fig16(args: argparse.Namespace) -> int:
-    from repro.iotnet.experiments import LightingExperiment
+    from repro.simulation import registry
 
-    result = LightingExperiment(seed=args.seed).run()
+    result = registry.get("fig16-light").run_full(args.seed)
     curves = [
         LabelledSeries("With Proposed Model", result.with_model),
         LabelledSeries("Without Proposed Model", result.without_model),
@@ -289,7 +295,7 @@ def _sweep_text(sweep, profile, distributed: bool,
             f"{sweep.steals} steal(s), {sweep.requeues} requeue(s)"
             + (f" [{queue_dir}]" if queue_dir else "")
         )
-    failed = getattr(sweep, "failed_seeds", [])
+    failed = sweep.failed_seeds
     if failed:
         lines.append(f"  failed: {len(failed)} seed(s) quarantined")
         for record in failed:
@@ -315,7 +321,7 @@ def _campaign_text(result, profile) -> str:
             f", queue {sweep.tasks_total} task(s) {sweep.steals} steal(s)"
             if sweep.tasks_total else ""
         )
-        failed = getattr(sweep, "failed_seeds", [])
+        failed = sweep.failed_seeds
         poison = f", {len(failed)} seed(s) failed" if failed else ""
         lines.append(
             f"  {label:<28} {sweep.kind:<6} {timing.seeds} seed(s) "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.core.ids import NodeId
-from repro.core.policy import NetProfitPolicy, SelectionPolicy, SuccessRatePolicy
+from repro.core.policy import SelectionPolicy
 from repro.core.records import OutcomeFactors
 from repro.core.update import ForgettingUpdater
 from repro.simulation.config import DelegationConfig
@@ -146,9 +146,3 @@ class DelegationSimulation:
         return NetProfitSeries(
             network=self.graph.name, strategy=label, series=series
         )
-
-    def run_both_strategies(self) -> Tuple[NetProfitSeries, NetProfitSeries]:
-        """(strategy 1, strategy 2) series — the two curves of Fig. 13."""
-        first = self.run(SuccessRatePolicy(), "first strategy")
-        second = self.run(NetProfitPolicy(), "second strategy")
-        return first, second

@@ -151,7 +151,8 @@ def params_signature(params) -> Params:
     """The canonical, order-independent form of a parameter set.
 
     Accepts a mapping or an iterable of ``(name, value)`` pairs in any
-    insertion order and returns the sorted tuple-of-pairs every key in
+    insertion order (a task file's JSON list of lists included) and
+    returns the sorted tuple-of-pairs every key in
     the system (task files, lease math, :meth:`SweepCache.key`) is
     computed from.  Container values normalize exactly like
     :meth:`ScenarioSpec.params` does, so a parameter set that took the
@@ -162,11 +163,6 @@ def params_signature(params) -> Params:
     return tuple(sorted(
         (str(name), registry.hashable_value(value)) for name, value in pairs
     ))
-
-
-def rehydrate_params(pairs: Sequence[Sequence[object]]) -> Params:
-    """Rebuild a params tuple from its JSON form (lists back to tuples)."""
-    return params_signature(tuple((name, value) for name, value in pairs))
 
 
 def queue_path_error(path) -> Optional[str]:
@@ -879,7 +875,7 @@ def _process_task(
     """
     task_id = task["task"]
     scenario = task["scenario"]
-    params = rehydrate_params(task["params"])
+    params = params_signature(task["params"])
     budget = queue.max_attempts()
     results: Dict[str, dict] = {}
     failed: Dict[str, dict] = {}

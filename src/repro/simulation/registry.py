@@ -2,16 +2,18 @@
 
 Each :class:`ScenarioSpec` wraps one of the paper's seed-driven
 experiments behind a uniform, *picklable* per-seed entry point, so the
-benchmarks, the ``repro sweep`` CLI and the sequential-vs-parallel
-equivalence suite all run exactly the same code:
+benchmarks, the artifact commands (``repro fig7`` ...), ``repro sweep``
+and the sequential-vs-parallel equivalence suite all run exactly the
+same code.  The registry is the only place an experiment is built:
 
 * ``spec.build_once(...)`` — the scenario **arena**: everything
   seed-independent (graph, configs), materialized once and reused
   across seeds;
 * ``spec.run_with_seed(arena, seed, ...)`` — one seeded run against a
   prebuilt arena, returning the experiment's native result object;
-* ``spec.run_full(seed)`` — arena lookup + seeded run in one call (what
-  a bench renders and asserts shapes on);
+* ``spec.run_full(seed)`` — arena lookup + seeded run in one call; the
+  native result is what the artifact commands and the benches render
+  (and what the benches assert shapes on);
 * ``spec.run(seed)`` — the result reduced to the common multi-seed
   shapes (:class:`RateSummary` for ``kind == "rates"``,
   :class:`SeriesResult` for ``kind == "series"``) that
@@ -35,9 +37,11 @@ Graphs are rebuilt per worker from their profile name (and cached per
 process), so a spec never has to pickle a network.
 
 Besides the nine figure/table experiments, the registry names the
-remaining bench families — Table 1 connectivity, the Fig. 12 search
-overhead, and the six ablations — so *every* bench computes through a
-named spec and ``repro sweep`` can drive all of them.
+remaining bench families — Table 1 connectivity, the Figs. 9–12
+all-methods run (``fig12-overhead``: the three trust-transfer methods
+on one simulation), and the six ablations — so every bench and every
+artifact command computes through a named spec and ``repro sweep`` can
+drive all of them.
 """
 
 from __future__ import annotations
@@ -381,12 +385,11 @@ def _reduce_attacks(results) -> SeriesResult:
 def _seed_beta(arena, params: Mapping[str, object], seed: int):
     results = {}
     for beta in params["betas"]:
-        simulation = EnvironmentSimulation(
-            EnvironmentConfig(runs=params["runs"], beta=beta), seed=seed,
-            compute=params.get("compute", "python"),
-        )
-        result = simulation.run()
-        errors = simulation.tracking_errors(result)
+        config = EnvironmentConfig(runs=params["runs"], beta=beta)
+        result = EnvironmentSimulation(
+            config, seed=seed, compute=params.get("compute", "python"),
+        ).run()
+        errors = result.tracking_errors(config.actual_success_rate)
         # Lag: proposed-tracker error over the 20 iterations after the
         # first environment step.
         post_step = result.proposed.values[100:120]
@@ -785,7 +788,8 @@ class ScenarioSpec:
         return self._reduce(self.run_full(seed, smoke=smoke, **overrides))
 
     def run_full(self, seed: int, smoke: bool = False, **overrides: object):
-        """The experiment's native result object (what benches assert on)."""
+        """The experiment's native result object: what the artifact
+        commands and the benches render."""
         return self.run_with_seed(
             self.build_once(smoke=smoke, **overrides), seed,
             smoke=smoke, **overrides,
@@ -964,8 +968,9 @@ _register(ScenarioSpec(
 _register(ScenarioSpec(
     name="fig12-overhead",
     kind="series",
-    description="Fig. 12: mean inquired nodes per trustor for the three "
-                "trust-transfer methods",
+    description="Figs. 9-12: the three trust-transfer methods on one "
+                "simulation (one network, one K); reduced to the Fig. 12 "
+                "mean inquired nodes per trustor",
     defaults={
         "network": "facebook", "graph_seed": 0, "num_characteristics": 4,
     },

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.ids import NodeId
 from repro.core.task import Task
@@ -267,28 +267,3 @@ class TransitivitySimulation:
             inquiry_counts=tuple(sorted(inquiry_counts)),
         )
 
-
-def sweep_characteristics(
-    graph: SocialGraph,
-    counts: Sequence[int] = (4, 5, 6, 7),
-    modes: Sequence[TransitivityMode] = tuple(TransitivityMode),
-    seed: int = 0,
-    base_config: TransitivityConfig = TransitivityConfig(),
-) -> List[TransitivityResult]:
-    """The Figs. 9–11 sweep: every (K, method) combination."""
-    results: List[TransitivityResult] = []
-    for count in counts:
-        config = TransitivityConfig(
-            num_characteristics=count,
-            tasks_per_node=base_config.tasks_per_node,
-            catalog_size=base_config.catalog_size,
-            max_task_characteristics=base_config.max_task_characteristics,
-            omega_recommend=base_config.omega_recommend,
-            omega_execute=base_config.omega_execute,
-            max_depth=base_config.max_depth,
-            roles=base_config.roles,
-        )
-        simulation = TransitivitySimulation(graph, config, seed)
-        for mode in modes:
-            results.append(simulation.run(mode))
-    return results

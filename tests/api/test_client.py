@@ -48,13 +48,13 @@ class TestSubmit:
 
     def test_submit_is_non_blocking_and_waitable(self, monkeypatch):
         gate = threading.Event()
-        real = sweep_module.execute_sweep
+        real = sweep_module.execute_campaign
 
-        def slow(spec, profile):
+        def slow(specs, profile, fleet=None):
             gate.wait(30)
-            return real(spec, profile)
+            return real(specs, profile, fleet=fleet)
 
-        monkeypatch.setattr(sweep_module, "execute_sweep", slow)
+        monkeypatch.setattr(sweep_module, "execute_campaign", slow)
         handle = Client(_FAST).submit(
             SweepSpec("fig15-environment", [1], smoke=True)
         )
@@ -65,10 +65,10 @@ class TestSubmit:
         assert handle.status() == "done"
 
     def test_failures_surface_through_result(self, monkeypatch):
-        def boom(spec, profile):
+        def boom(specs, profile, fleet=None):
             raise RuntimeError("scenario exploded")
 
-        monkeypatch.setattr(sweep_module, "execute_sweep", boom)
+        monkeypatch.setattr(sweep_module, "execute_campaign", boom)
         handle = Client(_FAST).submit(
             SweepSpec("fig15-environment", [1], smoke=True)
         )
@@ -80,8 +80,8 @@ class TestSubmit:
     def test_result_timeout_raises(self, monkeypatch):
         gate = threading.Event()
         monkeypatch.setattr(
-            sweep_module, "execute_sweep",
-            lambda spec, profile: gate.wait(30),
+            sweep_module, "execute_campaign",
+            lambda specs, profile, fleet=None: [gate.wait(30)],
         )
         handle = Client(_FAST).submit(
             SweepSpec("fig15-environment", [1], smoke=True)
@@ -118,8 +118,8 @@ class TestSubmit:
             "repro.api.client.threading.Thread", ManualThread
         )
         monkeypatch.setattr(
-            sweep_module, "execute_sweep",
-            lambda spec, profile: ran.append(spec),
+            sweep_module, "execute_campaign",
+            lambda specs, profile, fleet=None: ran.append(specs),
         )
         handle = Client(_FAST).submit(
             SweepSpec("fig15-environment", [1], smoke=True)
@@ -136,12 +136,12 @@ class TestSubmit:
         gate = threading.Event()
         started = threading.Event()
 
-        def slow(spec, profile):
+        def slow(specs, profile, fleet=None):
             started.set()
             gate.wait(30)
-            return "done"
+            return ["done"]
 
-        monkeypatch.setattr(sweep_module, "execute_sweep", slow)
+        monkeypatch.setattr(sweep_module, "execute_campaign", slow)
         handle = Client(_FAST).submit(
             SweepSpec("fig15-environment", [1], smoke=True)
         )

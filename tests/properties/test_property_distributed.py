@@ -24,7 +24,6 @@ from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import (
     WorkQueue,
     params_signature,
-    rehydrate_params,
 )
 from repro.simulation.runner import average_series
 from repro.simulation.sweep import execute_sweep
@@ -65,7 +64,7 @@ class TestKeyStability:
         reversed_signature = params_signature(
             list(reversed(list(params.items())))
         )
-        wire = rehydrate_params(
+        wire = params_signature(
             json.loads(json.dumps([[k, v] for k, v in signature]))
         )
         key = SweepCache.key("scenario", signature, seed, version="v")
@@ -79,7 +78,7 @@ class TestKeyStability:
     def test_every_scenario_params_survive_the_task_file_trip(self, name):
         params = registry.get(name).params_key(smoke=True)
         wire = json.loads(json.dumps([[k, v] for k, v in params]))
-        assert rehydrate_params(wire) == params
+        assert params_signature(wire) == params
 
 
 class TestPartitionInvariance:

@@ -1,7 +1,10 @@
 """Tests for the Fig. 13 delegation-results simulation."""
 
+import pickle
+
 import pytest
 
+from repro.core.policy import NetProfitPolicy, SuccessRatePolicy
 from repro.simulation.config import DelegationConfig
 from repro.simulation.delegation import DelegationSimulation
 from repro.socialnet.datasets import twitter
@@ -13,8 +16,15 @@ def both_series():
     simulation = DelegationSimulation(
         graph, DelegationConfig(iterations=800), seed=3
     )
-    first, second = simulation.run_both_strategies()
-    return first, second
+    return _both_strategies(simulation)
+
+
+def _both_strategies(simulation):
+    """(strategy 1, strategy 2) series: the two curves of Fig. 13."""
+    return (
+        simulation.run(SuccessRatePolicy(), "first strategy"),
+        simulation.run(NetProfitPolicy(), "second strategy"),
+    )
 
 
 class TestShapes:
@@ -53,8 +63,8 @@ class TestMechanics:
     def test_deterministic(self):
         graph = twitter(seed=0)
         config = DelegationConfig(iterations=50)
-        a = DelegationSimulation(graph, config, seed=5).run_both_strategies()
-        b = DelegationSimulation(graph, config, seed=5).run_both_strategies()
+        a = _both_strategies(DelegationSimulation(graph, config, seed=5))
+        b = _both_strategies(DelegationSimulation(graph, config, seed=5))
         assert a[1].series.values == b[1].series.values
 
     def test_profit_bounded_by_stakes(self):
@@ -64,9 +74,27 @@ class TestMechanics:
         simulation = DelegationSimulation(
             graph, DelegationConfig(iterations=50), seed=5
         )
-        series = simulation.run(
-            __import__("repro.core.policy", fromlist=["NetProfitPolicy"])
-            .NetProfitPolicy(), "probe"
-        )
+        series = simulation.run(NetProfitPolicy(), "probe")
         for value in series.series.values:
             assert -2.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    def test_strategies_on_one_simulation_equal_fresh_ones(self, seed):
+        # ``run`` leaves its simulation as it found it, so the
+        # ``fig13-delegation`` scenario may build one per strategy.
+        graph = twitter(seed=0)
+        config = DelegationConfig(iterations=40)
+        fresh = (
+            DelegationSimulation(graph, config, seed=seed).run(
+                SuccessRatePolicy(), "first strategy"),
+            DelegationSimulation(graph, config, seed=seed).run(
+                NetProfitPolicy(), "second strategy"),
+        )
+        shared = DelegationSimulation(graph, config, seed=seed)
+        before = pickle.dumps(shared.__dict__)
+        assert _both_strategies(shared) == fresh
+        assert pickle.dumps(shared.__dict__) == before
+        second = shared.run(NetProfitPolicy(), "second strategy")
+        first = shared.run(SuccessRatePolicy(), "first strategy")
+        assert (first, second) == fresh
+        assert pickle.dumps(shared.__dict__) == before

@@ -30,7 +30,6 @@ from repro.simulation.distributed import (
     WorkQueue,
     execute_queued,
     params_signature,
-    rehydrate_params,
     worker_loop,
 )
 from repro.simulation.sweep import execute_sweep, seed_range
@@ -56,14 +55,14 @@ class TestParamsSignature:
         spec = registry.get("fig16-light")
         params = spec.params_key(smoke=True)  # contains nested tuples
         wire = json.loads(json.dumps([[k, v] for k, v in params]))
-        assert rehydrate_params(wire) == params
+        assert params_signature(wire) == params
 
     def test_rehydrated_params_key_cache_keys_match(self):
         for name in registry.names():
             spec = registry.get(name)
             params = spec.params_key(smoke=True)
             wire = json.loads(json.dumps([[k, v] for k, v in params]))
-            assert SweepCache.key(name, rehydrate_params(wire), 7) == (
+            assert SweepCache.key(name, params_signature(wire), 7) == (
                 SweepCache.key(name, params, 7)
             )
 

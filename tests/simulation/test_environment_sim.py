@@ -6,14 +6,12 @@ from repro.simulation.config import EnvironmentConfig
 from repro.simulation.environment import EnvironmentSimulation
 
 
+CONFIG = EnvironmentConfig(runs=60)
+
+
 @pytest.fixture(scope="module")
 def result():
-    return EnvironmentSimulation(EnvironmentConfig(runs=60), seed=7).run()
-
-
-@pytest.fixture(scope="module")
-def simulation():
-    return EnvironmentSimulation(EnvironmentConfig(runs=60), seed=7)
+    return EnvironmentSimulation(CONFIG, seed=7).run()
 
 
 class TestCurves:
@@ -50,12 +48,12 @@ class TestCurves:
 
 
 class TestErrors:
-    def test_proposed_tracks_better_than_traditional(self, simulation, result):
-        errors = simulation.tracking_errors(result)
+    def test_proposed_tracks_better_than_traditional(self, result):
+        errors = result.tracking_errors(CONFIG.actual_success_rate)
         assert errors["proposed"] < 0.5 * errors["traditional"]
 
-    def test_control_error_small(self, simulation, result):
-        errors = simulation.tracking_errors(result)
+    def test_control_error_small(self, result):
+        errors = result.tracking_errors(CONFIG.actual_success_rate)
         assert errors["no_influence"] < 0.05
 
 

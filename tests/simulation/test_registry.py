@@ -1,10 +1,13 @@
 """Tests for the named scenario registry."""
 
+import ast
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.simulation import registry
 from repro.simulation.results import RateSummary, SeriesResult
 
@@ -241,3 +244,59 @@ class TestArenas:
             arena = spec.build_once(smoke=True)
             assert isinstance(arena, dict)
         registry.clear_arenas()
+
+
+_ROOT = Path(__file__).resolve().parents[2]
+_SIMULATION_DIR = Path(repro.__file__).parent / "simulation"
+
+
+def _experiment_sweeps():
+    """The ``sweep_*`` helpers of the simulation modules (the modules
+    that define a ``*Simulation`` class)."""
+    names = set()
+    for path in sorted(_SIMULATION_DIR.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        if any(
+            isinstance(node, ast.ClassDef)
+            and node.name.endswith("Simulation")
+            for node in body
+        ):
+            names.update(
+                node.name for node in body
+                if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("sweep_")
+            )
+    return names
+
+
+class TestOnePath:
+    """The artifact commands and the benches build every experiment
+    through the registry: neither instantiates a ``*Simulation`` or
+    ``*Experiment`` class, loads a network, reports connectivity or
+    calls a simulation module's ``sweep_*`` helper.  Constants and core
+    formulas stay free to use."""
+
+    @pytest.mark.parametrize("path", [
+        _ROOT / "src" / "repro" / "cli.py",
+        *sorted((_ROOT / "benchmarks").glob("bench_*.py")),
+    ], ids=lambda path: path.name)
+    def test_builds_no_experiment_outside_the_registry(self, path):
+        helpers = {"load_network", "connectivity_report"}
+        helpers |= _experiment_sweeps()
+        builds = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name is not None and (
+                name.endswith(("Simulation", "Experiment"))
+                or name in helpers
+            ):
+                builds.append(f"{path.name}:{node.lineno} {name}")
+        assert builds == []
+
+    def test_the_sweep_helpers_are_found(self):
+        assert "sweep_thresholds" in _experiment_sweeps()

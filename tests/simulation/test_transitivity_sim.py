@@ -1,13 +1,12 @@
 """Tests for the Figs. 9-12 / Table 2 transitivity simulation."""
 
+import pickle
+
 import pytest
 
 from repro.core.transitivity import TransitivityMode
 from repro.simulation.config import TransitivityConfig
-from repro.simulation.transitivity import (
-    TransitivitySimulation,
-    sweep_characteristics,
-)
+from repro.simulation.transitivity import TransitivitySimulation
 from repro.socialnet.datasets import twitter
 
 
@@ -75,10 +74,12 @@ class TestShapes:
 class TestSweep:
     @pytest.fixture(scope="class")
     def sweep(self, graph):
-        return sweep_characteristics(
-            graph, counts=(4, 7),
-            modes=(TransitivityMode.AGGRESSIVE,), seed=3,
-        )
+        return [
+            TransitivitySimulation(
+                graph, TransitivityConfig(num_characteristics=count), seed=3
+            ).run(TransitivityMode.AGGRESSIVE)
+            for count in (4, 7)
+        ]
 
     def test_success_decreases_with_more_characteristics(self, sweep):
         # The Fig. 9 trend: a larger task-type space starves the search.
@@ -123,3 +124,30 @@ class TestDeterminism:
             TransitivityMode.CONSERVATIVE
         )
         assert a == b
+
+
+class TestSharedSimulation:
+    """``run`` leaves its simulation as it found it, so the three methods
+    may share one simulation: what ``fig12-overhead`` (and through it
+    ``repro fig9`` and the Fig. 10/11 benches) relies on."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 5])
+    @pytest.mark.parametrize("property_based_tasks", [False, True])
+    def test_modes_on_one_simulation_equal_fresh_ones(
+        self, graph, seed, property_based_tasks
+    ):
+        config = TransitivityConfig(num_characteristics=5)
+
+        def simulation():
+            return TransitivitySimulation(
+                graph, config, seed=seed,
+                property_based_tasks=property_based_tasks,
+            )
+
+        fresh = {mode: simulation().run(mode) for mode in TransitivityMode}
+        shared = simulation()
+        before = pickle.dumps(shared.__dict__)
+        for order in (list(TransitivityMode), reversed(TransitivityMode)):
+            for mode in order:
+                assert shared.run(mode) == fresh[mode]
+                assert pickle.dumps(shared.__dict__) == before
