@@ -10,18 +10,18 @@ from repro.simulation.registry import get
 from repro.socialnet.datasets import NETWORK_PROFILES
 
 COUNTS = (4, 5, 6, 7)
-SPEC = get("fig9-transitivity")
+SPEC = get("fig12-overhead")
 
 
 def _compute():
+    # All three methods run on one simulation per (network, K).
     return {
         name: [
-            SPEC.run_full(
-                seed=1, network=name, num_characteristics=count,
-                mode=mode.value,
-            )
+            result
             for count in COUNTS
-            for mode in TransitivityMode
+            for result in SPEC.run_full(
+                seed=1, network=name, num_characteristics=count
+            ).values()
         ]
         for name in NETWORK_PROFILES
     }

@@ -8,8 +8,8 @@ values, keeping *what* runs apart from *how* it runs:
   across a JSON round trip, so a spec can be a cache key, a queue
   manifest entry, or a line in a campaign file and always mean the same
   sweep.
-* :class:`ExecutionProfile` — the machinery: workers, backend, chunk
-  size, cache and work-queue settings.  Two sweeps with the same spec
+* :class:`ExecutionProfile` — the machinery: workers, backend, cache
+  and work-queue settings.  Two sweeps with the same spec
   and different profiles produce bit-identical results (that is the
   equivalence suite's contract); the profile only changes how fast and
   where.
@@ -49,7 +49,6 @@ ON_ERROR_MODES = ("raise", "collect")
 def validate_execution(
     workers: int = 1,
     backend: str = "process",
-    chunk_size: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     no_cache: bool = False,
     queue_dir: Optional[Union[str, Path]] = None,
@@ -66,7 +65,7 @@ def validate_execution(
     * a backend outside :data:`EXECUTION_BACKENDS`;
     * ``workers < 1`` for the process pool, ``workers < 0`` for the
       distributed backend;
-    * ``chunk_size < 1``, ``max_attempts < 1``, or a ``lease_ttl`` that
+    * ``max_attempts < 1``, or a ``lease_ttl`` that
       is not finite and positive (``json.loads`` reads a ``NaN``
       literal, and a NaN TTL would never let a dead lease be stolen);
     * an ``on_error`` outside :data:`ON_ERROR_MODES`;
@@ -86,12 +85,6 @@ def validate_execution(
     # must fail cleanly, not with a TypeError from a comparison below.
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be an integer, got {workers!r}")
-    if chunk_size is not None and (
-        not isinstance(chunk_size, int) or isinstance(chunk_size, bool)
-    ):
-        raise ValueError(
-            f"chunk_size must be an integer, got {chunk_size!r}"
-        )
     if lease_ttl is not None and (
         isinstance(lease_ttl, bool)
         or not isinstance(lease_ttl, (int, float))
@@ -119,8 +112,6 @@ def validate_execution(
             raise ValueError(
                 "queue_dir/lease_ttl require backend='distributed'"
             )
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     if lease_ttl is not None and not (
         math.isfinite(lease_ttl) and lease_ttl > 0
     ):
@@ -306,7 +297,6 @@ class ExecutionProfile:
 
     workers: int = 1
     backend: str = "process"
-    chunk_size: Optional[int] = None
     cache_dir: Optional[str] = None
     no_cache: bool = False
     queue_dir: Optional[str] = None
@@ -329,7 +319,6 @@ class ExecutionProfile:
         validate_execution(
             workers=self.workers,
             backend=self.backend,
-            chunk_size=self.chunk_size,
             cache_dir=self.cache_dir,
             no_cache=self.no_cache,
             queue_dir=self.queue_dir,

@@ -244,7 +244,6 @@ def _profile_from_sweep_args(args: argparse.Namespace):
     return ExecutionProfile(
         workers=args.workers,
         backend="distributed" if args.distributed else "process",
-        chunk_size=args.chunk_size,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         queue_dir=args.queue_dir,
@@ -767,11 +766,6 @@ def _add_profile_flags(parser: argparse.ArgumentParser) -> None:
                              "worker daemons (0 = rely on external "
                              "`repro worker` daemons); 1 = sequential "
                              "(default)")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        metavar="N",
-                        help="seeds per pool task; default auto-sizes to "
-                             "four task waves per worker (results are "
-                             "identical for any value)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persistent result cache location (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); "

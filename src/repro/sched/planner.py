@@ -25,7 +25,7 @@ once, ordering is stable under ties, chunk sizes never grow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.sched.estimator import CostEstimate
 from repro.simulation.parallel import auto_chunk_size
@@ -109,20 +109,16 @@ def plan_campaign(
     seed_lists: Sequence[Sequence[int]],
     workers: int,
     estimates: Sequence[CostEstimate],
-    chunk_size: Optional[int] = None,
 ) -> CampaignPlan:
     """Plan a campaign's queue layout.
 
     Sweeps are ranked long-pole-first by ``estimates`` (one per sweep;
     equal estimates keep submission order) and each is sharded into
-    shrinking chunks.  ``chunk_size`` is the base chunk of every
-    sweep; ``None`` sizes each sweep with
-    :func:`~repro.simulation.parallel.auto_chunk_size` for ``workers``.
-    The plan covers exactly the submitted seeds: planning moves work,
-    never changes it.
+    shrinking chunks from a base chunk the code sizes for ``workers``:
+    :func:`~repro.simulation.parallel.auto_chunk_size`, the pool's own
+    batch size.  The plan covers exactly the submitted seeds: planning
+    moves work, never changes it.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
     if len(estimates) != len(seed_lists):
         raise ValueError(
             f"{len(seed_lists)} sweeps but {len(estimates)} estimates"
@@ -132,10 +128,7 @@ def plan_campaign(
 
     planned = []
     for index, seeds in enumerate(seed_lists):
-        base = (
-            chunk_size if chunk_size is not None
-            else auto_chunk_size(len(seeds), workers)
-        )
+        base = auto_chunk_size(len(seeds), workers)
         planned.append(PlannedSweep(
             index=index,
             rank=ranks[index],

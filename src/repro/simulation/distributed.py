@@ -116,7 +116,6 @@ from repro.simulation.cache import (
     reduced_to_payload,
 )
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
-from repro.simulation.parallel import _chunked
 from repro.simulation.results import RateSummary, SeriesResult
 
 if TYPE_CHECKING:
@@ -252,53 +251,45 @@ class WorkQueue:
         scenario: str,
         params: Params,
         seeds: Sequence[int],
-        chunk_size: int,
+        chunks: Sequence[Sequence[int]],
         spec_payload: Optional[dict] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        chunks: Optional[Sequence[Sequence[int]]] = None,
         rank: Optional[int] = None,
         est_seconds_per_seed: Optional[float] = None,
     ) -> "WorkQueue":
-        """Shard ``seeds`` into task files under a fresh sweep directory.
+        """Write ``seeds`` as one task file per chunk under a fresh sweep
+        directory.
 
-        Chunks are contiguous and order-preserving (the same batches
-        :class:`ParallelRunner` would form), so any chunk size merges
-        back into the identical seed-ordered result list.  The manifest
-        is written last: a sweep directory is invisible to workers
-        until its tasks are all in place.  ``spec_payload`` (the
-        :class:`repro.api.SweepSpec` JSON form, when the sweep came
-        through the job API) is embedded in the manifest purely for
-        observability — ``repro queue status`` names what is queued.
+        ``chunks`` is the layout: contiguous, order-preserving batches
+        that must concatenate back to ``seeds`` (the coordinator passes
+        :func:`repro.sched.plan_campaign`'s shrinking chunks), so any
+        layout merges back into the identical seed-ordered result
+        list.  The manifest is written last: a sweep directory is
+        invisible to workers until its tasks are all in place.
+        ``spec_payload`` (the :class:`repro.api.SweepSpec` JSON form,
+        when the sweep came through the job API) is embedded in the
+        manifest purely for observability — ``repro queue status``
+        names what is queued.
         ``max_attempts`` pins the per-seed retry budget in the manifest
         so every worker serving the sweep applies the same budget.
 
-        The planner's levers: ``chunks`` replaces the default uniform
-        ``chunk_size`` sharding with an explicit layout (it must
-        concatenate back to ``seeds``; the coordinator passes
-        :func:`repro.sched.plan_campaign`'s shrinking chunks, so
-        ``chunk_size`` then only records the plan's base chunk);
-        ``rank`` prefixes the sweep directory name so workers — which
-        scan in sorted order — serve rank 0 first (the plan ranks the
-        costliest sweep 0); ``est_seconds_per_seed`` records the
-        planner's cost estimate in the manifest for ``repro queue
-        status`` ETAs.  All three move work around without changing
-        what any seed computes.  Without them (external callers,
-        tests) a sweep is cut into uniform ``chunk_size`` chunks and
-        carries no rank or estimate.
+        The planner's other levers: ``rank`` prefixes the sweep
+        directory name so workers — which scan in sorted order — serve
+        rank 0 first (the plan ranks the costliest sweep 0);
+        ``est_seconds_per_seed`` records the planner's cost estimate in
+        the manifest for ``repro queue status`` ETAs.  Like the layout,
+        both move work around without changing what any seed computes;
+        without them a sweep carries no rank or estimate.
         """
         seeds = [int(seed) for seed in seeds]
         if not seeds:
             raise ValueError("need at least one seed")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         params = params_signature(params)
         digest = sha256(
             repr((scenario, params, tuple(seeds), code_version())).encode()
         ).hexdigest()[:12]
-        if chunks is None:
-            chunks = _chunked(seeds, chunk_size)
         chunk_lists = [[int(seed) for seed in chunk] for chunk in chunks]
         if any(not chunk for chunk in chunk_lists):
             raise ValueError("chunks must all be non-empty")
@@ -331,7 +322,6 @@ class WorkQueue:
             "params": params_json,
             "seeds": seeds,
             "chunks": dict(zip(task_ids, chunk_lists)),
-            "chunk_size": chunk_size,
             "code_version": code_version(),
             "max_attempts": int(max_attempts),
         }
@@ -1363,7 +1353,6 @@ def execute_queued(
     jobs: Sequence[QueuedJob],
     *,
     workers: int = 1,
-    chunk_size: Optional[int] = None,
     cache_root: Optional[Union[str, Path]] = None,
     queue_dir: Optional[Union[str, Path]] = None,
     lease_ttl: Optional[float] = None,
@@ -1431,10 +1420,9 @@ def execute_queued(
     :func:`repro.sched.plan_campaign`'s.  Each sweep's cost is
     estimated from its job's ``runtimes`` (else the family priors);
     the long poles are served first and chunk sizes shrink toward each
-    sweep's tail, from a base sized for a fleet of ``max(workers, 1)``
-    (or ``chunk_size``).  Layout and fleet size are both
-    result-neutral — the results are bit-identical to the sequential
-    oracle's.
+    sweep's tail, from a base sized for a fleet of ``max(workers, 1)``.
+    Layout and fleet size are both result-neutral — the results are
+    bit-identical to the sequential oracle's.
     """
     if not jobs:
         raise ValueError("need at least one queued job")
@@ -1455,7 +1443,6 @@ def execute_queued(
     ]
     plan = plan_campaign(
         [job.seeds for job in jobs], max(workers, 1), estimates,
-        chunk_size=chunk_size,
     )
     own = fleet is None or fleet.key != LocalFleet.key_for(
         queue_dir, cache_root, workers, lease_ttl,
@@ -1501,10 +1488,9 @@ def _run_queued(
     queues = [
         WorkQueue.create(
             fleet.queue_root, job.scenario, job.params, job.seeds,
-            planned.chunk_size,
+            planned.chunks,
             spec_payload=job.spec_payload,
             max_attempts=max_attempts,
-            chunks=planned.chunks,
             rank=planned.rank,
             est_seconds_per_seed=planned.estimate.seconds_per_seed,
         )

@@ -1,25 +1,23 @@
 """Parallel multi-seed runtime: fan seeds out over a process pool.
 
-:class:`ParallelRunner` exposes the same ``average_rates`` /
-``average_series`` API as :mod:`repro.simulation.runner` but distributes
-the per-seed runs over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-Results are collected back **in seed order** and reduced with the exact
-helpers the sequential path uses
-(:func:`~repro.simulation.runner.combine_rates` /
-:func:`~repro.simulation.runner.combine_series`), so for a deterministic
-``run`` callable the output is bit-identical to the sequential oracle —
-the property the equivalence suite in ``tests/simulation`` asserts for
-every registered scenario and every chunk size.
+:meth:`ParallelRunner.map_seeds` distributes per-seed runs over a
+:class:`~concurrent.futures.ProcessPoolExecutor` and returns their
+results **in seed order**, so reducing them with the helpers the
+sequential path uses (:func:`~repro.simulation.runner.combine_rates` /
+:func:`~repro.simulation.runner.combine_series`) gives, for a
+deterministic ``run`` callable, output bit-identical to the sequential
+oracle — the property the equivalence suite in ``tests/simulation``
+asserts for every registered scenario.
 
 Scheduling is **chunked**: instead of one pool task per seed, seeds are
-grouped into contiguous batches of ``chunk_size`` and each task runs a
-whole batch.  One task per seed (``chunk_size=1``) pays pool dispatch +
-pickling once *per seed*, which dominates for cheap scenarios; batching
-amortizes that overhead while a worker's per-process scenario arena
-(:mod:`repro.simulation.registry`) is reused across every seed in its
-batches.  ``chunk_size=None`` (the default) picks
-``ceil(len(seeds) / (workers * 4))`` — four waves of tasks per worker,
-enough slack for dynamic load balancing without per-seed dispatch.
+grouped into contiguous batches and each task runs a whole batch.  One
+task per seed pays pool dispatch + pickling once *per seed*, which
+dominates for cheap scenarios; batching amortizes that overhead while a
+worker's per-process scenario arena (:mod:`repro.simulation.registry`)
+is reused across every seed in its batches.  The batch size is always
+:func:`auto_chunk_size`, ``ceil(len(seeds) / (workers * 4))`` — four
+waves of tasks per worker, enough slack for dynamic load balancing
+without per-seed dispatch; it is a tuning value, not an option.
 Chunking never changes results: chunks are contiguous, they are
 collected in submission order, and the flattened list is exactly the
 seed-ordered list the sequential oracle produces.
@@ -30,7 +28,7 @@ qualify — every spec produced by :mod:`repro.simulation.registry` is.
 An unpicklable one fails the map with the pickler's own error.
 
 ``workers <= 1`` always runs sequentially in-process (the oracle), and
-so does a map that falls to a single chunk outside a held pool.  An
+so does a one-seed map outside a held pool.  An
 ``initializer`` (with ``initargs``) runs once per pool worker before
 any task — the hook :func:`repro.simulation.sweep.execute_sweep` uses
 to materialize the scenario arena once per process.
@@ -44,8 +42,8 @@ pool campaign's workers once instead of once per sweep: each worker
 imports numpy at most once and keeps every arena it built for the later
 sweeps.  The held pool was started with the initializer of the map that
 opened it; later maps build their arenas on a worker's first seed.  A
-held pool also takes maps that fall to a single chunk, so nothing the
-pool's workers would build lands in the caller and, by fork, in every
+held pool also takes one-seed maps, so nothing the pool's workers
+would build lands in the caller and, by fork, in every
 pool started after it.
 
 Worker supervision: a pool worker dying — OOM-killed, segfaulted,
@@ -74,8 +72,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
-from repro.simulation.results import RateSummary, SeriesResult
-from repro.simulation.runner import combine_rates, combine_series
 
 T = TypeVar("T")
 
@@ -124,7 +120,7 @@ def default_workers() -> int:
 
 
 def auto_chunk_size(seeds: int, workers: int) -> int:
-    """Default batch size: four waves of tasks per worker.
+    """The pool's batch size: four waves of tasks per worker.
 
     ``ceil(seeds / (workers * 4))`` keeps every worker busy with a few
     tasks (so a slow chunk can be balanced around) while still
@@ -138,13 +134,10 @@ def auto_chunk_size(seeds: int, workers: int) -> int:
 
 
 def _chunked(seeds: Sequence[int], chunk_size: int) -> List[Tuple[int, ...]]:
-    """Contiguous seed batches, preserving order.
+    """Contiguous seed batches, preserving order: the pool's tasks.
 
-    The one uniform chunker: pool tasks here and the default sharding
-    of :meth:`repro.simulation.distributed.WorkQueue.create` both cut
-    seeds with it.  (Queued campaigns use
-    :func:`repro.sched.shrinking_chunks` instead; chunking never
-    changes a result.)
+    (Queued runs use :func:`repro.sched.shrinking_chunks` instead;
+    chunking never changes a result.)
     """
     return [
         tuple(seeds[start:start + chunk_size])
@@ -166,10 +159,6 @@ class ParallelRunner:
     workers:
         Pool size; ``None`` means one per CPU.  ``workers <= 1`` runs
         sequentially (the oracle path).
-    chunk_size:
-        Seeds per pool task.  ``None`` (default) picks
-        :func:`auto_chunk_size`; any positive value is honoured and the
-        result is bit-identical regardless.
     initializer / initargs:
         Run once per pool worker before its first task, or once in the
         caller on the sequential path; they must be picklable.  A held
@@ -185,7 +174,6 @@ class ParallelRunner:
     """
 
     workers: Optional[int] = None
-    chunk_size: Optional[int] = None
     initializer: Optional[Callable[..., None]] = None
     initargs: Tuple = ()
     max_attempts: Optional[int] = None
@@ -202,8 +190,6 @@ class ParallelRunner:
             self.workers = default_workers()
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
 
@@ -233,16 +219,12 @@ class ParallelRunner:
         if not seeds:
             raise ValueError("need at least one seed")
         workers = min(self.workers or 1, len(seeds))
-        chunk_size = 1
-        if workers > 1:
-            chunk_size = (
-                self.chunk_size if self.chunk_size is not None
-                else auto_chunk_size(len(seeds), workers)
-            )
-            # A single chunk leaves nothing to parallelize; don't pay
-            # for a pool that would run it on one worker anyway.
-            workers = min(workers, math.ceil(len(seeds) / chunk_size))
-        # A held pool is already paid for, so it takes one-chunk maps
+        # auto_chunk_size cuts at least ``workers`` chunks, so every
+        # worker of a pooled map gets one.
+        chunk_size = (
+            auto_chunk_size(len(seeds), workers) if workers > 1 else 1
+        )
+        # A held pool is already paid for, so it takes one-seed maps
         # too (see the module docstring).
         pooled = workers > 1 or self._holds_pool()
         start = time.perf_counter()
@@ -359,18 +341,3 @@ class ParallelRunner:
             if pool is not None and pool is not self._executor:
                 pool.shutdown(wait=True)
         return [batch for batch in results if batch is not None]
-
-    # ------------------------------------------------------------------
-    # the sequential-compatible API
-    # ------------------------------------------------------------------
-    def average_rates(
-        self, run: Callable[[int], RateSummary], seeds: Sequence[int]
-    ) -> RateSummary:
-        """Parallel drop-in for :func:`repro.simulation.runner.average_rates`."""
-        return combine_rates(self.map_seeds(run, seeds))
-
-    def average_series(
-        self, run: Callable[[int], SeriesResult], seeds: Sequence[int]
-    ) -> SeriesResult:
-        """Parallel drop-in for :func:`repro.simulation.runner.average_series`."""
-        return combine_series(self.map_seeds(run, seeds))

@@ -22,11 +22,11 @@ for.  Either way each sweep's results are bit-identical to running it
 alone (the campaign equivalence suite asserts ``==``, no tolerance).
 
 Throughput levers, all result-neutral (bit-identical per the
-equivalence suite): ``workers`` process-pool fan-out, ``chunk_size``
-seed batching, per-worker scenario arenas, the persistent result cache,
-and ``backend="distributed"`` work-queue execution with stale-lease
-stealing.  See :class:`~repro.api.spec.ExecutionProfile` for the knob
-descriptions.
+equivalence suite): ``workers`` process-pool fan-out, seed batching
+(always sized by the code, never an option), per-worker scenario
+arenas, the persistent result cache, and ``backend="distributed"``
+work-queue execution with stale-lease stealing.  See
+:class:`~repro.api.spec.ExecutionProfile` for the knob descriptions.
 """
 
 from __future__ import annotations
@@ -517,11 +517,10 @@ def _execute_campaign_pool(
     The pool forks on the first sweep with seeds to compute, so an
     all-hits replay forks nothing, and it is shut down before this
     returns or raises.  A lone sweep does not hold it: nothing forks
-    after it, so a one-chunk map may run in the caller as it always has.
+    after it, so a one-seed map may run in the caller as it always has.
     """
     runner = ParallelRunner(
         workers=profile.workers,
-        chunk_size=profile.chunk_size,
         max_attempts=profile.max_attempts,
     )
     results: List[SweepResult] = []
@@ -586,7 +585,6 @@ def _execute_campaign_distributed(
         outcomes = execute_queued(
             jobs,
             workers=profile.workers,
-            chunk_size=profile.chunk_size,
             cache_root=cache_root,
             queue_dir=profile.queue_dir,
             lease_ttl=profile.lease_ttl,

@@ -387,7 +387,7 @@ class TestQueueStatusFacade:
 
         WorkQueue.create(
             tmp_path / "q", "fig15-environment",
-            spec.params_key(smoke=True), [1, 2], 1,
+            spec.params_key(smoke=True), [1, 2], [[1], [2]],
         )
         statuses = client.queue_status()
         assert len(statuses) == 1

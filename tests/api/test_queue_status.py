@@ -18,8 +18,8 @@ SCENARIO = "fig15-environment"
 def _stage(queue_dir, seeds=(1, 2, 3), spec_payload=None):
     spec = registry.get(SCENARIO)
     return WorkQueue.create(
-        queue_dir, SCENARIO, spec.params_key(smoke=True), list(seeds), 1,
-        spec_payload=spec_payload,
+        queue_dir, SCENARIO, spec.params_key(smoke=True), list(seeds),
+        [[seed] for seed in seeds], spec_payload=spec_payload,
     )
 
 

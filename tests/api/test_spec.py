@@ -159,7 +159,8 @@ class TestExecutionProfileValidation:
             ExecutionProfile(backend=backend)
 
     def test_bad_chunk_size_and_lease_ttl_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
+        # The code sizes every chunk; a profile has no chunk_size.
+        with pytest.raises(TypeError, match="chunk_size"):
             ExecutionProfile(chunk_size=0)
         for lease_ttl in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lease_ttl"):
@@ -197,8 +198,8 @@ class TestExecutionProfileCache:
 
     def test_payload_round_trip(self):
         profile = ExecutionProfile(
-            workers=3, backend="distributed", chunk_size=2,
-            queue_dir="/tmp/q", lease_ttl=9.5,
+            workers=3, backend="distributed", queue_dir="/tmp/q",
+            lease_ttl=9.5,
         )
         assert ExecutionProfile.from_payload(profile.to_payload()) == profile
 
@@ -207,12 +208,14 @@ class TestExecutionProfileCache:
             ExecutionProfile.from_payload({"workerz": 2})
 
     @pytest.mark.parametrize(
-        "field", ["autoscale", "min_workers", "max_workers", "schedule"],
+        "field",
+        ["autoscale", "min_workers", "max_workers", "schedule", "chunk_size"],
     )
     def test_removed_fleet_sizing_fields_rejected(self, field):
-        # Older manifests may still ask for an elastic fleet or a queue
-        # serving order; the one fleet is fixed at `workers` and the
-        # one layout is the cost plan, so the keys are simply unknown.
+        # Older manifests may still ask for an elastic fleet, a queue
+        # serving order or a chunk size; the one fleet is fixed at
+        # `workers` and the code sizes every chunk, so the keys are
+        # simply unknown.
         payload = {"workers": 2, "backend": "distributed", field: 1}
         with pytest.raises(ValueError, match="unknown execution profile"):
             ExecutionProfile.from_payload(payload)
@@ -222,8 +225,8 @@ class TestExecutionProfileCache:
         # the CLI turns into `error: ...` + exit 2), not TypeError.
         with pytest.raises(ValueError, match="workers"):
             ExecutionProfile.from_payload({"workers": "4"})
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutionProfile.from_payload({"chunk_size": "2"})
+        with pytest.raises(ValueError, match="max_attempts"):
+            ExecutionProfile.from_payload({"max_attempts": "2"})
         with pytest.raises(ValueError, match="lease_ttl"):
             ExecutionProfile.from_payload({
                 "backend": "distributed", "lease_ttl": "30",

@@ -162,13 +162,15 @@ class TestCampaignCli:
 
     @pytest.mark.parametrize(
         "field",
-        ["autoscale", "min_workers", "max_workers", "schedule", "compute"],
+        ["autoscale", "min_workers", "max_workers", "schedule", "compute",
+         "chunk_size"],
     )
     def test_removed_fleet_sizing_manifest_field_exits_cleanly(
         self, capsys, tmp_path, field
     ):
         # A manifest written for the elastic fleet, the queue serving
-        # order or the profile-wide kernel switch of older versions.
+        # order, the profile-wide kernel switch or the chunk size of
+        # older versions.
         manifest = _write_manifest(tmp_path / "m.json", {
             "profile": {"workers": 2, "backend": "distributed",
                         field: 1},
@@ -200,7 +202,8 @@ class TestQueueCli:
     def test_status_reports_progress_and_leases(self, capsys, tmp_path):
         spec = registry.get(SCENARIO)
         queue = WorkQueue.create(
-            tmp_path, SCENARIO, spec.params_key(smoke=True), [1, 2, 3], 1,
+            tmp_path, SCENARIO, spec.params_key(smoke=True), [1, 2, 3],
+            [[1], [2], [3]],
         )
         queue.claim("task-0001", "worker-xyz")
         json_path = tmp_path / "status.json"

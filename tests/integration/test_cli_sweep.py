@@ -82,9 +82,10 @@ class TestSweepCli:
         "flag",
         [["--autoscale"], ["--min-workers", "1"], ["--max-workers", "4"],
          ["--schedule", "cost"], ["--compute", "vectorized"],
-         ["--backend", "process"], ["--backend", "thread"]],
+         ["--backend", "process"], ["--backend", "thread"],
+         ["--chunk-size", "2"]],
         ids=["autoscale", "min-workers", "max-workers", "schedule",
-             "compute", "backend-process", "backend-thread"],
+             "compute", "backend-process", "backend-thread", "chunk-size"],
     )
     def test_removed_fleet_sizing_flag_exits_2(self, capsys, command, flag):
         # Rejected while parsing: nothing runs, nothing starts serving.
@@ -93,17 +94,11 @@ class TestSweepCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_chunk_size_exits_cleanly(self, capsys):
+    def test_chosen_chunk_size_reported(self, capsys):
+        # 9 seeds on 2 workers: the code cuts ceil(9 / 8) = 2 per chunk.
         assert main([
-            "sweep", "fig15-environment", "--chunk-size", "0",
-            "--workers", "2", "--smoke",
-        ]) == 2
-        assert "chunk_size" in capsys.readouterr().err
-
-    def test_explicit_chunk_size_reported(self, capsys):
-        assert main([
-            "sweep", "fig15-environment", "--seeds", "4", "--workers", "2",
-            "--chunk-size", "2", "--smoke",
+            "sweep", "fig15-environment", "--seeds", "9", "--workers", "2",
+            "--smoke",
         ]) == 0
         assert "chunks of 2" in capsys.readouterr().out
 

@@ -17,11 +17,11 @@ from repro.simulation.sweep import execute_sweep, seed_range
 SCENARIO = "fig15-environment"
 
 
-def _stage_queue(queue_dir, seeds=(1, 2, 3), chunk_size=1, **kwargs):
+def _stage_queue(queue_dir, seeds=(1, 2, 3), **kwargs):
     spec = registry.get(SCENARIO)
     return WorkQueue.create(
         queue_dir, SCENARIO, spec.params_key(smoke=True),
-        list(seeds), chunk_size, **kwargs,
+        list(seeds), [[seed] for seed in seeds], **kwargs,
     )
 
 

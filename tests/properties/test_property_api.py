@@ -98,9 +98,6 @@ def execution_profiles(draw):
     return ExecutionProfile(
         workers=workers,
         backend=backend,
-        chunk_size=draw(st.one_of(
-            st.none(), st.integers(min_value=1, max_value=16),
-        )),
         cache_dir=cache_dir,
         no_cache=no_cache,
         queue_dir=queue_dir,

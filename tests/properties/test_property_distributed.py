@@ -13,20 +13,20 @@ the unit tests pick:
 """
 
 import json
+import tempfile
 import threading
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import (
     WorkQueue,
     params_signature,
+    worker_loop,
 )
-from repro.simulation.runner import average_series
-from repro.simulation.sweep import execute_sweep
+from repro.simulation.runner import average_series, combine_series
 
 # JSON-native parameter values, as scenario defaults/overrides are.
 _SCALARS = st.one_of(
@@ -81,10 +81,22 @@ class TestKeyStability:
         assert params_signature(wire) == params
 
 
+def _cut(seeds, cuts):
+    """``seeds`` as contiguous chunks: a new chunk starts at every
+    seed whose flag in ``cuts`` (one per seed after the first; extra
+    flags are ignored) is true."""
+    chunks = [[seeds[0]]]
+    for seed, cut in zip(seeds[1:], cuts):
+        if cut:
+            chunks.append([])
+        chunks[-1].append(seed)
+    return chunks
+
+
 class TestPartitionInvariance:
     @given(
         seed_count=st.integers(min_value=1, max_value=5),
-        chunk_size=st.integers(min_value=1, max_value=7),
+        cuts=st.lists(st.booleans(), min_size=4, max_size=4),
     )
     @settings(
         max_examples=8,
@@ -92,46 +104,46 @@ class TestPartitionInvariance:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_any_chunking_merges_to_the_oracle(
-        self, tmp_path, seed_count, chunk_size
+        self, tmp_path, seed_count, cuts
     ):
-        """Distributed execution over any contiguous chunking of any
-        seed set is byte-identical to the sequential oracle."""
+        """The work queue over any contiguous chunking of any seed set
+        merges into results byte-identical to the sequential oracle."""
         seeds = list(range(1, seed_count + 1))
         spec = registry.get("fig15-environment")
         oracle = average_series(spec.bound(smoke=True), seeds)
-        sweep = execute_sweep(
-            SweepSpec("fig15-environment", seeds, smoke=True),
-            ExecutionProfile(
-                workers=0, backend="distributed", chunk_size=chunk_size,
-                no_cache=True,
-                queue_dir=tmp_path / f"q-{seed_count}-{chunk_size}",
-            ),
+        queue_dir = tempfile.mkdtemp(dir=tmp_path)
+        queue = WorkQueue.create(
+            queue_dir, spec.name, spec.params_key(smoke=True), seeds,
+            _cut(seeds, cuts),
         )
-        assert sweep.mean == oracle
-        assert sweep.seeds == seeds
-        assert [r for r in sweep.per_seed] == [
-            spec.run(seed, smoke=True) for seed in seeds
-        ]
+        worker_loop(queue_dir, None, drain=True)
+        results, failures, _ = queue.collect()
+        per_seed = [results[seed] for seed in seeds]
+        assert failures == {}
+        assert combine_series(per_seed) == oracle
+        assert sorted(results) == seeds
+        assert per_seed == [spec.run(seed, smoke=True) for seed in seeds]
 
     @given(
         seeds=st.lists(
             st.integers(min_value=0, max_value=10**6),
             min_size=1, max_size=40, unique=True,
         ),
-        chunk_size=st.integers(min_value=1, max_value=9),
+        cuts=st.lists(st.booleans(), min_size=39, max_size=39),
     )
     @settings(
         max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_sharding_is_a_partition(self, tmp_path, seeds, chunk_size):
+    def test_sharding_is_a_partition(self, tmp_path, seeds, cuts):
         """Task chunks are disjoint, contiguous and cover every seed in
         order — the precondition for order-preserving merges."""
         spec = registry.get("fig15-environment")
+        layout = _cut(seeds, cuts)
         queue = WorkQueue.create(
             tmp_path / "partition", spec.name,
-            spec.params_key(smoke=True), seeds, chunk_size,
+            spec.params_key(smoke=True), seeds, layout,
         )
         chunks = [
             queue.manifest["chunks"][task_id]
@@ -139,7 +151,7 @@ class TestPartitionInvariance:
         ]
         flattened = [seed for chunk in chunks for seed in chunk]
         assert flattened == seeds
-        assert all(len(chunk) <= chunk_size for chunk in chunks)
+        assert chunks == layout
         assert all(chunk for chunk in chunks)
 
 
@@ -154,7 +166,7 @@ class TestLeaseExclusivity:
         spec = registry.get("fig15-environment")
         queue = WorkQueue.create(
             tmp_path / f"claims-{claimers}", spec.name,
-            spec.params_key(smoke=True), [1], 1,
+            spec.params_key(smoke=True), [1], [[1]],
         )
         barrier = threading.Barrier(claimers)
         winners = []

@@ -35,6 +35,18 @@ def _oracle(seed):
     return _ORACLE[seed]
 
 
+def _cut(seeds, cuts):
+    """``seeds`` as contiguous chunks: a new chunk starts at every
+    seed whose flag in ``cuts`` (one per seed after the first; extra
+    flags are ignored) is true."""
+    chunks = [[seeds[0]]]
+    for seed, cut in zip(seeds[1:], cuts):
+        if cut:
+            chunks.append([])
+        chunks[-1].append(seed)
+    return chunks
+
+
 def _fault_env(plan):
     specs = []
     for seed, behavior in plan.items():
@@ -50,7 +62,7 @@ def _fault_env(plan):
 class TestRetryQuarantinePartition:
     @given(
         behaviors=st.lists(_BEHAVIORS, min_size=2, max_size=4),
-        chunk_size=st.integers(min_value=1, max_value=3),
+        cuts=st.lists(st.booleans(), min_size=3, max_size=3),
     )
     @settings(
         max_examples=10,
@@ -58,7 +70,7 @@ class TestRetryQuarantinePartition:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_failed_and_succeeded_partition_the_seed_set(
-        self, behaviors, chunk_size
+        self, behaviors, cuts
     ):
         plan = {seed: b for seed, b in enumerate(behaviors, start=1)}
         seeds = sorted(plan)
@@ -71,7 +83,7 @@ class TestRetryQuarantinePartition:
         with tempfile.TemporaryDirectory() as root:
             queue = WorkQueue.create(
                 Path(root) / "queue", SCENARIO,
-                spec.params_key(smoke=True), seeds, chunk_size,
+                spec.params_key(smoke=True), seeds, _cut(seeds, cuts),
                 max_attempts=BUDGET,
             )
             os.environ["REPRO_WORKER_FAULT"] = _fault_env(plan)

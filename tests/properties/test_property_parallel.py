@@ -13,7 +13,12 @@ import pytest
 
 from repro.simulation.parallel import ParallelRunner
 from repro.simulation.results import RateSummary, SeriesResult
-from repro.simulation.runner import average_rates, average_series
+from repro.simulation.runner import (
+    average_rates,
+    average_series,
+    combine_rates,
+    combine_series,
+)
 
 seed_lists = st.lists(
     st.integers(min_value=0, max_value=10**9),
@@ -51,16 +56,24 @@ class TestRunnerEquivalence:
     @given(seeds=seed_lists, workers=worker_counts)
     def test_rates_one_worker_vs_sequential_vs_n_workers(self, seeds, workers):
         oracle = average_rates(synthetic_rates, seeds)
-        one = ParallelRunner(workers=1).average_rates(synthetic_rates, seeds)
-        many = ParallelRunner(workers=workers).average_rates(synthetic_rates, seeds)
+        one = combine_rates(
+            ParallelRunner(workers=1).map_seeds(synthetic_rates, seeds)
+        )
+        many = combine_rates(
+            ParallelRunner(workers=workers).map_seeds(synthetic_rates, seeds)
+        )
         assert oracle == one == many
 
     @settings(max_examples=40, deadline=None)
     @given(seeds=seed_lists, workers=worker_counts)
     def test_series_one_worker_vs_sequential_vs_n_workers(self, seeds, workers):
         oracle = average_series(synthetic_series, seeds)
-        one = ParallelRunner(workers=1).average_series(synthetic_series, seeds)
-        many = ParallelRunner(workers=workers).average_series(synthetic_series, seeds)
+        one = combine_series(
+            ParallelRunner(workers=1).map_seeds(synthetic_series, seeds)
+        )
+        many = combine_series(
+            ParallelRunner(workers=workers).map_seeds(synthetic_series, seeds)
+        )
         assert oracle == one == many
 
     @settings(max_examples=25, deadline=None)
@@ -78,11 +91,11 @@ class TestRaggedRejection:
         lengths = {len(ragged_series(seed).values) for seed in seeds}
         runner = ParallelRunner(workers=workers)
         if len(lengths) == 1:
-            assert runner.average_series(
-                ragged_series, seeds
+            assert combine_series(
+                runner.map_seeds(ragged_series, seeds)
             ) == average_series(ragged_series, seeds)
             return
         with pytest.raises(ValueError, match="lengths"):
             average_series(ragged_series, seeds)
         with pytest.raises(ValueError, match="lengths"):
-            runner.average_series(ragged_series, seeds)
+            combine_series(runner.map_seeds(ragged_series, seeds))

@@ -11,11 +11,11 @@ from repro.simulation.distributed import WorkQueue, queue_status
 SCENARIO = "fig15-environment"
 
 
-def _stage(queue_dir, seeds=(1, 2, 3), **kwargs):
+def _stage(queue_dir, seeds=(1, 2, 3), chunks=None, **kwargs):
     spec = registry.get(SCENARIO)
     return WorkQueue.create(
-        queue_dir, SCENARIO, spec.params_key(smoke=True), list(seeds), 1,
-        **kwargs,
+        queue_dir, SCENARIO, spec.params_key(smoke=True), list(seeds),
+        [[seed] for seed in seeds] if chunks is None else chunks, **kwargs,
     )
 
 

@@ -103,7 +103,11 @@ class TestAutoChunkSize:
         workers=st.integers(min_value=1, max_value=64),
     )
     def test_always_at_least_one(self, seed_count, workers):
-        assert auto_chunk_size(seed_count, workers) >= 1
+        chunk = auto_chunk_size(seed_count, workers)
+        assert chunk >= 1
+        # Never fewer chunks than the workers a map of these seeds uses
+        # (``min(workers, seeds)``), so every pooled worker gets one.
+        assert -(-seed_count // chunk) >= min(workers, seed_count)
 
     def test_four_chunks_per_worker(self):
         assert auto_chunk_size(32, 4) == 2
@@ -144,33 +148,31 @@ class TestPlanCampaign:
     @given(
         seed_lists=st.lists(_SEEDS, min_size=1, max_size=4),
         workers=st.integers(min_value=1, max_value=8),
-        chunk_size=st.one_of(st.none(), st.integers(1, 8)),
     )
     @settings(max_examples=100)
-    def test_chunks_shrink_from_the_base(
-        self, seed_lists, workers, chunk_size
-    ):
+    def test_chunks_shrink_from_the_base(self, seed_lists, workers):
         plan = plan_campaign(seed_lists, workers,
-                             _estimates([1.0] * len(seed_lists)),
-                             chunk_size=chunk_size)
+                             _estimates([1.0] * len(seed_lists)))
         for sweep, seeds in zip(plan.sweeps, seed_lists):
-            base = (chunk_size if chunk_size is not None
-                    else auto_chunk_size(len(seeds), workers))
+            base = auto_chunk_size(len(seeds), workers)
             assert sweep.chunk_size == base
             assert sweep.chunks == shrinking_chunks(seeds, base)
 
-    def test_explicit_chunk_size_is_the_reported_base(self):
-        # Three seeds at chunk size 5 shrink to three single-seed
-        # chunks, but the plan (and so the sweep's RunTiming) still
-        # reports 5.
-        plan = plan_campaign([[1, 2, 3]], workers=4, chunk_size=5,
+    def test_base_chunk_is_the_reported_chunk_size(self):
+        # Nine seeds for one worker: the base chunk is ceil(9 / 4) = 3
+        # and the tail shrinks to single seeds, but the plan (and so
+        # the sweep's RunTiming) reports the base.
+        plan = plan_campaign([list(range(1, 10))], workers=1,
                              estimates=_estimates([1.0]))
         [sweep] = plan.sweeps
-        assert sweep.chunk_size == 5
-        assert sweep.chunks == ((1,), (2,), (3,))
+        assert sweep.chunk_size == 3
+        assert sweep.chunks == ((1, 2, 3),) + tuple(
+            (seed,) for seed in range(4, 10)
+        )
 
-    def test_rejects_non_positive_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
+    def test_chunk_size_is_not_a_parameter(self):
+        # The code sizes every base chunk; there is none to pick.
+        with pytest.raises(TypeError, match="chunk_size"):
             plan_campaign([[1]], workers=1, estimates=_estimates([1.0]),
                           chunk_size=0)
 

@@ -84,14 +84,11 @@ def _enqueue_only(jobs, tmp_path, **kwargs):
 
 
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
-@pytest.mark.parametrize("chunk_size", [None, 1, 2, 3, 4, 5])
 @pytest.mark.parametrize("telemetry", [True, False],
                          ids=["telemetry", "priors"])
-def test_task_files_are_the_plan(
-    written, tmp_path, telemetry, chunk_size, sweeps
-):
+def test_task_files_are_the_plan(written, tmp_path, telemetry, sweeps):
     jobs = _jobs(sweeps, telemetry)
-    _enqueue_only(jobs, tmp_path, chunk_size=chunk_size)
+    _enqueue_only(jobs, tmp_path)
 
     estimates = [
         estimate_sweep_cost(job.scenario, job.params, job.seeds,
@@ -99,15 +96,15 @@ def test_task_files_are_the_plan(
         for job in jobs
     ]
     # workers=0: the coordinator drains inline, a fleet of one.
-    plan = plan_campaign([job.seeds for job in jobs], 1, estimates,
-                         chunk_size=chunk_size)
+    plan = plan_campaign([job.seeds for job in jobs], 1, estimates)
     assert len(written) == len(plan.sweeps)
     for layout, planned in zip(written, plan.sweeps):
         manifest = layout["manifest"]
         assert layout["chunks"] == planned.chunks
         assert manifest["rank"] == planned.rank
         assert manifest["sweep"].startswith(f"sweep-r{planned.rank:04d}-")
-        assert manifest["chunk_size"] == planned.chunk_size
+        # The layout starts at the plan's base chunk.
+        assert len(layout["chunks"][0]) == planned.chunk_size
         assert manifest["est_seconds_per_seed"] == pytest.approx(
             planned.estimate.seconds_per_seed
         )
@@ -119,7 +116,8 @@ def test_task_files_are_the_plan(
 
 
 def test_bad_chunk_size_is_rejected_before_anything_is_written(tmp_path):
-    with pytest.raises(ValueError, match="chunk_size"):
+    # The code sizes every chunk; there is none to pick.
+    with pytest.raises(TypeError, match="chunk_size"):
         execute_queued(_jobs(1), workers=0, queue_dir=tmp_path / "queue",
                        chunk_size=0)
     assert not (tmp_path / "queue").exists()

@@ -474,8 +474,10 @@ class TestRestartRecovery:
          ({"autoscale": False, "min_workers": None, "max_workers": None},
           "distributed"),
          ({"compute": "vectorized"}, "distributed"),
+         ({"chunk_size": 2}, "distributed"),
          ({"backend": "thread"}, "process")],
-        ids=["schedule", "fleet-sizing", "compute", "thread-backend"],
+        ids=["schedule", "fleet-sizing", "compute", "chunk-size",
+             "thread-backend"],
     )
     def test_journal_with_removed_profile_fields_recovers(
         self, tmp_path, one_seed_sweep, removed, backend
@@ -487,7 +489,7 @@ class TestRestartRecovery:
         state = tmp_path / "state"
         store = JobStateStore(state)
         profile = {
-            "workers": 2, "backend": "distributed", "chunk_size": None,
+            "workers": 2, "backend": "distributed",
             "cache_dir": None, "no_cache": True, "queue_dir": None,
             "lease_ttl": None, "max_attempts": None, "on_error": None,
             **removed,

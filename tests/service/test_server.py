@@ -121,7 +121,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["autoscale", "min_workers", "max_workers", "schedule", "compute"],
+        ["autoscale", "min_workers", "max_workers", "schedule", "compute",
+         "chunk_size"],
     )
     def test_removed_fleet_sizing_field_is_400(self, server, field):
         status, body = _raw(server, "POST", "/v1/sweeps", {
@@ -367,7 +368,7 @@ class TestQueueEndpoint:
         spec = registry.get("fig7-mutuality")
         WorkQueue.create(
             tmp_path / "q", "fig7-mutuality",
-            spec.params_key(smoke=True), [1, 2], 1,
+            spec.params_key(smoke=True), [1, 2], [[1], [2]],
         )
         status, body = _raw(
             server, "GET", f"/v1/queue?dir={tmp_path / 'q'}"

@@ -343,10 +343,10 @@ class TestRunSweepWithCache:
         )
         # An all-hits replay must reject bad arguments exactly like a
         # cold run would.
-        with pytest.raises(ValueError, match="chunk_size"):
+        with pytest.raises(ValueError, match="max_attempts"):
             execute_sweep(
                 SweepSpec(self.SCENARIO, seed_range(2), smoke=True),
-                ExecutionProfile(chunk_size=0, cache_dir=tmp_path),
+                ExecutionProfile(max_attempts=0, cache_dir=tmp_path),
             )
         with pytest.raises(ValueError, match="workers"):
             execute_sweep(

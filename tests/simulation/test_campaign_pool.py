@@ -119,15 +119,15 @@ class TestOnePoolPerCampaign:
         _assert_oracle(warm)
 
     def test_one_chunk_sweep_runs_on_the_pool(self, spy, monkeypatch):
-        """A sweep that falls to a single chunk must not build its arena
-        in the caller, or every later fork would inherit it."""
+        """A sweep that falls to a single chunk (one seed, under
+        automatic sizing) must not build its arena in the caller, or
+        every later fork would inherit it."""
         monkeypatch.setattr(registry, "_ARENAS", {})
-        profile = ExecutionProfile(workers=2, chunk_size=8, no_cache=True)
-        results = execute_campaign(_specs(NAMES[:2]), profile)
+        results = execute_campaign(_specs(NAMES[:2], seeds=[1]), POOL)
         assert registry.arena_store_size() == 0
         assert len(spy.created) == 1
         assert [r.timing.workers for r in results] == [1, 1]
-        _assert_oracle(results, NAMES[:2])
+        _assert_oracle(results, NAMES[:2], seeds=[1])
 
     def test_twin_campaign_builds_the_fig7_arena_once_per_worker(
         self, spy, monkeypatch, tmp_path
@@ -149,8 +149,7 @@ class TestOnePoolPerCampaign:
                 registry.get(name), _build=spy_build,
             ))
         monkeypatch.setattr(registry, "_ARENAS", {})
-        profile = ExecutionProfile(workers=2, chunk_size=1, no_cache=True)
-        results = execute_campaign(_specs(names), profile)
+        results = execute_campaign(_specs(names), POOL)
         pids = builds.read_text().split()
         assert str(os.getpid()) not in pids
         assert len(pids) == len(set(pids))
@@ -276,9 +275,7 @@ class TestCrashAndErrorSemantics:
         # the chunk in flight beside the poison one is never named,
         # whichever of the two comes first.
         _patch_run_reduced(monkeypatch, SEEDS[poison])
-        profile = ExecutionProfile(
-            workers=2, max_attempts=2, chunk_size=1, no_cache=True,
-        )
+        profile = ExecutionProfile(workers=2, max_attempts=2, no_cache=True)
         with pytest.raises(WorkerCrashError) as info:
             execute_campaign(_specs(), profile)
         assert info.value.seeds == (SEEDS[poison],)

@@ -24,6 +24,7 @@ from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.results import SeriesResult
+from repro.simulation.parallel import _chunked
 from repro.fsproto import owner_id
 from repro.simulation.distributed import (
     QueuedJob,
@@ -41,7 +42,8 @@ def _make_queue(tmp_path, seeds=(1, 2, 3, 4), chunk_size=2):
     spec = registry.get(SCENARIO)
     params = spec.params_key(smoke=True)
     return WorkQueue.create(
-        tmp_path / "queue", SCENARIO, params, list(seeds), chunk_size
+        tmp_path / "queue", SCENARIO, params, list(seeds),
+        _chunked(list(seeds), chunk_size),
     )
 
 
@@ -112,7 +114,7 @@ class TestWorkQueueLayout:
         spec = registry.get(SCENARIO)
         with pytest.raises(ValueError, match="at least one seed"):
             WorkQueue.create(
-                tmp_path, SCENARIO, spec.params_key(smoke=True), [], 1
+                tmp_path, SCENARIO, spec.params_key(smoke=True), [], []
             )
 
 
@@ -454,7 +456,7 @@ class TestExecuteQueued:
         try:
             [outcome] = execute_queued(
                 [QueuedJob(name, spec.params_key(smoke=True), (1, 2, 3, 4))],
-                workers=2, chunk_size=1, queue_dir=tmp_path / "q",
+                workers=2, queue_dir=tmp_path / "q",
             )
         finally:
             registry.clear_arenas()
@@ -473,7 +475,7 @@ class TestExecuteQueued:
         began = time.monotonic()
         [outcome] = execute_queued(
             [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1, 2, 3, 4))],
-            workers=2, chunk_size=1, poll=poll, queue_dir=tmp_path,
+            workers=2, poll=poll, queue_dir=tmp_path,
         )
         assert time.monotonic() - began < poll / 2
         for seed in (1, 2, 3, 4):
@@ -488,7 +490,7 @@ class TestExecuteQueued:
                 "fig7-mutuality", spec.params_key(smoke=True, network="nope"),
                 (1, 2),
             )],
-            workers=2, chunk_size=1, max_attempts=1, queue_dir=tmp_path,
+            workers=2, max_attempts=1, queue_dir=tmp_path,
         )
         assert outcome.results == {}
         assert sorted(outcome.failed_seeds) == [1, 2]
@@ -534,7 +536,7 @@ class TestPackedDoneMarkers:
         spec = registry.get(SCENARIO)
         [outcome] = execute_queued(
             [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1, 2))],
-            workers=0, chunk_size=2, queue_dir=tmp_path / "q",
+            workers=0, queue_dir=tmp_path / "q",
             cache_root=tmp_path / "c",
         )
         for seed, expected in series.items():

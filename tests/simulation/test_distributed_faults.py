@@ -34,6 +34,7 @@ from repro.simulation.distributed import (
     worker_loop,
 )
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
+from repro.simulation.parallel import _chunked
 from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
@@ -50,7 +51,7 @@ def _make_queue(tmp_path, seeds, chunk_size):
     spec = registry.get(SCENARIO)
     return WorkQueue.create(
         tmp_path / "queue", SCENARIO, spec.params_key(smoke=True),
-        seeds, chunk_size,
+        seeds, _chunked(seeds, chunk_size),
     )
 
 
@@ -109,20 +110,21 @@ class TestSigkillMidChunk:
         """The acceptance criterion: >=2 workers, one SIGKILLed
         mid-chunk, and ``execute_sweep`` still returns the oracle's bits
         with the steal visible in the counters."""
-        seeds = seed_range(6)
+        seeds = seed_range(9)
         sequential = execute_sweep(
             SweepSpec(SCENARIO, seeds, smoke=True),
             ExecutionProfile(workers=1, no_cache=True),
         )
 
-        # The plan is (1, 2), (3,), (4,), (5,), (6,): seed 2 dies
-        # mid-chunk, after seed 1 completed.
+        # 9 seeds on 2 workers: the plan's base chunk is ceil(9 / 8) = 2
+        # and it is (1, 2), (3, 4), (5, 6), (7,), (8,), (9,).  Seed 2
+        # dies mid-chunk, after seed 1 completed.
         os.environ["REPRO_WORKER_FAULT"] = "sigkill:2"
         try:
             distributed = execute_sweep(
                 SweepSpec(SCENARIO, seeds, smoke=True),
                 ExecutionProfile(
-                    workers=2, backend="distributed", chunk_size=2,
+                    workers=2, backend="distributed",
                     cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
                     lease_ttl=0.5,
                 ),
@@ -135,7 +137,7 @@ class TestSigkillMidChunk:
         assert distributed.variance == sequential.variance
         assert distributed.steals == 1
         assert distributed.requeues == 1
-        assert distributed.tasks_total == 5
+        assert distributed.tasks_total == 6
 
     def test_fault_fires_exactly_once_across_workers(self, tmp_path):
         """Two daemons, one fault flag: exactly one dies, the other
@@ -146,7 +148,7 @@ class TestSigkillMidChunk:
             distributed = execute_sweep(
                 SweepSpec(SCENARIO, seeds, smoke=True),
                 ExecutionProfile(
-                    workers=2, backend="distributed", chunk_size=1,
+                    workers=2, backend="distributed",
                     cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
                     lease_ttl=0.5,
                 ),
@@ -188,7 +190,8 @@ class TestCorruptTaskFile:
         # worker runs, then let the coordinator-equivalent drain it.
         spec = registry.get(SCENARIO)
         queue = WorkQueue.create(
-            queue_dir, SCENARIO, spec.params_key(smoke=True), seeds, 1
+            queue_dir, SCENARIO, spec.params_key(smoke=True), seeds,
+            [[seed] for seed in seeds],
         )
         (queue.sweep_dir / "tasks" / "task-0000.json").write_text("junk")
         worker_loop(queue_dir, tmp_path / "c", drain=True)
@@ -402,7 +405,7 @@ class TestPoisonSeedQuarantine:
         spec = registry.get(SCENARIO)
         queue = WorkQueue.create(
             tmp_path / "queue", SCENARIO, spec.params_key(smoke=True),
-            [1, 2], 1,
+            [1, 2], [[1], [2]],
         )
         manifest = json.loads((queue.sweep_dir / "manifest.json").read_text())
         assert manifest["max_attempts"] == DEFAULT_MAX_ATTEMPTS
@@ -430,7 +433,7 @@ class TestPoisonSeedQuarantine:
         distributed = execute_sweep(
             SweepSpec(SCENARIO, seeds, smoke=True),
             ExecutionProfile(
-                workers=2, backend="distributed", chunk_size=2,
+                workers=2, backend="distributed",
                 cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
             ),
         )
@@ -467,7 +470,7 @@ class TestFlakySeed:
         spec = registry.get(SCENARIO)
         queue = WorkQueue.create(
             tmp_path / "queue", SCENARIO, spec.params_key(smoke=True),
-            [1, 2], 1, max_attempts=2,
+            [1, 2], [[1], [2]], max_attempts=2,
         )
         monkeypatch.setenv("REPRO_WORKER_FAULT", "flaky:1:5")
         worker_loop(tmp_path / "queue", None, drain=True)
@@ -567,7 +570,7 @@ class TestCoordinatorOfLastResort:
             distributed = execute_sweep(
                 SweepSpec(SCENARIO, seeds, smoke=True),
                 ExecutionProfile(
-                    workers=1, backend="distributed", chunk_size=3,
+                    workers=1, backend="distributed",
                     cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
                     lease_ttl=0.5,
                 ),
@@ -601,7 +604,7 @@ class TestCoordinatorOfLastResort:
         distributed = execute_sweep(
             SweepSpec(SCENARIO, seeds, smoke=True),
             ExecutionProfile(
-                workers=1, backend="distributed", chunk_size=3,
+                workers=1, backend="distributed",
                 cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
             ),
         )

@@ -3,12 +3,11 @@
 For **every registered scenario**, the sweep runtime must return
 *bit-identical* results to the sequential oracle — same per-seed values,
 same mean — for any worker count, on the process pool or the work
-queue, for any ``chunk_size``, and
-whether the seeds were computed cold or replayed from the persistent
-result cache.  Equality is asserted with ``==`` on the result
-dataclasses, i.e. exact float comparison: every path shares the
-reduction code and the per-seed runs are deterministic, so there is no
-tolerance to hide behind.
+queue, for any contiguous seed-chunk layout, and whether the seeds were
+computed cold or replayed from the persistent result cache.  Equality
+is asserted with ``==`` on the result dataclasses, i.e. exact float
+comparison: every path shares the reduction code and the per-seed runs
+are deterministic, so there is no tolerance to hide behind.
 """
 
 import os
@@ -47,12 +46,13 @@ def _sequential_average(spec, seeds):
     return _ORACLE_MEMO[key]
 
 
-def _parallel_average(spec, seeds, workers, chunk_size=None):
-    run = spec.bound(smoke=True)
-    runner = ParallelRunner(workers=workers, chunk_size=chunk_size)
-    if spec.kind == "rates":
-        return runner.average_rates(run, seeds)
-    return runner.average_series(run, seeds)
+def _combine(spec):
+    return combine_rates if spec.kind == "rates" else combine_series
+
+
+def _parallel_average(spec, seeds, workers):
+    runner = ParallelRunner(workers=workers)
+    return _combine(spec)(runner.map_seeds(spec.bound(smoke=True), seeds))
 
 
 @pytest.mark.parametrize("name", registry.names())
@@ -68,15 +68,6 @@ class TestEveryScenario:
         sequential = _sequential_average(spec, SEEDS)
         one_worker = _parallel_average(spec, SEEDS, workers=1)
         assert sequential == one_worker
-
-    @pytest.mark.parametrize("chunk_size", [1, 2, len(SEEDS) + 1])
-    def test_any_chunk_size_identical_to_sequential(self, name, chunk_size):
-        spec = registry.get(name)
-        sequential = _sequential_average(spec, SEEDS)
-        chunked = _parallel_average(
-            spec, SEEDS, workers=3, chunk_size=chunk_size
-        )
-        assert sequential == chunked
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_distributed_identical_to_sequential(
@@ -146,9 +137,15 @@ class TestProcessPool:
         parallel = _parallel_average(spec, SEEDS, workers=3)
         assert sequential == parallel
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 3])
-    def test_chunked_process_pool_identical(self, chunk_size):
-        seeds = seed_range(8)
+    # The code sizes every chunk as ceil(seeds / (4 x workers)); these
+    # seed and worker counts make it cut chunks of 1, 2 and 3 seeds.
+    @pytest.mark.parametrize(("chunk_size", "count", "workers"), [
+        pytest.param(1, 8, 4, id="1"),
+        pytest.param(2, 9, 2, id="2"),
+        pytest.param(3, 17, 2, id="3"),
+    ])
+    def test_chunked_process_pool_identical(self, chunk_size, count, workers):
+        seeds = seed_range(count)
         sequential = execute_sweep(
             SweepSpec("fig15-environment", seeds, smoke=True),
             ExecutionProfile(workers=1, no_cache=True),
@@ -156,14 +153,40 @@ class TestProcessPool:
         chunked = execute_sweep(
             SweepSpec("fig15-environment", seeds, smoke=True),
             ExecutionProfile(
-                workers=4, backend="process", chunk_size=chunk_size,
-                no_cache=True,
+                workers=workers, backend="process", no_cache=True,
             ),
         )
         assert chunked.per_seed == sequential.per_seed
         assert chunked.mean == sequential.mean
         assert chunked.timing.chunk_size == chunk_size
         assert chunked.timing.backend == "process"
+
+    # Every contiguous way to cut SEEDS: single seeds, the two uneven
+    # splits, one whole-sweep chunk.
+    _LAYOUTS = (
+        [(11,), (12,), (13,)],
+        [(11, 12), (13,)],
+        [(11,), (12, 13)],
+        [(11, 12, 13)],
+    )
+
+    @pytest.mark.parametrize("name", ["fig7-mutuality", "fig15-environment"])
+    def test_any_chunk_layout_identical_to_sequential(self, name):
+        """Layout invariance, checked once where a layout is still an
+        input: the pool's chunk mapper over every contiguous layout of
+        SEEDS, for one rates and one series scenario, on one held pool.
+        Per-scenario pool-vs-oracle equality is ``TestEveryScenario``'s."""
+        spec = registry.get(name)
+        run = spec.bound(smoke=True)
+        sequential = _sequential_average(spec, SEEDS)
+        with ParallelRunner(workers=3) as runner:
+            for layout in self._LAYOUTS:
+                batches = runner._map_process_chunks(run, layout, 3)
+                assert [len(batch) for batch in batches] == [
+                    len(chunk) for chunk in layout
+                ]
+                results = [result for batch in batches for result in batch]
+                assert _combine(spec)(results) == sequential
 
 
     @pytest.mark.parametrize("name", ["fig15-environment", "fig7-mutuality"])
@@ -260,10 +283,8 @@ def test_process_pool_runs_seeds_side_by_side():
     seeds = seed_range(8)
     runner = ParallelRunner(workers=4)
     probes = runner.map_seeds(partial(_probed, spec.bound(smoke=True)), seeds)
-    combine = combine_rates if spec.kind == "rates" else combine_series
-    assert combine([probe[3] for probe in probes]) == _sequential_average(
-        spec, seeds
-    )
+    results = [probe[3] for probe in probes]
+    assert _combine(spec)(results) == _sequential_average(spec, seeds)
     assert runner.last_timing.backend == "process"
     assert len({pid for pid, _, _, _ in probes}) >= 2
     assert any(

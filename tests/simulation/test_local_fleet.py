@@ -48,7 +48,8 @@ class TestSweepRemovalRace:
         manifest while ``tasks/`` is already gone.  Repairing it must
         neither crash the worker nor recreate anything."""
         queue = WorkQueue.create(
-            tmp_path / "queue", SCENARIO, _params(), [1, 2, 3], 1,
+            tmp_path / "queue", SCENARIO, _params(), [1, 2, 3],
+            [[1], [2], [3]],
         )
         shutil.rmtree(queue.sweep_dir / "tasks")
         before = _tree(queue.sweep_dir)
@@ -59,7 +60,7 @@ class TestSweepRemovalRace:
 
     def test_cleanup_leaves_the_queue_in_one_step(self, tmp_path):
         queue = WorkQueue.create(
-            tmp_path / "queue", SCENARIO, _params(), [1, 2], 1,
+            tmp_path / "queue", SCENARIO, _params(), [1, 2], [[1], [2]],
         )
         queue.cleanup()
         queue.cleanup()  # idempotent
@@ -67,7 +68,7 @@ class TestSweepRemovalRace:
 
     def test_scanners_skip_a_sweep_mid_removal(self, tmp_path):
         queue = WorkQueue.create(
-            tmp_path / "queue", SCENARIO, _params(), [1, 2], 1,
+            tmp_path / "queue", SCENARIO, _params(), [1, 2], [[1], [2]],
         )
         queue.sweep_dir.rename(
             queue.sweep_dir.with_name(f".{queue.sweep_id}.removing-0")
@@ -88,7 +89,7 @@ class TestSharedFleet:
         def run(seeds):
             return execute_queued(
                 [QueuedJob(SCENARIO, _params(), seeds)], workers=2,
-                chunk_size=1, poll=poll, queue_dir=queue_dir, fleet=fleet,
+                poll=poll, queue_dir=queue_dir, fleet=fleet,
             )[0]
 
         with LocalFleet(
@@ -215,7 +216,10 @@ class TestFixedFleet:
     ):
         _, spawned = fake_fork
         queue_dir = tmp_path / "queue"
-        WorkQueue.create(queue_dir, SCENARIO, _params(), range(1, 41), 1)
+        WorkQueue.create(
+            queue_dir, SCENARIO, _params(), range(1, 41),
+            [[seed] for seed in range(1, 41)],
+        )
         fleet = LocalFleet(queue_dir, workers=2)
         fleet.tick()
         fleet.tick()

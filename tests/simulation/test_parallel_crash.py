@@ -44,17 +44,15 @@ def _raise_on_three(seed):
 
 class TestWorkerCrashSupervision:
     def test_poison_chunk_raises_worker_crash_error(self):
-        runner = ParallelRunner(workers=2, chunk_size=2, max_attempts=2)
+        runner = ParallelRunner(workers=2, max_attempts=2)
         with pytest.raises(WorkerCrashError, match="presumed poison"):
             runner.map_seeds(_die, [1, 2, 3, 4])
 
     def test_error_names_the_chunk_and_budget(self):
-        runner = ParallelRunner(workers=1, chunk_size=2, max_attempts=1)
-        # workers=1 would run sequentially; force the pool path by
-        # giving it two chunks.
-        runner.workers = 2
+        # The layout is an input of the pool's chunk mapper only.
+        runner = ParallelRunner(workers=2, max_attempts=1)
         with pytest.raises(WorkerCrashError) as info:
-            runner.map_seeds(_die, [5, 6, 7])
+            runner._map_process_chunks(_die, [(5, 6), (7,)], 2)
         error = info.value
         assert error.attempts == 1
         assert error.chunk_index in (0, 1)
@@ -66,13 +64,13 @@ class TestWorkerCrashSupervision:
         on a fresh pool and the final results are complete, in seed
         order, with no error surfaced."""
         run = partial(_die_once_on_three, str(tmp_path))
-        runner = ParallelRunner(workers=2, chunk_size=1)
+        runner = ParallelRunner(workers=2)
         seeds = [1, 2, 3, 4, 5]
         assert runner.map_seeds(run, seeds) == [s * s for s in seeds]
         assert (tmp_path / "crashed-once").exists()
 
     def test_default_budget_is_shared_with_the_queue(self):
-        runner = ParallelRunner(workers=2, chunk_size=2, max_attempts=None)
+        runner = ParallelRunner(workers=2, max_attempts=None)
         with pytest.raises(WorkerCrashError) as info:
             runner.map_seeds(_die, [1, 2, 3, 4])
         assert info.value.attempts == DEFAULT_MAX_ATTEMPTS
@@ -80,7 +78,7 @@ class TestWorkerCrashSupervision:
     def test_seed_exceptions_still_propagate_raise_fast(self):
         """Ordinary exceptions are not worker deaths: no retry, no
         WorkerCrashError wrapper — the original error surfaces."""
-        runner = ParallelRunner(workers=2, chunk_size=1)
+        runner = ParallelRunner(workers=2)
         with pytest.raises(ValueError, match="seed 3 is unwell"):
             runner.map_seeds(_raise_on_three, [1, 2, 3, 4])
 

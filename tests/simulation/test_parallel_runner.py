@@ -6,11 +6,17 @@ import pytest
 
 from repro.simulation.parallel import (
     ParallelRunner,
+    _chunked,
     auto_chunk_size,
     default_workers,
 )
 from repro.simulation.results import RateSummary, SeriesResult
-from repro.simulation.runner import average_rates, average_series
+from repro.simulation.runner import (
+    average_rates,
+    average_series,
+    combine_rates,
+    combine_series,
+)
 
 
 def rates_run(seed: int) -> RateSummary:
@@ -45,8 +51,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="workers"):
             ParallelRunner(workers=0)
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError, match="chunk_size"):
+    def test_chunk_size_is_not_a_parameter(self):
+        # The code sizes every chunk (auto_chunk_size); there is none
+        # to pick.
+        with pytest.raises(TypeError, match="chunk_size"):
             ParallelRunner(chunk_size=0)
 
 
@@ -65,29 +73,30 @@ class TestChunking:
 
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 100])
     def test_any_chunk_size_preserves_seed_order(self, chunk_size):
-        runner = ParallelRunner(workers=3, chunk_size=chunk_size)
+        # The layout is an input of the pool's chunk mapper only.
+        runner = ParallelRunner(workers=3)
         seeds = [9, 1, 5, 2, 8, 3, 6]
-        results = runner.map_seeds(series_run, seeds)
+        batches = runner._map_process_chunks(
+            series_run, _chunked(seeds, chunk_size), 3,
+        )
+        results = [result for batch in batches for result in batch]
         assert results == [series_run(seed) for seed in seeds]
 
     def test_chunk_size_recorded_in_timing(self):
-        runner = ParallelRunner(workers=2, chunk_size=2)
-        runner.map_seeds(rates_run, [1, 2, 3, 4])
+        # 9 seeds on 2 workers: ceil(9 / 8) = 2 seeds per chunk.
+        runner = ParallelRunner(workers=2)
+        runner.map_seeds(rates_run, list(range(1, 10)))
         assert runner.last_timing.chunk_size == 2
         assert runner.last_timing.backend == "process"
 
     def test_single_chunk_skips_the_pool(self):
-        # One chunk leaves nothing to parallelize, so no pool is paid for.
-        runner = ParallelRunner(workers=4, chunk_size=10)
-        results = runner.map_seeds(rates_run, [1, 2, 3])
-        assert results == [rates_run(seed) for seed in [1, 2, 3]]
+        # Automatic sizing cuts one chunk only for one seed, which
+        # leaves nothing to parallelize, so no pool is paid for.
+        runner = ParallelRunner(workers=4)
+        results = runner.map_seeds(rates_run, [1])
+        assert results == [rates_run(1)]
         assert runner.last_timing.backend == "sequential"
         assert runner.last_timing.workers == 1
-
-    def test_workers_capped_by_chunk_count(self):
-        runner = ParallelRunner(workers=4, chunk_size=3)
-        runner.map_seeds(rates_run, [1, 2, 3, 4, 5, 6])
-        assert runner.last_timing.workers == 2  # only two chunks exist
 
 
 def _record_initialized():
@@ -107,8 +116,7 @@ class TestInitializer:
         # Each pool worker runs the initializer once before its first
         # seed; the caller's copy of the list is never touched.
         _INITIALIZED.clear()
-        runner = ParallelRunner(workers=2, chunk_size=1,
-                                initializer=_record_initialized)
+        runner = ParallelRunner(workers=2, initializer=_record_initialized)
         assert runner.map_seeds(_initialized_count, [1, 2, 3, 4]) == [1] * 4
         assert runner.last_timing.backend == "process"
         assert _INITIALIZED == []
@@ -174,35 +182,37 @@ class TestMapSeeds:
 
 
 class TestAveragingAPI:
+    """``combine_*`` over ``map_seeds`` is the parallel average."""
+
     def test_average_rates_matches_oracle_with_repeated_seed(self):
         seeds = [3, 1, 4, 1, 5]
         runner = ParallelRunner(workers=3)
-        assert runner.average_rates(rates_run, seeds) == average_rates(
-            rates_run, seeds
+        assert combine_rates(runner.map_seeds(rates_run, seeds)) == (
+            average_rates(rates_run, seeds)
         )
 
     def test_average_rates_matches_oracle_process(self):
         seeds = [2, 7, 1, 8]
         runner = ParallelRunner(workers=2)
-        assert runner.average_rates(rates_run, seeds) == average_rates(
-            rates_run, seeds
+        assert combine_rates(runner.map_seeds(rates_run, seeds)) == (
+            average_rates(rates_run, seeds)
         )
 
     def test_average_series_matches_oracle(self):
         seeds = [6, 2, 8]
         runner = ParallelRunner(workers=3)
-        assert runner.average_series(series_run, seeds) == average_series(
-            series_run, seeds
+        assert combine_series(runner.map_seeds(series_run, seeds)) == (
+            average_series(series_run, seeds)
         )
 
     def test_ragged_series_rejected_in_parallel_path(self):
         runner = ParallelRunner(workers=2)
         with pytest.raises(ValueError, match="lengths"):
-            runner.average_series(ragged_run, [1, 2])
+            combine_series(runner.map_seeds(ragged_run, [1, 2]))
 
     def test_single_worker_is_the_oracle(self):
         seeds = [10, 20]
         runner = ParallelRunner(workers=1)
-        assert runner.average_rates(rates_run, seeds) == average_rates(
-            rates_run, seeds
+        assert combine_rates(runner.map_seeds(rates_run, seeds)) == (
+            average_rates(rates_run, seeds)
         )

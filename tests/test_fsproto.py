@@ -190,7 +190,7 @@ class TestPublish:
         elif writer == "done-marker":
             name = "fig15-environment"
             params = registry.get(name).params_key(smoke=True)
-            queue = WorkQueue.create(tmp_path, name, params, [1, 2], 2)
+            queue = WorkQueue.create(tmp_path, name, params, [1, 2], [[1, 2]])
             worker_loop(tmp_path, None, drain=True)
             root = queue.sweep_dir / "done"
         else:
