@@ -39,12 +39,15 @@ _JOBS = (
 )
 
 
-def _jobs(count, telemetry=True):
+def _jobs(count, telemetry=True, seeds_each=None):
+    """The first ``count`` jobs; ``seeds_each`` gives every job that
+    many seeds (from its first one) instead of its own list."""
     return [
         QueuedJob(
             scenario=scenario,
             params=registry.get(scenario).params_key(smoke=True),
-            seeds=seeds,
+            seeds=(seeds if seeds_each is None
+                   else tuple(range(seeds[0], seeds[0] + seeds_each))),
             runtimes=runtimes if telemetry else {},
         )
         for scenario, seeds, runtimes in _JOBS[:count]
@@ -84,10 +87,23 @@ def _enqueue_only(jobs, tmp_path, **kwargs):
 
 
 @pytest.mark.parametrize("sweeps", [1, 2, 3])
+# A fleet of one cuts a base chunk of ceil(seeds / 4): these sweep
+# sizes give every job a base chunk of 1 to 5 seeds; "own" keeps each
+# job's seed list, so the jobs' base chunks differ.
+@pytest.mark.parametrize(("seeds_each", "base"), [
+    pytest.param(None, None, id="own"),
+    pytest.param(4, 1, id="base1"),
+    pytest.param(8, 2, id="base2"),
+    pytest.param(12, 3, id="base3"),
+    pytest.param(16, 4, id="base4"),
+    pytest.param(20, 5, id="base5"),
+])
 @pytest.mark.parametrize("telemetry", [True, False],
                          ids=["telemetry", "priors"])
-def test_task_files_are_the_plan(written, tmp_path, telemetry, sweeps):
-    jobs = _jobs(sweeps, telemetry)
+def test_task_files_are_the_plan(
+    written, tmp_path, telemetry, seeds_each, base, sweeps
+):
+    jobs = _jobs(sweeps, telemetry, seeds_each)
     _enqueue_only(jobs, tmp_path)
 
     estimates = [
@@ -105,6 +121,8 @@ def test_task_files_are_the_plan(written, tmp_path, telemetry, sweeps):
         assert manifest["sweep"].startswith(f"sweep-r{planned.rank:04d}-")
         # The layout starts at the plan's base chunk.
         assert len(layout["chunks"][0]) == planned.chunk_size
+        if base is not None:
+            assert planned.chunk_size == base
         assert manifest["est_seconds_per_seed"] == pytest.approx(
             planned.estimate.seconds_per_seed
         )

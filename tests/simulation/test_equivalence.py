@@ -55,6 +55,23 @@ def _parallel_average(spec, seeds, workers):
     return _combine(spec)(runner.map_seeds(spec.bound(smoke=True), seeds))
 
 
+# Every contiguous way to cut SEEDS: single seeds, the two uneven
+# splits, one whole-sweep chunk.
+_LAYOUTS = {
+    "singles": [(11,), (12,), (13,)],
+    "2+1": [(11, 12), (13,)],
+    "1+2": [(11,), (12, 13)],
+    "whole": [(11, 12, 13)],
+}
+
+
+@pytest.fixture(scope="module")
+def held_runner():
+    """One three-worker pool, held across the module's layout cases."""
+    with ParallelRunner(workers=3) as runner:
+        yield runner
+
+
 @pytest.mark.parametrize("name", registry.names())
 class TestEveryScenario:
     def test_process_pool_identical_to_sequential(self, name):
@@ -68,6 +85,24 @@ class TestEveryScenario:
         sequential = _sequential_average(spec, SEEDS)
         one_worker = _parallel_average(spec, SEEDS, workers=1)
         assert sequential == one_worker
+
+    @pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS)
+    def test_any_chunk_layout_identical_to_sequential(
+        self, name, layout, held_runner
+    ):
+        """Layout invariance, checked where a layout is still an input:
+        the pool's chunk mapper over every contiguous layout of SEEDS
+        returns one batch per chunk and the oracle's result."""
+        spec = registry.get(name)
+        sequential = _sequential_average(spec, SEEDS)
+        batches = held_runner._map_process_chunks(
+            spec.bound(smoke=True), layout, 3
+        )
+        assert [len(batch) for batch in batches] == [
+            len(chunk) for chunk in layout
+        ]
+        results = [result for batch in batches for result in batch]
+        assert _combine(spec)(results) == sequential
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_distributed_identical_to_sequential(
@@ -160,34 +195,6 @@ class TestProcessPool:
         assert chunked.mean == sequential.mean
         assert chunked.timing.chunk_size == chunk_size
         assert chunked.timing.backend == "process"
-
-    # Every contiguous way to cut SEEDS: single seeds, the two uneven
-    # splits, one whole-sweep chunk.
-    _LAYOUTS = (
-        [(11,), (12,), (13,)],
-        [(11, 12), (13,)],
-        [(11,), (12, 13)],
-        [(11, 12, 13)],
-    )
-
-    @pytest.mark.parametrize("name", ["fig7-mutuality", "fig15-environment"])
-    def test_any_chunk_layout_identical_to_sequential(self, name):
-        """Layout invariance, checked once where a layout is still an
-        input: the pool's chunk mapper over every contiguous layout of
-        SEEDS, for one rates and one series scenario, on one held pool.
-        Per-scenario pool-vs-oracle equality is ``TestEveryScenario``'s."""
-        spec = registry.get(name)
-        run = spec.bound(smoke=True)
-        sequential = _sequential_average(spec, SEEDS)
-        with ParallelRunner(workers=3) as runner:
-            for layout in self._LAYOUTS:
-                batches = runner._map_process_chunks(run, layout, 3)
-                assert [len(batch) for batch in batches] == [
-                    len(chunk) for chunk in layout
-                ]
-                results = [result for batch in batches for result in batch]
-                assert _combine(spec)(results) == sequential
-
 
     @pytest.mark.parametrize("name", ["fig15-environment", "fig7-mutuality"])
     def test_pool_cold_then_warm_cache_identical(self, name, tmp_path):
