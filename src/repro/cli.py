@@ -51,7 +51,6 @@ from repro.analysis.ascii_chart import ascii_chart
 from repro.analysis.export import rows_to_json, series_to_json
 from repro.analysis.series import LabelledSeries
 from repro.analysis.tables import render_table
-from repro.core.transitivity import TransitivityMode
 from repro.simulation.distributed import DEFAULT_LEASE_TTL
 from repro.socialnet.datasets import NETWORK_PROFILES
 
@@ -132,12 +131,12 @@ def cmd_fig9(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    rows = [
-        _run_network(args, "table2-properties", name,
-                     mode=mode.value).as_row()
-        for name in _networks_for(args)
-        for mode in TransitivityMode
-    ]
+    rows = []
+    for name in _networks_for(args):
+        # All three methods on one property-based simulation per network.
+        results = _run_network(args, "fig12-overhead", name,
+                               property_based_tasks=True)
+        rows.extend(result.as_row() for result in results.values())
     _emit(args, render_table(rows, title="Table 2"), rows_to_json(rows))
     return 0
 

@@ -93,21 +93,64 @@ class TrustKnowledge:
         """Social neighbors of ``node`` (the edges trust may travel)."""
         raise NotImplementedError
 
+    def covered(self, holder: NodeId, about: NodeId) -> frozenset:
+        """Union of the characteristics of the tasks ``holder`` has
+        experienced with ``about``."""
+        return _covered_characteristics(self.experienced(holder, about))
+
+    def restricted_hops(
+        self, node: NodeId, required: frozenset
+    ) -> Sequence[Tuple[NodeId, Optional[float]]]:
+        """The out-edges of ``node`` that carry experience, in
+        :meth:`neighbors` order, each with its hop trust restricted to
+        ``required`` (Eq. 9/10/13–16).
+
+        The hop trust is ``None`` when the edge's experienced tasks do
+        not cover every characteristic in ``required``.
+        """
+        hops = []
+        for neighbor in self.neighbors(node):
+            experienced = self.experienced(node, neighbor)
+            if not experienced:
+                continue
+            hop_trust = None
+            if required <= self.covered(node, neighbor):
+                hop_trust = _edge_trust_for(experienced, required)
+            hops.append((neighbor, hop_trust))
+        return tuple(hops)
+
 
 @dataclass
 class MappingKnowledge(TrustKnowledge):
-    """Dictionary-backed :class:`TrustKnowledge` for scenarios and tests."""
+    """Dictionary-backed :class:`TrustKnowledge` for scenarios and tests.
+
+    Path search asks the same edge questions for every trustor, so the
+    knowledge memoizes each edge's coverage set and, per required
+    characteristic set, each node's :meth:`restricted_hops`.
+    :meth:`add_experience` clears the memo, so change ``edges`` and
+    ``adjacency`` only through it: a direct edit bypasses the memo.  The
+    memo is not part of the value: it is left out of equality, ``repr``
+    and pickles.
+    """
 
     edges: Dict[Tuple[NodeId, NodeId], List[Tuple[Task, float]]] = field(
         default_factory=dict
     )
     adjacency: Dict[NodeId, List[NodeId]] = field(default_factory=dict)
+    _covered: Dict[Tuple[NodeId, NodeId], frozenset] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _hops: Dict[
+        Tuple[NodeId, frozenset], Sequence[Tuple[NodeId, Optional[float]]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_experience(
         self, holder: NodeId, about: NodeId, task: Task, trust: float
     ) -> None:
         """Register that ``holder`` trusts ``about`` at ``trust`` for ``task``."""
         validate_probability(trust, "trust")
+        self._covered.clear()
+        self._hops.clear()
         self.edges.setdefault((holder, about), []).append((task, trust))
         self.adjacency.setdefault(holder, [])
         if about not in self.adjacency[holder]:
@@ -119,6 +162,33 @@ class MappingKnowledge(TrustKnowledge):
 
     def neighbors(self, node: NodeId) -> Iterable[NodeId]:
         return self.adjacency.get(node, ())
+
+    def covered(self, holder: NodeId, about: NodeId) -> frozenset:
+        key = (holder, about)
+        try:
+            return self._covered[key]
+        except KeyError:
+            covered = self._covered[key] = super().covered(holder, about)
+            return covered
+
+    def restricted_hops(
+        self, node: NodeId, required: frozenset
+    ) -> Sequence[Tuple[NodeId, Optional[float]]]:
+        key = (node, required)
+        try:
+            return self._hops[key]
+        except KeyError:
+            hops = self._hops[key] = super().restricted_hops(node, required)
+            return hops
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"edges": self.edges, "adjacency": self.adjacency}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.edges = state["edges"]
+        self.adjacency = state["adjacency"]
+        self._covered = {}
+        self._hops = {}
 
 
 def _covered_characteristics(
@@ -203,51 +273,54 @@ class TrustTransitivity:
         for aggressive mode the caller passes singletons) cover.  Records
         every node interrogated into ``inquiries`` for overhead accounting
         (Fig. 12).
+
+        Each edge's restricted hop trust comes from
+        :meth:`TrustKnowledge.restricted_hops` (memoized by
+        :class:`MappingKnowledge`).  A stack entry carries its prefix's
+        ω1 gate and chain trust, so extending a path folds one hop:
+        ``combine_chain((prefix, hop))`` equals folding the whole path,
+        because ``combine_two_sided(1.0, t) == t``.
         """
         results: List[PathAssessment] = []
-        stack: List[Tuple[NodeId, Tuple[NodeId, ...], Tuple[float, ...]]] = [
-            (trustor, (trustor,), ())
+        omega_recommend = self.omega_recommend
+        omega_execute = self.omega_execute
+        # (node, path, every hop so far clears omega_recommend, chain trust)
+        stack: List[Tuple[NodeId, Tuple[NodeId, ...], bool, float]] = [
+            (trustor, (trustor,), True, 1.0)
         ]
         while stack:
-            node, path, hops = stack.pop()
-            if len(hops) >= self.max_depth:
+            node, path, recommend_ok, prefix_trust = stack.pop()
+            if len(path) > self.max_depth:
                 continue
-            for neighbor in self.knowledge.neighbors(node):
+            direct = len(path) == 1
+            for neighbor, hop_trust in self.knowledge.restricted_hops(
+                node, required
+            ):
                 if neighbor in path:
-                    continue
-                experienced = self.knowledge.experienced(node, neighbor)
-                if not experienced:
                     continue
                 if inquiries is not None:
                     inquiries.add(neighbor)
-                covered = _covered_characteristics(experienced)
-                if not required <= covered:
-                    continue
-                hop_trust = _edge_trust_for(experienced, required)
                 if hop_trust is None:
                     continue
                 new_path = path + (neighbor,)
-                new_hops = hops + (hop_trust,)
                 # Every completed path (>= 1 hop) is a candidate ending at
                 # `neighbor` as the executing trustee; the same node also
                 # stays on the stack as a potential recommender.
-                intermediate_ok = all(
-                    hop >= self.omega_recommend for hop in new_hops[:-1]
-                )
-                final_ok = new_hops[-1] >= self.omega_execute
-                trust = combine_chain(new_hops)
+                admitted = recommend_ok and hop_trust >= omega_execute
+                trust = combine_chain((prefix_trust, hop_trust))
                 results.append(
                     PathAssessment(
                         path=new_path,
-                        trust=TrustValue(trust, direct=len(new_hops) == 1),
+                        trust=TrustValue(trust, direct=direct),
                         characteristics=required,
-                        admitted=intermediate_ok and final_ok,
-                        reason=""
-                        if intermediate_ok and final_ok
-                        else "omega gate failed",
+                        admitted=admitted,
+                        reason="" if admitted else "omega gate failed",
                     )
                 )
-                stack.append((neighbor, new_path, new_hops))
+                stack.append((
+                    neighbor, new_path,
+                    recommend_ok and hop_trust >= omega_recommend, trust,
+                ))
         return results
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ fragment-packet attack of Fig. 14 multiplies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.iotnet.messages import Frame
 
@@ -55,13 +55,31 @@ class StackTrace:
     overhead_bytes: int = 0
 
 
+def _fold_latency(layers: Iterable[LayerSpec]) -> float:
+    """Left fold of the layers' latencies from 0.0, in the given order."""
+    latency = 0.0
+    for layer in layers:
+        latency += layer.latency_ms
+    return latency
+
+
 class ZStack:
     """A device's protocol stack: ZDO / AF / APS / NWK / ZMAC."""
 
     def __init__(self, layers: Tuple[LayerSpec, ...] = DEFAULT_LAYERS) -> None:
         if not layers:
             raise ValueError("a stack needs at least one layer")
-        self.layers = layers
+        self._layers = layers
+        # The traversal latencies depend on the layers alone, so each is
+        # folded once, in the order the traversal visits the layers: the
+        # same sums ``send_down`` / ``receive_up`` report per frame.
+        self.down_latency_ms = _fold_latency(layers)
+        self.up_latency_ms = _fold_latency(reversed(layers))
+
+    @property
+    def layers(self) -> Tuple[LayerSpec, ...]:
+        """The layers, top (ZDO) to bottom (ZMAC); fixed at construction."""
+        return self._layers
 
     @property
     def layer_names(self) -> List[str]:

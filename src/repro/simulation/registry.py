@@ -37,9 +37,9 @@ Graphs are rebuilt per worker from their profile name (and cached per
 process), so a spec never has to pickle a network.
 
 Besides the nine figure/table experiments, the registry names the
-remaining bench families — Table 1 connectivity, the Figs. 9–12
-all-methods run (``fig12-overhead``: the three trust-transfer methods
-on one simulation), and the six ablations — so every bench and every
+remaining bench families — Table 1 connectivity, the Figs. 9–12 and
+Table 2 all-methods run (``fig12-overhead``: the three trust-transfer
+methods on one simulation), and the six ablations — so every bench and every
 artifact command computes through a named spec and ``repro sweep`` can
 drive all of them.
 """
@@ -178,15 +178,17 @@ _POLICIES = {
 
 
 def _build_fig13(params: Mapping[str, object]) -> Dict[str, object]:
+    graph = _graph(params["network"], params["graph_seed"])
     return {
-        "graph": _graph(params["network"], params["graph_seed"]),
+        "graph": graph,
         "config": DelegationConfig(iterations=params["iterations"]),
+        "hoods": _hoods(graph, 2),
     }
 
 
 def _seed_fig13(arena, params: Mapping[str, object], seed: int):
     simulation = DelegationSimulation(
-        arena["graph"], arena["config"], seed=seed
+        arena["graph"], arena["config"], seed=seed, hoods=arena["hoods"],
     )
     strategy = params["strategy"]
     return simulation.run(_POLICIES[strategy](), f"{strategy} strategy")
@@ -212,13 +214,14 @@ def _reduce_fig15(result) -> SeriesResult:
 
 
 def _build_eq24(params: Mapping[str, object]) -> Dict[str, object]:
-    return {"graph": _graph(params["network"], params["graph_seed"])}
+    graph = _graph(params["network"], params["graph_seed"])
+    return {"graph": graph, "hoods": _hoods(graph, 1)}
 
 
 def _seed_eq24(arena, params: Mapping[str, object], seed: int):
     simulation = SelfDelegationSimulation(
         arena["graph"], tasks_per_trustor=params["tasks_per_trustor"],
-        seed=seed,
+        seed=seed, hoods=arena["hoods"],
     )
     return simulation.run()
 
@@ -319,7 +322,8 @@ def _reduce_table1(report) -> SeriesResult:
 
 def _seed_fig12(arena, params: Mapping[str, object], seed: int):
     simulation = TransitivitySimulation(
-        arena["graph"], arena["config"], seed=seed
+        arena["graph"], arena["config"], seed=seed,
+        property_based_tasks=params["property_based_tasks"],
     )
     return {mode: simulation.run(mode) for mode in TransitivityMode}
 
@@ -968,11 +972,12 @@ _register(ScenarioSpec(
 _register(ScenarioSpec(
     name="fig12-overhead",
     kind="series",
-    description="Figs. 9-12: the three trust-transfer methods on one "
-                "simulation (one network, one K); reduced to the Fig. 12 "
-                "mean inquired nodes per trustor",
+    description="Figs. 9-12 and Table 2: the three trust-transfer methods "
+                "on one simulation (one network, one K); reduced to the "
+                "Fig. 12 mean inquired nodes per trustor",
     defaults={
         "network": "facebook", "graph_seed": 0, "num_characteristics": 4,
+        "property_based_tasks": False,
     },
     smoke={"network": "twitter"},
     _build=_build_transitivity,

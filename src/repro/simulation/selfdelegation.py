@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Mapping, Optional, Sequence
 
 from repro.core.evaluation import prefers_delegation, select_best_candidate
+from repro.core.ids import NodeId
 from repro.core.records import OutcomeFactors
 from repro.simulation.config import RoleConfig
 from repro.simulation.rng import spawn
@@ -53,6 +54,7 @@ class SelfDelegationSimulation:
         tasks_per_trustor: int = 50,
         seed: int = 0,
         roles: RoleConfig = RoleConfig(),
+        hoods: Optional[Mapping[NodeId, Sequence[NodeId]]] = None,
     ) -> None:
         self.graph = graph
         self.tasks_per_trustor = tasks_per_trustor
@@ -65,13 +67,22 @@ class SelfDelegationSimulation:
         # resource and capability to accomplish the task", Section 4.4);
         # candidates carry random stakes as in Fig. 13 and only the few
         # direct (1-hop) trustee neighbors are realistic delegates.
+        # ``hoods`` (the scenario arena's sorted 1-hop neighbourhoods),
+        # filtered by the trustee set, replaces a BFS per trustor.
         self.self_factors: Dict = {}
         self.candidate_factors: Dict = {}
+        trustee_set = self.scenario.trustee_set
         for trustor in self.scenario.trustors:
             self.self_factors[trustor] = self._draw_factors(
                 cost_scale=0.0, success_floor=0.5
             )
-            candidates = self.scenario.trustee_neighbors(trustor, hops=1)[:5]
+            if hoods is None:
+                neighbors = self.scenario.trustee_neighbors(trustor, hops=1)
+            else:
+                neighbors = [
+                    node for node in hoods[trustor] if node in trustee_set
+                ]
+            candidates = neighbors[:5]
             self.candidate_factors[trustor] = {
                 candidate: self._draw_factors() for candidate in candidates
             }

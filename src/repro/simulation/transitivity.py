@@ -202,8 +202,8 @@ class TransitivitySimulation:
                 # while the characteristic-based schemes still find paths.
                 count = max(1, round(len(neighbors) * fraction))
                 holders = sample_rng.sample(neighbors, min(count, len(neighbors)))
+                competence = self._node_competence(node, task)
                 for neighbor in holders:
-                    competence = self._node_competence(node, task)
                     noisy = competence + noise_rng.uniform(-0.05, 0.05)
                     noisy = min(1.0, max(0.0, noisy))
                     knowledge.add_experience(neighbor, node, task, noisy)

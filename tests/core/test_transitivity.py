@@ -1,11 +1,16 @@
 """Tests for restricted trust transitivity (Eq. 5-17)."""
 
+import itertools
+import pickle
+import random
+
 import pytest
 
 from repro.core.task import Task
 from repro.core.transitivity import (
     MappingKnowledge,
     TransitivityMode,
+    TrustKnowledge,
     TrustTransitivity,
     combine_chain,
     combine_two_sided,
@@ -256,3 +261,114 @@ class TestDispatch:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             TrustTransitivity(MappingKnowledge(), max_depth=0)
+
+
+_CHARS = ("a", "b", "c")
+_TASKS = [
+    Task(f"task-{i}", characteristics=chars)
+    for i, chars in enumerate((
+        ("a",), ("b",), ("c",), ("a", "b"), ("a", "c"), ("b", "c"),
+    ))
+]
+
+
+def _random_experiences(seed, count, nodes=8):
+    rng = random.Random(seed)
+    return [
+        (rng.randrange(nodes), rng.randrange(nodes), rng.choice(_TASKS),
+         rng.random())
+        for _ in range(count)
+    ]
+
+
+def _knowledge_of(experiences):
+    knowledge = MappingKnowledge()
+    for holder, about, task, trust in experiences:
+        if holder != about:
+            knowledge.add_experience(holder, about, task, trust)
+    return knowledge
+
+
+def _answers(engine, nodes=8):
+    """Every trustor's trustees and inquiries, per mode and task."""
+    answers = {}
+    for mode in TransitivityMode:
+        for task in _TASKS:
+            for trustor in range(nodes):
+                inquiries = set()
+                found = engine.find_trustees(trustor, task, mode, inquiries)
+                answers[(mode, task.name, trustor)] = (found, inquiries)
+    return answers
+
+
+class _PlainKnowledge(TrustKnowledge):
+    """A knowledge with no memo: only the two required queries."""
+
+    def __init__(self, mapping):
+        self._mapping = mapping
+
+    def experienced(self, holder, about):
+        return self._mapping.experienced(holder, about)
+
+    def neighbors(self, node):
+        return self._mapping.neighbors(node)
+
+
+class TestMemoizedKnowledge:
+    """``MappingKnowledge`` memoizes edge coverage and restricted hop
+    trusts; the answers must equal an unmemoized search and must follow
+    every ``add_experience``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reused_engine_follows_added_experience(self, seed):
+        first = _random_experiences(seed, 20)
+        later = _random_experiences(seed + 100, 20)
+        knowledge = _knowledge_of(first)
+        engine = TrustTransitivity(knowledge, max_depth=3)
+        before = _answers(engine)  # fills the memo
+
+        for holder, about, task, trust in later:
+            if holder != about:
+                knowledge.add_experience(holder, about, task, trust)
+        reused = _answers(engine)
+        fresh = _answers(
+            TrustTransitivity(_knowledge_of(first + later), max_depth=3)
+        )
+        assert reused == fresh
+        assert reused != before  # the added records changed answers
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_memo_equals_the_unmemoized_search(self, seed):
+        knowledge = _knowledge_of(_random_experiences(seed, 40))
+        memoized = _answers(TrustTransitivity(knowledge, max_depth=3))
+        plain = _answers(
+            TrustTransitivity(_PlainKnowledge(knowledge), max_depth=3)
+        )
+        assert memoized == plain
+
+    def test_restricted_hops_match_the_edge_records(self):
+        knowledge = _knowledge_of(_random_experiences(7, 40))
+        plain = _PlainKnowledge(knowledge)
+        for node in range(8):
+            for size in (1, 2, 3):
+                for required in itertools.combinations(_CHARS, size):
+                    required = frozenset(required)
+                    assert knowledge.restricted_hops(node, required) == (
+                        plain.restricted_hops(node, required)
+                    )
+                    # A second read is served by the memo, unchanged.
+                    assert knowledge.restricted_hops(node, required) == (
+                        plain.restricted_hops(node, required)
+                    )
+
+    def test_memo_is_not_part_of_the_value(self):
+        knowledge = _knowledge_of(_random_experiences(3, 30))
+        untouched = _knowledge_of(_random_experiences(3, 30))
+        _answers(TrustTransitivity(knowledge))
+        assert knowledge == untouched
+        assert repr(knowledge) == repr(untouched)
+        assert pickle.dumps(knowledge) == pickle.dumps(untouched)
+        restored = pickle.loads(pickle.dumps(knowledge))
+        assert _answers(TrustTransitivity(restored)) == _answers(
+            TrustTransitivity(untouched)
+        )

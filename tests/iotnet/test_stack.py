@@ -1,8 +1,12 @@
 """Tests for the five-layer Z-Stack pipeline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.iotnet.device import NodeDevice
 from repro.iotnet.messages import Frame
+from repro.iotnet.radio import RadioChannel
 from repro.iotnet.stack import DEFAULT_LAYERS, LayerSpec, ZStack
 
 
@@ -65,3 +69,74 @@ class TestTraversal:
         # N fragments cost N traversals: the Fig. 14 attack's mechanism.
         one = stack.per_frame_latency_ms
         assert 60 * one > 10 * (one * 5)
+
+
+layer_tuples = st.lists(
+    st.builds(
+        LayerSpec,
+        name=st.text(max_size=4),
+        header_bytes=st.integers(min_value=0, max_value=64),
+        latency_ms=st.floats(
+            min_value=0.0, max_value=10.0,
+            allow_nan=False, allow_infinity=False,
+        ),
+    ),
+    min_size=1, max_size=8,
+).map(tuple)
+
+
+class TestTraversalLatency:
+    """``send_message`` adds ``down_latency_ms`` / ``up_latency_ms`` per
+    frame instead of tracing each traversal; they must be the traced
+    latencies bit for bit."""
+
+    @given(layer_tuples, st.text(max_size=30))
+    def test_fixed_latencies_equal_the_traced_ones(self, layers, payload):
+        stack = ZStack(layers)
+        assert stack.down_latency_ms == stack.send_down(
+            frame(payload)
+        ).latency_ms
+        assert stack.up_latency_ms == stack.receive_up(
+            frame(payload)
+        ).latency_ms
+
+    def test_layers_are_fixed_at_construction(self, stack):
+        with pytest.raises(AttributeError):
+            stack.layers = DEFAULT_LAYERS[:1]
+
+    @given(layer_tuples, layer_tuples, st.integers(1, 12))
+    @settings(max_examples=30)
+    def test_exchange_charges_the_traced_latencies(
+        self, sender_layers, receiver_layers, fragment_size
+    ):
+        channel = _JournalledChannel(seed=0)
+        sender = NodeDevice("s", channel, stack=ZStack(sender_layers))
+        receiver = NodeDevice(
+            "r", channel, stack=ZStack(receiver_layers), x=10.0
+        )
+        report = sender.send_message(
+            receiver, "0123456789" * 3, max_fragment_size=fragment_size
+        )
+        # Rebuild the charges from per-frame traces and the journalled
+        # deliveries, in the order the exchange adds them.
+        sent = received = 0.0
+        for sent_frame, delivery in channel.journal:
+            sent += sender.stack.send_down(sent_frame).latency_ms
+            if delivery.delivered:
+                sent += delivery.latency_ms
+                received += delivery.latency_ms
+                received += receiver.stack.receive_up(sent_frame).latency_ms
+        assert len(channel.journal) == report.frames
+        assert report.sender_active_ms == sent
+        assert report.receiver_active_ms == received
+
+
+class _JournalledChannel(RadioChannel):
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.journal = []
+
+    def transmit(self, frame):
+        delivery = super().transmit(frame)
+        self.journal.append((frame, delivery))
+        return delivery

@@ -45,6 +45,14 @@ class TestCombinerProperties:
         assert 0.0 <= traditional_chain(hops) <= 1.0
 
     @given(st.lists(unit, min_size=1, max_size=6))
+    def test_chain_folds_from_its_prefix(self, hops):
+        # Path search extends a prefix's chain trust by one hop instead
+        # of refolding the whole path; that must be bit-identical.
+        assert combine_chain(hops) == combine_chain(
+            (combine_chain(hops[:-1]), hops[-1])
+        )
+
+    @given(st.lists(unit, min_size=1, max_size=6))
     def test_traditional_chain_never_grows(self, hops):
         # The product can only shrink as the path lengthens.
         assert traditional_chain(hops) <= min(hops) + 1e-12

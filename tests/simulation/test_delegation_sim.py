@@ -1,12 +1,21 @@
 """Tests for the Fig. 13 delegation-results simulation."""
 
 import pickle
+from dataclasses import dataclass
 
 import pytest
 
-from repro.core.policy import NetProfitPolicy, SuccessRatePolicy
+from repro.core.policy import (
+    NetProfitPolicy,
+    SelectionPolicy,
+    SuccessRatePolicy,
+)
+from repro.core.records import OutcomeFactors
+from repro.core.update import ForgettingUpdater
+from repro.simulation import registry
 from repro.simulation.config import DelegationConfig
 from repro.simulation.delegation import DelegationSimulation
+from repro.simulation.rng import spawn
 from repro.socialnet.datasets import twitter
 
 
@@ -98,3 +107,102 @@ class TestMechanics:
         first = shared.run(SuccessRatePolicy(), "first strategy")
         assert (first, second) == fresh
         assert pickle.dumps(shared.__dict__) == before
+
+
+@dataclass(frozen=True)
+class _CoarsePolicy(SelectionPolicy):
+    """Net profit rounded to one decimal: most rows hold ties."""
+
+    def score(self, factors):
+        return round(factors.net_profit(), 1)
+
+
+def _rescore_every_iteration(simulation, policy, label):
+    """The Fig. 13 loop as first written: every delegation re-ranks all
+    of the trustor's candidates through ``policy.select``."""
+    updater = ForgettingUpdater.uniform(simulation.config.beta)
+    graph = simulation.graph.name
+    rng = spawn(simulation.seed, "delegation", "run", graph, label)
+    init_rng = spawn(simulation.seed, "delegation", "init", graph)
+    expected = {
+        key: OutcomeFactors(
+            success_rate=init_rng.random(), gain=init_rng.random(),
+            damage=init_rng.random(), cost=init_rng.random(),
+        )
+        for key in simulation._truth
+    }
+    active = [
+        trustor for trustor in simulation.scenario.trustors
+        if simulation._candidates[trustor]
+    ]
+    values = []
+    for _ in range(simulation.config.iterations):
+        total = 0.0
+        for trustor in active:
+            trustee, _score = policy.select(
+                (cand, expected[(trustor, cand)])
+                for cand in simulation._candidates[trustor]
+            )
+            truth = simulation._truth[(trustor, trustee)]
+            succeeded = rng.random() < truth.success_rate
+            gain = truth.gain if succeeded else 0.0
+            damage = 0.0 if succeeded else truth.damage
+            total += gain - damage - truth.cost
+            previous = expected[(trustor, trustee)]
+            expected[(trustor, trustee)] = updater.update(
+                previous,
+                OutcomeFactors(
+                    success_rate=1.0 if succeeded else 0.0,
+                    gain=gain if succeeded else previous.gain,
+                    damage=previous.damage if succeeded else damage,
+                    cost=truth.cost,
+                ),
+            )
+        values.append(total / len(active) if active else 0.0)
+    return values
+
+
+class TestIncrementalArgmax:
+    """``run`` re-scores only the updated candidate and takes the row's
+    first maximum; that must pick what a full re-ranking picks."""
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    @pytest.mark.parametrize(
+        "policy", [SuccessRatePolicy(), NetProfitPolicy(), _CoarsePolicy()],
+        ids=lambda policy: type(policy).__name__,
+    )
+    def test_equals_full_rescoring(self, seed, policy):
+        simulation = DelegationSimulation(
+            twitter(seed=0), DelegationConfig(iterations=60), seed=seed
+        )
+        got = simulation.run(policy, "probe").series.values
+        assert got == _rescore_every_iteration(simulation, policy, "probe")
+
+    def test_ties_break_toward_the_first_candidate(self):
+        # Every candidate scores the same: both paths must keep choosing
+        # the first one, so ties are actually exercised.
+        class Flat(SelectionPolicy):
+            def score(self, factors):
+                return 0.0
+
+        simulation = DelegationSimulation(
+            twitter(seed=0), DelegationConfig(iterations=20), seed=2
+        )
+        assert simulation.run(Flat(), "flat").series.values == (
+            _rescore_every_iteration(simulation, Flat(), "flat")
+        )
+
+
+class TestHoods:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_arena_hoods_give_the_bfs_candidates(self, seed):
+        graph = twitter(seed=0)
+        config = DelegationConfig(iterations=30)
+        bfs = DelegationSimulation(graph, config, seed=seed)
+        hooded = DelegationSimulation(
+            graph, config, seed=seed, hoods=registry._hoods(graph, 2)
+        )
+        assert hooded._candidates == bfs._candidates
+        assert hooded._truth == bfs._truth
+        policy = NetProfitPolicy()
+        assert hooded.run(policy, "x") == bfs.run(policy, "x")

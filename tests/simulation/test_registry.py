@@ -10,6 +10,8 @@ import pytest
 import repro
 from repro.simulation import registry
 from repro.simulation.results import RateSummary, SeriesResult
+from repro.simulation.scenario import build_scenario
+from repro.socialnet.datasets import NETWORK_PROFILES
 
 EXPECTED_SCENARIOS = {
     "fig7-mutuality",
@@ -244,6 +246,33 @@ class TestArenas:
             arena = spec.build_once(smoke=True)
             assert isinstance(arena, dict)
         registry.clear_arenas()
+
+
+class TestHoods:
+    """The arena's presorted neighbourhoods, filtered by a seed's trustee
+    set, are exactly ``Scenario.trustee_neighbors``: the BFS per trustor
+    the Fig. 7, Fig. 13 and Eq. 24 seeds no longer run."""
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("network", sorted(NETWORK_PROFILES))
+    def test_filtered_hoods_equal_trustee_neighbors(self, network, hops):
+        graph = registry._graph(network, 0)
+        hoods = registry._hoods(graph, hops)
+        for seed in (1, 2):
+            scenario = build_scenario(graph, seed)
+            trustee_set = scenario.trustee_set
+            for node in graph.nodes():
+                filtered = [n for n in hoods[node] if n in trustee_set]
+                assert filtered == scenario.trustee_neighbors(node, hops)
+
+    @pytest.mark.parametrize(
+        "name, hops",
+        [("fig7-mutuality", 2), ("fig13-delegation", 2),
+         ("eq24-selfdelegation", 1)],
+    )
+    def test_arena_holds_the_hoods_its_seeds_filter(self, name, hops):
+        arena = registry.get(name).build_once(smoke=True)
+        assert arena["hoods"] == registry._hoods(arena["graph"], hops)
 
 
 _ROOT = Path(__file__).resolve().parents[2]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simulation import registry
 from repro.simulation.selfdelegation import SelfDelegationSimulation
 from repro.socialnet.datasets import twitter
 
@@ -56,3 +57,17 @@ class TestMechanics:
         )
         for candidates in simulation.candidate_factors.values():
             assert len(candidates) <= 5
+
+
+class TestHoods:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_arena_hoods_give_the_bfs_candidates(self, seed):
+        graph = twitter(seed=0)
+        bfs = SelfDelegationSimulation(graph, tasks_per_trustor=5, seed=seed)
+        hooded = SelfDelegationSimulation(
+            graph, tasks_per_trustor=5, seed=seed,
+            hoods=registry._hoods(graph, 1),
+        )
+        assert hooded.candidate_factors == bfs.candidate_factors
+        assert hooded.self_factors == bfs.self_factors
+        assert hooded.run() == bfs.run()

@@ -5,6 +5,7 @@ import pickle
 import pytest
 
 from repro.core.transitivity import TransitivityMode
+from repro.simulation import registry
 from repro.simulation.config import TransitivityConfig
 from repro.simulation.transitivity import TransitivitySimulation
 from repro.socialnet.datasets import twitter
@@ -151,3 +152,26 @@ class TestSharedSimulation:
             for mode in order:
                 assert shared.run(mode) == fresh[mode]
                 assert pickle.dumps(shared.__dict__) == before
+
+
+class TestTable2OnOneSimulation:
+    """``repro table2`` and the Table 2 bench read all three methods from
+    one property-based ``fig12-overhead`` run per network; each must be
+    what ``table2-properties`` computes for that method alone."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("network", ["twitter", "gplus"])
+    def test_fig12_overhead_equals_table2_per_method(self, network, seed):
+        overhead = registry.get("fig12-overhead").run_full(
+            seed, network=network, property_based_tasks=True
+        )
+        table2 = registry.get("table2-properties")
+        assert list(overhead) == list(TransitivityMode)
+        for mode in TransitivityMode:
+            assert overhead[mode] == table2.run_full(
+                seed, network=network, mode=mode.value
+            )
+
+    def test_random_tasks_stay_the_default(self):
+        spec = registry.get("fig12-overhead")
+        assert spec.params()["property_based_tasks"] is False
