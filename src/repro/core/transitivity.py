@@ -93,11 +93,6 @@ class TrustKnowledge:
         """Social neighbors of ``node`` (the edges trust may travel)."""
         raise NotImplementedError
 
-    def covered(self, holder: NodeId, about: NodeId) -> frozenset:
-        """Union of the characteristics of the tasks ``holder`` has
-        experienced with ``about``."""
-        return _covered_characteristics(self.experienced(holder, about))
-
     def restricted_hops(
         self, node: NodeId, required: frozenset
     ) -> Sequence[Tuple[NodeId, Optional[float]]]:
@@ -114,7 +109,7 @@ class TrustKnowledge:
             if not experienced:
                 continue
             hop_trust = None
-            if required <= self.covered(node, neighbor):
+            if required <= _covered_characteristics(experienced):
                 hop_trust = _edge_trust_for(experienced, required)
             hops.append((neighbor, hop_trust))
         return tuple(hops)
@@ -125,9 +120,9 @@ class MappingKnowledge(TrustKnowledge):
     """Dictionary-backed :class:`TrustKnowledge` for scenarios and tests.
 
     Path search asks the same edge questions for every trustor, so the
-    knowledge memoizes each edge's coverage set and, per required
-    characteristic set, each node's :meth:`restricted_hops`.
-    :meth:`add_experience` clears the memo, so change ``edges`` and
+    knowledge memoizes, per node and required characteristic set, the
+    answer of :meth:`restricted_hops`: each out-edge's coverage test and
+    restricted hop trust.  :meth:`add_experience` clears the memo, so change ``edges`` and
     ``adjacency`` only through it: a direct edit bypasses the memo.  The
     memo is not part of the value: it is left out of equality, ``repr``
     and pickles.
@@ -137,9 +132,6 @@ class MappingKnowledge(TrustKnowledge):
         default_factory=dict
     )
     adjacency: Dict[NodeId, List[NodeId]] = field(default_factory=dict)
-    _covered: Dict[Tuple[NodeId, NodeId], frozenset] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     _hops: Dict[
         Tuple[NodeId, frozenset], Sequence[Tuple[NodeId, Optional[float]]]
     ] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -149,7 +141,6 @@ class MappingKnowledge(TrustKnowledge):
     ) -> None:
         """Register that ``holder`` trusts ``about`` at ``trust`` for ``task``."""
         validate_probability(trust, "trust")
-        self._covered.clear()
         self._hops.clear()
         self.edges.setdefault((holder, about), []).append((task, trust))
         self.adjacency.setdefault(holder, [])
@@ -162,14 +153,6 @@ class MappingKnowledge(TrustKnowledge):
 
     def neighbors(self, node: NodeId) -> Iterable[NodeId]:
         return self.adjacency.get(node, ())
-
-    def covered(self, holder: NodeId, about: NodeId) -> frozenset:
-        key = (holder, about)
-        try:
-            return self._covered[key]
-        except KeyError:
-            covered = self._covered[key] = super().covered(holder, about)
-            return covered
 
     def restricted_hops(
         self, node: NodeId, required: frozenset
@@ -187,7 +170,6 @@ class MappingKnowledge(TrustKnowledge):
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.edges = state["edges"]
         self.adjacency = state["adjacency"]
-        self._covered = {}
         self._hops = {}
 
 

@@ -9,13 +9,17 @@ import pytest
 from repro.core.task import Task
 from repro.core.transitivity import (
     MappingKnowledge,
+    PathAssessment,
     TransitivityMode,
     TrustKnowledge,
     TrustTransitivity,
     combine_chain,
     combine_two_sided,
     traditional_chain,
+    _covered_characteristics,
+    _edge_trust_for,
 )
+from repro.core.trustworthiness import TrustValue
 
 
 class TestCombiner:
@@ -372,3 +376,68 @@ class TestMemoizedKnowledge:
         assert _answers(TrustTransitivity(restored)) == _answers(
             TrustTransitivity(untouched)
         )
+
+
+def _reference_search(engine, trustor, required, inquiries):
+    """``_search`` as first written: every path re-reads its edges'
+    records and re-folds its whole hop list through both ω gates."""
+    knowledge = engine.knowledge
+    results = []
+    stack = [(trustor, (trustor,), ())]
+    while stack:
+        node, path, hops = stack.pop()
+        if len(hops) >= engine.max_depth:
+            continue
+        for neighbor in knowledge.neighbors(node):
+            if neighbor in path:
+                continue
+            experienced = knowledge.experienced(node, neighbor)
+            if not experienced:
+                continue
+            inquiries.add(neighbor)
+            if not required <= _covered_characteristics(experienced):
+                continue
+            hop_trust = _edge_trust_for(experienced, required)
+            if hop_trust is None:
+                continue
+            new_path = path + (neighbor,)
+            new_hops = hops + (hop_trust,)
+            admitted = all(
+                hop >= engine.omega_recommend for hop in new_hops[:-1]
+            ) and new_hops[-1] >= engine.omega_execute
+            results.append(PathAssessment(
+                path=new_path,
+                trust=TrustValue(
+                    combine_chain(new_hops), direct=len(new_hops) == 1
+                ),
+                characteristics=required,
+                admitted=admitted,
+                reason="" if admitted else "omega gate failed",
+            ))
+            stack.append((neighbor, new_path, new_hops))
+    return results
+
+
+class TestIncrementalSearch:
+    """The DFS carries each prefix's ω1 gate and chain trust instead of
+    re-folding the path; every assessment must equal the full re-fold,
+    on paths long enough for the prefix gate to matter."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("omegas", [(0.0, 0.0), (0.5, 0.3), (0.7, 0.6)])
+    def test_equals_the_refolding_search(self, seed, omegas):
+        knowledge = _knowledge_of(_random_experiences(seed, 60))
+        engine = TrustTransitivity(
+            knowledge, omega_recommend=omegas[0], omega_execute=omegas[1],
+            max_depth=4,
+        )
+        task = _TASKS[0]
+        for size in (1, 2):
+            for required in itertools.combinations(_CHARS, size):
+                required = frozenset(required)
+                for trustor in range(8):
+                    got, want = set(), set()
+                    assert engine._search(trustor, task, required, got) == (
+                        _reference_search(engine, trustor, required, want)
+                    )
+                    assert got == want
