@@ -39,9 +39,9 @@ process), so a spec never has to pickle a network.
 Besides the nine figure/table experiments, the registry names the
 remaining bench families — Table 1 connectivity, the Figs. 9–12 and
 Table 2 all-methods run (``fig12-overhead``: the three trust-transfer
-methods on one simulation), and the six ablations — so every bench and every
-artifact command computes through a named spec and ``repro sweep`` can
-drive all of them.
+methods on one simulation), and the six ablations — so every bench and
+every artifact command computes through a named spec and ``repro
+sweep`` can drive all of them.
 """
 
 from __future__ import annotations
@@ -102,18 +102,19 @@ def _hoods(graph: SocialGraph, hops: int) -> Dict[object, tuple]:
     to a filter of the hood by that seed's trustee set (identical to the
     per-trustor BFS of ``Scenario.trustee_neighbors``).
     """
+    # One neighbour-set copy per node; each BFS level is then a union of
+    # those sets, minus what is already seen.
+    neighbors = {node: graph.neighbors(node) for node in graph.nodes()}
     hoods: Dict[object, tuple] = {}
-    for node in graph.nodes():
-        frontier = {node}
+    for node in neighbors:
         seen = {node}
+        frontier = seen
         for _ in range(hops):
-            next_frontier = set()
+            reached = set()
             for current in frontier:
-                for neighbor in graph.neighbors(current):
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        next_frontier.add(neighbor)
-            frontier = next_frontier
+                reached |= neighbors[current]
+            frontier = reached - seen
+            seen |= frontier
         seen.discard(node)
         hoods[node] = tuple(sorted(seen))
     return hoods
