@@ -1,7 +1,9 @@
-"""Golden digests of the social-network seed loops: the Fig. 9-12 /
-Table 2 transitivity search, the Fig. 13 delegation loop and the Eq. 24
-self-delegation loop reproduce, bit for bit, the results recorded
-before those loops were made incremental.
+"""Golden digests of the seed loops: the Fig. 7 mutuality gate, the
+Fig. 9-12 / Table 2 transitivity search, the Fig. 13 delegation loop,
+the Eq. 24 self-delegation loop, the Fig. 15 environment tracker and
+the whitewashing ablation reproduce, bit for bit, the results recorded
+before those loops were made incremental and before the per-process
+arena was keyed by network.
 
 Each golden is the SHA-256 of the canonical JSON of a registered
 scenario's per-seed results: the native result (every field the
@@ -60,6 +62,12 @@ def _per_seed(name, seeds, smoke, **overrides):
 
 # (scenario, overrides) -> digest of the smoke results at seeds 1 and 2.
 SMOKE_GOLDENS = {
+    ("fig7-mutuality", (("threshold", 0.0),)):
+        "7b9a947255d65bfe1bc7522d71ef181d0985db18e31002fb4a15a581c9c51059",
+    ("fig7-mutuality", (("threshold", 0.3),)):
+        "87b1a99eb0a21a592b45e21fefe17b9c06b7d5e633cf8c16d6a73a678f204899",
+    ("fig7-mutuality", (("threshold", 0.6),)):
+        "bc0cc18eebc676826df46bf4670bd156a1c4d6dc24bd1d0a32fdc227d3d7ac10",
     ("fig9-transitivity", ()):
         "16d90abecf83a7f57881ea2a0316f097e6c9a05f41958b1126f9cebaa06c880f",
     ("fig12-overhead", ()):
@@ -76,6 +84,10 @@ SMOKE_GOLDENS = {
         "0a2765d389fd74fbac91ab3affedfce2e7cb88b6984de07f0c5a42c5c06a8150",
     ("fig13-delegation", (("strategy", "second"),)):
         "14afd9382fd82df32d180cbd6503329b768b9eba77d3f4822209062e851339c6",
+    ("fig15-environment", ()):
+        "95e82707415e3ce33eeae41b2e0979671f04ca7d3b7524c68f0fb6b0fe8d7129",
+    ("ablation-whitewashing", ()):
+        "ff063184d1719e0397737262382ed8c37784bd33a1967ce93ceb055405de45c1",
 }
 
 # strategy -> digest of 300-iteration Fig. 13 runs on facebook at seeds 1-3.
