@@ -6,35 +6,32 @@ benchmarks, the artifact commands (``repro fig7`` ...), ``repro sweep``
 and the sequential-vs-parallel equivalence suite all run exactly the
 same code.  The registry is the only place an experiment is built:
 
-* ``spec.build_once(...)`` — the scenario **arena**: everything
-  seed-independent (graph, configs), materialized once and reused
-  across seeds;
-* ``spec.run_with_seed(arena, seed, ...)`` — one seeded run against a
-  prebuilt arena, returning the experiment's native result object;
-* ``spec.run_full(seed)`` — arena lookup + seeded run in one call; the
-  native result is what the artifact commands and the benches render
-  (and what the benches assert shapes on);
+* ``spec.run_full(seed)`` — one seeded run, returning the experiment's
+  native result object: what the artifact commands and the benches
+  render (and what the benches assert shapes on);
 * ``spec.run(seed)`` — the result reduced to the common multi-seed
   shapes (:class:`RateSummary` for ``kind == "rates"``,
   :class:`SeriesResult` for ``kind == "series"``) that
   ``average_rates`` / ``average_series`` know how to combine;
-* ``spec.bound()`` — a :func:`functools.partial` of a module-level
-  function, safe to ship to a :class:`ProcessPoolExecutor` worker.
+* ``spec.bound()`` — a :func:`functools.partial` of
+  :func:`run_reduced`, safe to ship to a :class:`ProcessPoolExecutor`
+  worker.
 
-Arenas live in a **per-process store** keyed by the build function and
-its params without ``compute`` (so a ``-vectorized`` twin shares its
-base scenario's arena): the first seed a worker executes builds the
-arena, every later seed in that worker reuses it, and
-:func:`warm_arena` is the pool initializer
+The only seed-independent state is the calibrated network a scenario
+runs on.  Its **arena** — the graph plus its 1- and 2-hop candidate
+hoods — lives in a per-process store keyed by ``(network,
+graph_seed)``: the first seed a process runs on a network builds it,
+and every later seed of every scenario and parameter set on that
+network reuses it.  A scenario has an arena iff its params carry
+``graph_seed``; :func:`warm_arena` is the pool initializer
 :func:`repro.simulation.sweep.execute_sweep` installs so the build
-happens before the first task rather than inside it.  A scenario whose run
-mutates the shared state it was built from sets ``reusable=False`` and
-gets a fresh arena per seed instead.
+happens before the first task rather than inside it.  Seed runs only
+read the arena.
 
 ``defaults`` reproduce the bench-scale parameters; ``smoke`` are the
 scaled-down overrides the test suite and CI smoke invocation use.
-Graphs are rebuilt per worker from their profile name (and cached per
-process), so a spec never has to pickle a network.
+Graphs are rebuilt per process from their profile name, so a spec
+never has to pickle a network.
 
 Besides the nine figure/table experiments, the registry names the
 remaining bench families — Table 1 connectivity, the Figs. 9–12 and
@@ -48,7 +45,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Dict, List, Mapping, Tuple, Union
 
 from repro.core.attacks import (
@@ -78,29 +75,17 @@ Reduced = Union[RateSummary, SeriesResult]
 Params = Tuple[Tuple[str, object], ...]
 
 
-@lru_cache(maxsize=None)
-def _graph(network: str, graph_seed: int) -> SocialGraph:
-    """Per-process cache of the calibrated networks (cheap to rebuild)."""
-    from repro.socialnet.datasets import load_network
-
-    return load_network(network, seed=graph_seed)
-
-
 # ---------------------------------------------------------------------------
-# per-scenario build/run functions (module-level: picklable via partial)
-#
-# ``_build_*`` materializes the seed-independent arena (graph + configs);
-# ``_seed_*`` runs one seed against it.  Nothing in a ``_seed_*`` function
-# may mutate the arena unless the spec sets ``reusable=False``.
+# the per-process network arenas
 # ---------------------------------------------------------------------------
 
 def _hoods(graph: SocialGraph, hops: int) -> Dict[object, tuple]:
     """Seed-independent columnar candidate view: per node, every other
     node within ``hops``, sorted.
 
-    Built once per arena; a per-seed run reduces its candidate lookups
-    to a filter of the hood by that seed's trustee set (identical to the
-    per-trustor BFS of ``Scenario.trustee_neighbors``).
+    Built once per network arena; a per-seed run reduces its candidate
+    lookups to a filter of the hood by that seed's trustee set
+    (identical to the per-trustor BFS of ``Scenario.trustee_neighbors``).
     """
     # One neighbour-set copy per node; each BFS level is then a union of
     # those sets, minus what is already seen.
@@ -120,25 +105,73 @@ def _hoods(graph: SocialGraph, hops: int) -> Dict[object, tuple]:
     return hoods
 
 
-def _build_fig7(params: Mapping[str, object]) -> Dict[str, object]:
+_ARENAS: Dict[Tuple[str, int], Dict[str, object]] = {}
+
+
+def _arena(network: str, graph_seed: int) -> Dict[str, object]:
+    """The arena of one calibrated network: ``{"graph": g, "hoods":
+    {1: ..., 2: ...}}``, built on first use and then shared by every
+    seed, scenario and parameter set this process runs on it."""
+    key = (network, graph_seed)
+    try:
+        return _ARENAS[key]
+    except KeyError:
+        from repro.socialnet.datasets import load_network
+
+        graph = load_network(network, seed=graph_seed)
+        arena = _ARENAS[key] = {
+            "graph": graph,
+            "hoods": {1: _hoods(graph, 1), 2: _hoods(graph, 2)},
+        }
+        return arena
+
+
+def _network(params: Mapping[str, object]) -> Dict[str, object]:
+    """The arena of the network a scenario's params name."""
+    return _arena(params["network"], params["graph_seed"])
+
+
+def warm_arena(name: str, params: Params) -> None:
+    """Pool-worker initializer: build the arena a scenario's first seed
+    would build, before any task.
+
+    A no-op for an unknown name and for a scenario without an arena
+    (its params carry no ``graph_seed``).
+    """
+    params = dict(params)
+    if name in _REGISTRY and "graph_seed" in params:
+        _network(params)
+
+
+def arena_store_size() -> int:
+    """How many network arenas this process holds (test/introspection)."""
+    return len(_ARENAS)
+
+
+def clear_arenas() -> None:
+    """Drop every cached arena in this process (test isolation)."""
+    _ARENAS.clear()
+
+
+# ---------------------------------------------------------------------------
+# per-scenario seed/reduce functions (module-level: picklable via partial)
+#
+# ``_seed_*`` runs one seed from the scenario's params, reading (never
+# mutating) its network's arena; ``_reduce_*`` maps the native result to
+# the common multi-seed shape.
+# ---------------------------------------------------------------------------
+
+def _seed_fig7(params: Mapping[str, object], seed: int):
     config = MutualityConfig(
         threshold=params["threshold"],
         warmup_interactions=params["warmup_interactions"],
         requests_per_trustor=params["requests_per_trustor"],
     )
-    graph = _graph(params["network"], params["graph_seed"])
-    return {
-        "graph": graph,
-        "config": config,
-        "hoods": _hoods(graph, config.candidate_hops),
-    }
-
-
-def _seed_fig7(arena, params: Mapping[str, object], seed: int):
+    arena = _network(params)
     return MutualitySimulation(
-        arena["graph"], arena["config"], seed=seed,
+        arena["graph"], config, seed=seed,
         compute=params.get("compute", "python"),
-        hoods=arena.get("hoods"),
+        hoods=arena["hoods"][config.candidate_hops],
     ).run()
 
 
@@ -146,21 +179,16 @@ def _reduce_fig7(result) -> RateSummary:
     return result.rates
 
 
-def _build_transitivity(params: Mapping[str, object]) -> Dict[str, object]:
-    return {
-        "graph": _graph(params["network"], params["graph_seed"]),
-        "config": TransitivityConfig(
-            num_characteristics=params["num_characteristics"],
-        ),
-    }
-
-
-def _seed_transitivity(arena, params: Mapping[str, object], seed: int):
-    simulation = TransitivitySimulation(
-        arena["graph"], arena["config"], seed=seed,
-        property_based_tasks=params["property_based_tasks"],
+def _transitivity(params: Mapping[str, object], seed: int):
+    return TransitivitySimulation(
+        _network(params)["graph"],
+        TransitivityConfig(num_characteristics=params["num_characteristics"]),
+        seed=seed, property_based_tasks=params["property_based_tasks"],
     )
-    return simulation.run(TransitivityMode(params["mode"]))
+
+
+def _seed_transitivity(params: Mapping[str, object], seed: int):
+    return _transitivity(params, seed).run(TransitivityMode(params["mode"]))
 
 
 def _reduce_transitivity(result) -> RateSummary:
@@ -178,18 +206,11 @@ _POLICIES = {
 }
 
 
-def _build_fig13(params: Mapping[str, object]) -> Dict[str, object]:
-    graph = _graph(params["network"], params["graph_seed"])
-    return {
-        "graph": graph,
-        "config": DelegationConfig(iterations=params["iterations"]),
-        "hoods": _hoods(graph, 2),
-    }
-
-
-def _seed_fig13(arena, params: Mapping[str, object], seed: int):
+def _seed_fig13(params: Mapping[str, object], seed: int):
+    arena = _network(params)
     simulation = DelegationSimulation(
-        arena["graph"], arena["config"], seed=seed, hoods=arena["hoods"],
+        arena["graph"], DelegationConfig(iterations=params["iterations"]),
+        seed=seed, hoods=arena["hoods"][2],
     )
     strategy = params["strategy"]
     return simulation.run(_POLICIES[strategy](), f"{strategy} strategy")
@@ -199,13 +220,9 @@ def _reduce_fig13(result) -> SeriesResult:
     return result.series
 
 
-def _build_fig15(params: Mapping[str, object]) -> Dict[str, object]:
-    return {"config": EnvironmentConfig(runs=params["runs"])}
-
-
-def _seed_fig15(arena, params: Mapping[str, object], seed: int):
+def _seed_fig15(params: Mapping[str, object], seed: int):
     return EnvironmentSimulation(
-        arena["config"], seed=seed,
+        EnvironmentConfig(runs=params["runs"]), seed=seed,
         compute=params.get("compute", "python"),
     ).run()
 
@@ -214,15 +231,11 @@ def _reduce_fig15(result) -> SeriesResult:
     return result.proposed
 
 
-def _build_eq24(params: Mapping[str, object]) -> Dict[str, object]:
-    graph = _graph(params["network"], params["graph_seed"])
-    return {"graph": graph, "hoods": _hoods(graph, 1)}
-
-
-def _seed_eq24(arena, params: Mapping[str, object], seed: int):
+def _seed_eq24(params: Mapping[str, object], seed: int):
+    arena = _network(params)
     simulation = SelfDelegationSimulation(
         arena["graph"], tasks_per_trustor=params["tasks_per_trustor"],
-        seed=seed, hoods=arena["hoods"],
+        seed=seed, hoods=arena["hoods"][1],
     )
     return simulation.run()
 
@@ -241,12 +254,7 @@ def _reduce_eq24(result) -> SeriesResult:
     )
 
 
-def _build_nothing(params: Mapping[str, object]) -> Dict[str, object]:
-    """Arena for scenarios whose state is entirely seed-dependent."""
-    return {}
-
-
-def _seed_fig8(arena, params: Mapping[str, object], seed: int):
+def _seed_fig8(params: Mapping[str, object], seed: int):
     from repro.iotnet.experiments import InferenceExperiment
 
     return InferenceExperiment(
@@ -258,7 +266,7 @@ def _reduce_fig8(result) -> SeriesResult:
     return SeriesResult("% honest selected (with model)", result.with_model)
 
 
-def _seed_fig14(arena, params: Mapping[str, object], seed: int):
+def _seed_fig14(params: Mapping[str, object], seed: int):
     from repro.iotnet.experiments import ActiveTimeExperiment
 
     return ActiveTimeExperiment(
@@ -270,7 +278,7 @@ def _reduce_fig14(result) -> SeriesResult:
     return SeriesResult("active time ms (with model)", result.with_model)
 
 
-def _seed_fig16(arena, params: Mapping[str, object], seed: int):
+def _seed_fig16(params: Mapping[str, object], seed: int):
     from repro.iotnet.experiments import LightingExperiment
     from repro.iotnet.sensors import LightEnvironment, LightPhase
 
@@ -300,7 +308,7 @@ _FIG16_SMOKE_PHASES = (
 
 # --- Table 1 / Fig. 12 / ablations (the remaining bench families) ----------
 
-def _seed_table1(arena, params: Mapping[str, object], seed: int):
+def _seed_table1(params: Mapping[str, object], seed: int):
     from repro.socialnet.datasets import load_network
     from repro.socialnet.metrics import connectivity_report
 
@@ -321,11 +329,8 @@ def _reduce_table1(report) -> SeriesResult:
     )
 
 
-def _seed_fig12(arena, params: Mapping[str, object], seed: int):
-    simulation = TransitivitySimulation(
-        arena["graph"], arena["config"], seed=seed,
-        property_based_tasks=params["property_based_tasks"],
-    )
+def _seed_fig12(params: Mapping[str, object], seed: int):
+    simulation = _transitivity(params, seed)
     return {mode: simulation.run(mode) for mode in TransitivityMode}
 
 
@@ -366,7 +371,7 @@ ATTACK_SCENARIOS: Dict[str, Tuple[Callable, float]] = {
 }
 
 
-def _seed_attacks(arena, params: Mapping[str, object], seed: int):
+def _seed_attacks(params: Mapping[str, object], seed: int):
     return {
         name: run_attack_scenario(
             target_trust=target,
@@ -387,7 +392,7 @@ def _reduce_attacks(results) -> SeriesResult:
     )
 
 
-def _seed_beta(arena, params: Mapping[str, object], seed: int):
+def _seed_beta(params: Mapping[str, object], seed: int):
     results = {}
     for beta in params["betas"]:
         config = EnvironmentConfig(runs=params["runs"], beta=beta)
@@ -418,7 +423,7 @@ def _reduce_beta(results) -> SeriesResult:
     )
 
 
-def _seed_combiner(arena, params: Mapping[str, object], seed: int):
+def _seed_combiner(params: Mapping[str, object], seed: int):
     from repro.core.kernels import resolve_compute
 
     if resolve_compute(params.get("compute", "python")) == "vectorized":
@@ -506,7 +511,7 @@ def _reduce_combiner(result) -> SeriesResult:
     )
 
 
-def _seed_energy(arena, params: Mapping[str, object], seed: int):
+def _seed_energy(params: Mapping[str, object], seed: int):
     from repro.iotnet.energy import EnergyMeter
     from repro.iotnet.experiments import ActiveTimeExperiment
 
@@ -555,7 +560,7 @@ def _timedecay_level_at(iteration: int) -> float:
     return _TIMEDECAY_PHASES[-1][1]
 
 
-def _seed_timedecay(arena, params: Mapping[str, object], seed: int):
+def _seed_timedecay(params: Mapping[str, object], seed: int):
     from repro.core.environment import EnvironmentReading, cannikin_debias
     from repro.core.timedecay import DecayingTrustLedger
     from repro.core.update import forget
@@ -603,14 +608,11 @@ def _reduce_timedecay(result) -> SeriesResult:
     )
 
 
-def _build_whitewashing(params: Mapping[str, object]) -> Dict[str, object]:
-    return {"graph": _graph(params["network"], params["graph_seed"])}
-
-
-def _seed_whitewashing(arena, params: Mapping[str, object], seed: int):
+def _seed_whitewashing(params: Mapping[str, object], seed: int):
+    graph = _network(params)["graph"]
     return {
         label: sweep_thresholds(
-            arena["graph"], thresholds=params["thresholds"], seed=seed,
+            graph, thresholds=params["thresholds"], seed=seed,
             config=MutualityConfig(shared_logs=shared),
         )
         for label, shared in (("shared", True), ("private", False))
@@ -627,33 +629,26 @@ def _reduce_whitewashing(results) -> SeriesResult:
     return SeriesResult("abuse rate: " + " / ".join(labels), values)
 
 
-def _run_scenario(name: str, params: Params, seed: int) -> Reduced:
-    """Reduced per-seed result; the picklable pool-worker entry point."""
-    spec = get(name)
-    return spec._reduce(
-        spec._seed_run(_arena(name, params), dict(params), seed)
-    )
-
-
 def run_reduced(name: str, params: Params, seed: int) -> Reduced:
     """One reduced per-seed result from an already-normalized params key.
 
-    The entry point for callers that carry parameters in their wire
-    form (a sorted tuple of pairs, e.g. rehydrated from a distributed
-    task file) rather than as keyword overrides: same arena store, same
-    reduction, bit-identical to ``spec.run(seed)`` for equal params.
+    The picklable pool-worker entry point, and the one for callers that
+    carry parameters in their wire form (a sorted tuple of pairs, e.g.
+    rehydrated from a distributed task file) rather than as keyword
+    overrides: bit-identical to ``spec.run(seed)`` for equal params.
     """
-    return _run_scenario(name, params, seed)
+    spec = get(name)
+    return spec._reduce(spec._seed_run(dict(params), seed))
 
 
 # ---------------------------------------------------------------------------
-# the per-process arena store
+# parameter normalization
 # ---------------------------------------------------------------------------
 
 def hashable_value(value: object) -> object:
     """A hashable stand-in for a parameter value (lists/sets/dicts ->
-    tuples), so any override accepted by ``params()`` can key the arena
-    store, the result cache, a distributed task file, or a
+    tuples), so any override accepted by ``params()`` can key the
+    result cache, a distributed task file, or a
     :class:`repro.api.SweepSpec` — every parameter consumer normalizes
     through this one function, which is what makes their keys agree."""
     if isinstance(value, (list, tuple)):
@@ -668,53 +663,6 @@ def hashable_value(value: object) -> object:
     return value
 
 
-# ``compute`` is a per-seed-run kernel choice: it never keys an arena
-# and never reaches a build.
-_ARENAS: Dict[Tuple[Callable, Params], object] = {}
-
-
-def _arena(name: str, params: Params):
-    """The (possibly cached) arena for one ``(scenario, params)`` pair.
-
-    Reusable scenarios build once per process and share across every
-    seed that process executes — and with every scenario whose
-    ``_build`` and non-``compute`` params are the same; non-reusable
-    ones get a fresh arena per call.
-    """
-    spec = get(name)
-    params = tuple(pair for pair in params if pair[0] != "compute")
-    if not spec.reusable:
-        return spec._build(dict(params))
-    key = (spec._build, params)
-    try:
-        return _ARENAS[key]
-    except KeyError:
-        arena = spec._build(dict(params))
-        _ARENAS[key] = arena
-        return arena
-
-
-def warm_arena(name: str, params: Params) -> None:
-    """Pool-worker initializer: materialize the arena before any task.
-
-    Safe to call with any registered scenario; a non-reusable spec is a
-    no-op (its arenas are per-seed by definition).
-    """
-    spec = _REGISTRY.get(name)
-    if spec is not None and spec.reusable:
-        _arena(name, params)
-
-
-def arena_store_size() -> int:
-    """How many arenas this process currently holds (test/introspection)."""
-    return len(_ARENAS)
-
-
-def clear_arenas() -> None:
-    """Drop every cached arena in this process (test isolation)."""
-    _ARENAS.clear()
-
-
 # ---------------------------------------------------------------------------
 # the spec and the registry
 # ---------------------------------------------------------------------------
@@ -723,10 +671,8 @@ def clear_arenas() -> None:
 class ScenarioSpec:
     """One named, parameterized, picklable experiment.
 
-    ``_build`` materializes the seed-independent arena; ``_seed_run``
-    executes one seed against it; ``_reduce`` maps the native result to
-    the common multi-seed shape.  ``reusable=False`` opts out of the
-    per-process arena store for runs that mutate their arena.
+    ``_seed_run(params, seed)`` executes one seed; ``_reduce`` maps the
+    native result to the common multi-seed shape.
     """
 
     name: str
@@ -734,10 +680,8 @@ class ScenarioSpec:
     description: str
     defaults: Mapping[str, object]
     smoke: Mapping[str, object] = field(default_factory=dict)
-    _build: Callable = _build_nothing
     _seed_run: Callable = None
     _reduce: Callable = None
-    reusable: bool = True
 
     def params(self, smoke: bool = False, **overrides: object) -> Dict[str, object]:
         """Effective parameters: defaults, then smoke, then overrides.
@@ -745,7 +689,8 @@ class ScenarioSpec:
         Container values are normalized to hashable, deterministically
         ordered tuples (list -> tuple, set -> sorted tuple) so every
         execution path — direct ``run_full``, pool-bound ``bound()``,
-        arena store, cache key — sees byte-identical parameters.
+        cache key, distributed task file — sees byte-identical
+        parameters.
         """
         merged = dict(self.defaults)
         if smoke:
@@ -769,23 +714,7 @@ class ScenarioSpec:
     ) -> Callable[[int], Reduced]:
         """A picklable ``run(seed)`` with parameters baked in."""
         return partial(
-            _run_scenario, self.name, self.params_key(smoke=smoke, **overrides)
-        )
-
-    def build_once(self, smoke: bool = False, **overrides: object):
-        """The scenario arena for the effective parameters.
-
-        Reusable specs share the arena through the per-process store;
-        non-reusable ones build fresh.
-        """
-        return _arena(self.name, self.params_key(smoke=smoke, **overrides))
-
-    def run_with_seed(
-        self, arena, seed: int, smoke: bool = False, **overrides: object
-    ):
-        """One seeded run against a prebuilt arena (native result)."""
-        return self._seed_run(
-            arena, self.params(smoke=smoke, **overrides), seed
+            run_reduced, self.name, self.params_key(smoke=smoke, **overrides)
         )
 
     def run(self, seed: int, smoke: bool = False, **overrides: object) -> Reduced:
@@ -795,10 +724,7 @@ class ScenarioSpec:
     def run_full(self, seed: int, smoke: bool = False, **overrides: object):
         """The experiment's native result object: what the artifact
         commands and the benches render."""
-        return self.run_with_seed(
-            self.build_once(smoke=smoke, **overrides), seed,
-            smoke=smoke, **overrides,
-        )
+        return self._seed_run(self.params(smoke=smoke, **overrides), seed)
 
 
 _REGISTRY: Dict[str, ScenarioSpec] = {}
@@ -847,7 +773,6 @@ _register(ScenarioSpec(
         "network": "twitter", "warmup_interactions": 5,
         "requests_per_trustor": 2,
     },
-    _build=_build_fig7,
     _seed_run=_seed_fig7,
     _reduce=_reduce_fig7,
 ))
@@ -863,7 +788,6 @@ _register(ScenarioSpec(
         "property_based_tasks": False,
     },
     smoke={"network": "twitter"},
-    _build=_build_transitivity,
     _seed_run=_seed_transitivity,
     _reduce=_reduce_transitivity,
 ))
@@ -879,7 +803,6 @@ _register(ScenarioSpec(
         "property_based_tasks": True,
     },
     smoke={"network": "twitter"},
-    _build=_build_transitivity,
     _seed_run=_seed_transitivity,
     _reduce=_reduce_transitivity,
 ))
@@ -894,7 +817,6 @@ _register(ScenarioSpec(
         "strategy": "second",
     },
     smoke={"network": "twitter", "iterations": 30},
-    _build=_build_fig13,
     _seed_run=_seed_fig13,
     _reduce=_reduce_fig13,
 ))
@@ -907,7 +829,6 @@ _register(ScenarioSpec(
                 "averaging replaces the internal repetition)",
     defaults={"runs": 1, "compute": "python"},
     smoke={},
-    _build=_build_fig15,
     _seed_run=_seed_fig15,
     _reduce=_reduce_fig15,
 ))
@@ -921,7 +842,6 @@ _register(ScenarioSpec(
         "network": "facebook", "graph_seed": 0, "tasks_per_trustor": 50,
     },
     smoke={"network": "twitter", "tasks_per_trustor": 5},
-    _build=_build_eq24,
     _seed_run=_seed_eq24,
     _reduce=_reduce_eq24,
 ))
@@ -981,7 +901,6 @@ _register(ScenarioSpec(
         "property_based_tasks": False,
     },
     smoke={"network": "twitter"},
-    _build=_build_transitivity,
     _seed_run=_seed_fig12,
     _reduce=_reduce_fig12,
 ))
@@ -1055,7 +974,6 @@ _register(ScenarioSpec(
         "network": "facebook", "graph_seed": 0, "thresholds": (0.0, 0.6),
     },
     smoke={"network": "twitter"},
-    _build=_build_whitewashing,
     _seed_run=_seed_whitewashing,
     _reduce=_reduce_whitewashing,
 ))
@@ -1064,7 +982,7 @@ _register(ScenarioSpec(
 # ---------------------------------------------------------------------------
 # vectorized-backend variants
 #
-# Same build/seed/reduce functions with ``compute="vectorized"`` as the
+# Same seed/reduce functions with ``compute="vectorized"`` as the
 # default, registered as first-class scenarios so every generic harness
 # that iterates ``registry.names()`` — the sequential-vs-parallel
 # equivalence suite above all — exercises the numpy kernels for free and

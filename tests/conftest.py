@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.task import Task
@@ -17,6 +19,34 @@ def _isolated_sweep_cache(tmp_path, monkeypatch):
     making second runs of the suite behave differently from the first.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "sweep-cache"))
+
+
+@pytest.fixture
+def network_builds(tmp_path, monkeypatch):
+    """The pid of every calibrated-network build, from whichever process
+    (forked workers inherit the patch), starting and ending with an
+    empty arena store.  Returns a callable that reads the pids so far.
+    """
+    from repro.simulation import registry
+    from repro.socialnet import datasets
+
+    log = tmp_path / "network-builds.log"
+    original = datasets.load_network
+
+    def spy_load(name, seed=0):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return original(name, seed=seed)
+
+    def pids():
+        return [int(pid) for pid in log.read_text().split()] if (
+            log.exists()
+        ) else []
+
+    monkeypatch.setattr(datasets, "load_network", spy_load)
+    registry.clear_arenas()
+    yield pids
+    registry.clear_arenas()
 
 
 @pytest.fixture

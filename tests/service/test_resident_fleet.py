@@ -12,7 +12,6 @@ import signal
 import tempfile
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -38,33 +37,21 @@ def oracle():
 
 
 @pytest.fixture
-def spies(oracle, tmp_path, monkeypatch):
-    """Log the pid of every arena build and every seed run, from
+def spies(oracle, network_builds, tmp_path, monkeypatch):
+    """Log the pid of every network build and every seed run, from
     whichever process (forked workers inherit the patches)."""
-    spec = registry.get(SCENARIO)
-    builds = tmp_path / "builds.log"
     runs = tmp_path / "runs.log"
     original_run = registry.run_reduced
-
-    def spy_build(params):
-        with open(builds, "a") as log:
-            log.write(f"{os.getpid()}\n")
-        return spec._build(params)
 
     def spy_run(name, params, seed):
         with open(runs, "a") as log:
             log.write(f"{os.getpid()} {seed}\n")
         return original_run(name, params, seed)
 
-    registry.clear_arenas()
-    monkeypatch.setitem(
-        registry._REGISTRY, SCENARIO, replace(spec, _build=spy_build)
-    )
     monkeypatch.setattr(registry, "run_reduced", spy_run)
     # The server's private queue root lands here, where it can be seen.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    yield builds, runs
-    registry.clear_arenas()
+    return network_builds, runs
 
 
 def _pids(log):
@@ -103,7 +90,7 @@ class TestResidentFleet:
         assert 1 <= len(workers) <= 2
         assert os.getpid() not in workers
         # ... and each built the arena once, itself, and kept it.
-        built = _pids(builds)
+        built = builds()
         assert os.getpid() not in built
         assert len(built) == len(set(built)) and set(built) <= workers
         assert multiprocessing.active_children() == []

@@ -12,7 +12,6 @@ import os
 import signal
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -74,6 +73,16 @@ def _oracle(names=NAMES, seeds=SEEDS):
     return _ORACLE[key]
 
 
+TWINS = ["fig7-mutuality", "fig7-mutuality-vectorized"]
+
+
+@pytest.fixture(scope="module")
+def twin_oracle():
+    """The twin campaign's oracle, built in this process before (being
+    module-scoped) any per-test network spy is installed."""
+    return _oracle(TWINS)
+
+
 def _assert_oracle(results, names=NAMES, seeds=SEEDS):
     expected = _oracle(names, seeds)
     assert [r.scenario for r in results] == list(names)
@@ -130,31 +139,16 @@ class TestOnePoolPerCampaign:
         _assert_oracle(results, NAMES[:2], seeds=[1])
 
     def test_twin_campaign_builds_the_fig7_arena_once_per_worker(
-        self, spy, monkeypatch, tmp_path
+        self, spy, twin_oracle, network_builds
     ):
-        """A ``-vectorized`` twin shares its base scenario's arena, so
-        a worker that ran the base never builds it again."""
-        names = ["fig7-mutuality", "fig7-mutuality-vectorized"]
-        _oracle(names)  # builds in this process: before the spy
-        build = registry.get(names[0])._build
-        builds = tmp_path / "builds.log"
-
-        def spy_build(params):
-            with open(builds, "a") as log:
-                log.write(f"{os.getpid()}\n")
-            return build(params)
-
-        for name in names:
-            monkeypatch.setitem(registry._REGISTRY, name, replace(
-                registry.get(name), _build=spy_build,
-            ))
-        monkeypatch.setattr(registry, "_ARENAS", {})
-        results = execute_campaign(_specs(names), POOL)
-        pids = builds.read_text().split()
-        assert str(os.getpid()) not in pids
+        """A ``-vectorized`` twin runs on its base scenario's network,
+        so a worker that ran the base never builds it again."""
+        results = execute_campaign(_specs(TWINS), POOL)
+        pids = network_builds()
+        assert pids and os.getpid() not in pids
         assert len(pids) == len(set(pids))
         assert len(spy.created) == 1
-        _assert_oracle(results, names)
+        _assert_oracle(results, TWINS)
 
     def test_lone_sweep_keeps_its_one_chunk_in_the_caller(self, spy):
         result = execute_campaign([SweepSpec(NAMES[0], [1], smoke=True)],

@@ -15,7 +15,6 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -438,31 +437,16 @@ class TestExecuteQueued:
         assert not list((tmp_path / "q").iterdir())
 
     def test_forked_workers_inherit_the_warm_arena(
-        self, tmp_path, monkeypatch
+        self, tmp_path, network_builds
     ):
         name = "fig7-mutuality"
         spec = registry.get(name)
-        builds = tmp_path / "builds.log"
-
-        def spy_build(params):
-            with open(builds, "a") as log:
-                log.write(f"{os.getpid()}\n")
-            return spec._build(params)
-
-        registry.clear_arenas()
-        monkeypatch.setitem(
-            registry._REGISTRY, name, replace(spec, _build=spy_build)
+        [outcome] = execute_queued(
+            [QueuedJob(name, spec.params_key(smoke=True), (1, 2, 3, 4))],
+            workers=2, queue_dir=tmp_path / "q",
         )
-        try:
-            [outcome] = execute_queued(
-                [QueuedJob(name, spec.params_key(smoke=True), (1, 2, 3, 4))],
-                workers=2, queue_dir=tmp_path / "q",
-            )
-        finally:
-            registry.clear_arenas()
-        pids = builds.read_text().split()
         # One build, by the coordinator: the forked fleet inherited it.
-        assert pids == [str(os.getpid())]
+        assert network_builds() == [os.getpid()]
         assert outcome.tasks == 4
         for seed in (1, 2, 3, 4):
             assert outcome.results[seed] == spec.run(seed, smoke=True)

@@ -2,7 +2,6 @@
 
 import ast
 import pickle
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,108 +95,104 @@ class TestRun:
         assert spec.run(seed=2, smoke=True) != spec.run(seed=3, smoke=True)
 
 
-def _build_counting(params):
-    _BUILD_CALLS.append(dict(params))
-    return {"token": object()}
-
-
-def _seed_identity(arena, params, seed):
-    return arena
-
-
-def _reduce_noop(result):
-    from repro.simulation.results import SeriesResult
-
-    return SeriesResult("noop", [0.0])
-
-
-_BUILD_CALLS = []
-
-
 @pytest.fixture
-def synthetic_spec(request):
-    """Register a throwaway spec (cleaned up afterwards)."""
-    def make(name, reusable):
-        spec = registry.ScenarioSpec(
-            name=name,
-            kind="series",
-            description="synthetic arena test spec",
-            defaults={"knob": 1},
-            _build=_build_counting,
-            _seed_run=_seed_identity,
-            _reduce=_reduce_noop,
-            reusable=reusable,
-        )
-        registry._register(spec)
-        request.addfinalizer(lambda: registry._REGISTRY.pop(name, None))
-        return spec
+def builds(monkeypatch):
+    """The ``(network, seed)`` of every network load, starting from an
+    empty arena store (emptied again afterwards)."""
+    from repro.socialnet import datasets
 
-    _BUILD_CALLS.clear()
+    calls = []
+    original = datasets.load_network
+
+    def spy_load(name, seed=0):
+        calls.append((name, seed))
+        return original(name, seed=seed)
+
+    monkeypatch.setattr(datasets, "load_network", spy_load)
     registry.clear_arenas()
-    return make
+    yield calls
+    registry.clear_arenas()
+
+
+# The 25 twitter smoke runs that used to hold 25 arenas: 20 Fig. 7
+# thresholds, both Fig. 13 strategies and the three transitivity specs.
+_ONE_NETWORK_RUNS = (
+    [("fig7-mutuality", {"threshold": index / 20}) for index in range(20)]
+    + [("fig13-delegation", {"strategy": "first"}),
+       ("fig13-delegation", {"strategy": "second"}),
+       ("fig9-transitivity", {}), ("table2-properties", {}),
+       ("fig12-overhead", {})]
+)
 
 
 class TestArenas:
-    def test_build_once_is_shared_across_seeds(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-reusable", reusable=True)
-        first = spec.build_once()
-        second = spec.build_once()
-        assert first is second
-        assert len(_BUILD_CALLS) == 1
-        # run_full goes through the same store: still no rebuild.
-        spec.run_full(seed=1)
-        spec.run_full(seed=2)
-        assert len(_BUILD_CALLS) == 1
+    def test_network_arena_is_shared_across_seeds(self, builds):
+        spec = registry.get("fig7-mutuality")
+        spec.run_full(seed=1, smoke=True)
+        spec.run_full(seed=2, smoke=True)
+        assert builds == [("twitter", 0)]
+        assert registry.arena_store_size() == 1
 
-    def test_different_params_get_different_arenas(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-params", reusable=True)
-        assert spec.build_once() is not spec.build_once(knob=2)
-        assert len(_BUILD_CALLS) == 2
+    def test_one_arena_per_network_across_scenarios_and_params(self, builds):
+        for name, overrides in _ONE_NETWORK_RUNS:
+            registry.get(name).run(seed=1, smoke=True, **overrides)
+        assert len(_ONE_NETWORK_RUNS) == 25
+        assert registry.arena_store_size() == 1
+        assert builds == [("twitter", 0)]
 
-    def test_non_reusable_spec_rebuilds_per_seed(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-fresh", reusable=False)
-        assert spec.build_once() is not spec.build_once()
-        spec.run_full(seed=1)
-        spec.run_full(seed=1)
-        assert len(_BUILD_CALLS) == 4
+    def test_each_network_and_graph_seed_gets_its_own_arena(self, builds):
+        spec = registry.get("eq24-selfdelegation")
+        spec.run(seed=1, smoke=True)
+        spec.run(seed=1, smoke=True, graph_seed=1)
+        spec.run(seed=2, smoke=True, graph_seed=1)
+        assert builds == [("twitter", 0), ("twitter", 1)]
+        assert registry.arena_store_size() == 2
+
+    def test_warm_arena_prebuilds(self, builds):
+        spec = registry.get("fig13-delegation")
+        registry.warm_arena(spec.name, spec.params_key(smoke=True))
+        assert builds == [("twitter", 0)]
+        spec.run(seed=5, smoke=True, strategy="first")
+        assert builds == [("twitter", 0)]
+
+    @pytest.mark.parametrize(
+        "name", ["no-such-scenario", "fig15-environment",
+                 "table1-connectivity"],
+    )
+    def test_warm_arena_builds_nothing_without_a_network(self, builds, name):
+        params = (
+            registry.get(name).params_key(smoke=True)
+            if name in registry.names()
+            else (("graph_seed", 0), ("network", "twitter"))
+        )
+        registry.warm_arena(name, params)
+        assert builds == []
         assert registry.arena_store_size() == 0
 
-    def test_warm_arena_prebuilds(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-warm", reusable=True)
-        registry.warm_arena(spec.name, spec.params_key())
-        assert len(_BUILD_CALLS) == 1
-        spec.run_full(seed=5)
-        assert len(_BUILD_CALLS) == 1
+    def test_warm_arena_builds_what_the_first_seed_builds(self, builds):
+        """A scenario has an arena iff its params carry ``graph_seed``,
+        and a warmed scenario's seed builds nothing more."""
+        for spec in registry.specs():
+            registry.clear_arenas()
+            registry.warm_arena(spec.name, spec.params_key(smoke=True))
+            warmed = registry.arena_store_size()
+            assert warmed == ("graph_seed" in spec.params()), spec.name
+            spec.run(seed=1, smoke=True)
+            assert registry.arena_store_size() == warmed, spec.name
 
-    def test_warm_arena_ignores_unknown_and_non_reusable(self, synthetic_spec):
-        registry.warm_arena("no-such-scenario", ())
-        spec = synthetic_spec("synthetic-skip", reusable=False)
-        registry.warm_arena(spec.name, spec.params_key())
-        assert _BUILD_CALLS == []
-
-    def test_clear_arenas_forces_rebuild(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-clear", reusable=True)
-        spec.build_once()
+    def test_clear_arenas_forces_rebuild(self, builds):
+        spec = registry.get("fig7-mutuality")
+        spec.run(seed=1, smoke=True)
         registry.clear_arenas()
-        spec.build_once()
-        assert len(_BUILD_CALLS) == 2
+        spec.run(seed=1, smoke=True)
+        assert builds == [("twitter", 0)] * 2
 
-    def test_vectorized_twin_shares_the_base_arena(self, monkeypatch):
+    def test_vectorized_twin_shares_the_base_arena(self):
         names = ("fig7-mutuality", "fig7-mutuality-vectorized")
         fresh = {}
         for name in names:
             registry.clear_arenas()
             fresh[name] = registry.get(name).run(seed=1, smoke=True)
-        builds = []
-
-        def spy_build(params):
-            builds.append(dict(params))
-            return registry._build_fig7(params)
-
-        for name in names:
-            monkeypatch.setitem(registry._REGISTRY, name, replace(
-                registry.get(name), _build=spy_build,
-            ))
         registry.clear_arenas()
         try:
             shared = {
@@ -207,18 +202,11 @@ class TestArenas:
             assert registry.arena_store_size() == 1
         finally:
             registry.clear_arenas()
-        assert len(builds) == 1
-        assert "compute" not in builds[0]
         assert shared == fresh
 
-    def test_run_with_seed_uses_the_given_arena(self, synthetic_spec):
-        spec = synthetic_spec("synthetic-explicit", reusable=True)
-        arena = spec.build_once()
-        assert spec.run_with_seed(arena, seed=3) is arena
-
     def test_unhashable_override_values_are_normalized(self):
-        # A list override must work (hash into the arena store / cache
-        # key) exactly like the equivalent tuple.
+        # A list override must work (hash into the cache key) exactly
+        # like the equivalent tuple.
         spec = registry.get("ablation-beta")
         as_list = spec.params_key(smoke=True, betas=[0.5, 0.9])
         as_tuple = spec.params_key(smoke=True, betas=(0.5, 0.9))
@@ -240,13 +228,6 @@ class TestArenas:
             0.5, 0.8, 0.9, 0.98,
         )
 
-    def test_every_registered_spec_builds_an_arena(self):
-        registry.clear_arenas()
-        for spec in registry.specs():
-            arena = spec.build_once(smoke=True)
-            assert isinstance(arena, dict)
-        registry.clear_arenas()
-
 
 class TestHoods:
     """The arena's presorted neighbourhoods, filtered by a seed's trustee
@@ -256,8 +237,9 @@ class TestHoods:
     @pytest.mark.parametrize("hops", [1, 2])
     @pytest.mark.parametrize("network", sorted(NETWORK_PROFILES))
     def test_filtered_hoods_equal_trustee_neighbors(self, network, hops):
-        graph = registry._graph(network, 0)
-        hoods = registry._hoods(graph, hops)
+        arena = registry._arena(network, 0)
+        graph, hoods = arena["graph"], arena["hoods"][hops]
+        assert hoods == registry._hoods(graph, hops)
         for seed in (1, 2):
             scenario = build_scenario(graph, seed)
             trustee_set = scenario.trustee_set
@@ -266,13 +248,27 @@ class TestHoods:
                 assert filtered == scenario.trustee_neighbors(node, hops)
 
     @pytest.mark.parametrize(
-        "name, hops",
-        [("fig7-mutuality", 2), ("fig13-delegation", 2),
-         ("eq24-selfdelegation", 1)],
+        "name, simulation, hops",
+        [("fig7-mutuality", "MutualitySimulation", 2),
+         ("fig13-delegation", "DelegationSimulation", 2),
+         ("eq24-selfdelegation", "SelfDelegationSimulation", 1)],
     )
-    def test_arena_holds_the_hoods_its_seeds_filter(self, name, hops):
-        arena = registry.get(name).build_once(smoke=True)
-        assert arena["hoods"] == registry._hoods(arena["graph"], hops)
+    def test_seeds_filter_the_hoods_of_their_hop_count(
+        self, monkeypatch, name, simulation, hops
+    ):
+        given = []
+        base = getattr(registry, simulation)
+
+        class Spy(base):
+            def __init__(self, *args, hoods, **kwargs):
+                given.append(hoods)
+                super().__init__(*args, hoods=hoods, **kwargs)
+
+        monkeypatch.setattr(registry, simulation, Spy)
+        registry.get(name).run(seed=1, smoke=True)
+        arena = registry._arena("twitter", 0)
+        assert len(given) == 1
+        assert given[0] is arena["hoods"][hops]
 
 
 _ROOT = Path(__file__).resolve().parents[2]
